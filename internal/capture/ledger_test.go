@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/filter"
+	"repro/internal/pktgen"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -173,27 +174,45 @@ func TestFaultLossConservation(t *testing.T) {
 }
 
 // TestSystemReuseIdentical is the regression test for stale per-run state
-// (accumulated busy counters and the RunWithArrivals gap index): a reused
-// System fed the identical train must report identical Stats.
+// (accumulated busy counters, the RunWithArrivals gap index, user-task
+// placement weighing the previous run's kernel load, and the poll-mode
+// spins): a reused System fed the identical train must report identical
+// Stats, on the legacy stacks and the modern ones.
 func TestSystemReuseIdentical(t *testing.T) {
-	cfg := scaled(swanCfg(), 5000)
-	gaps := trace.SelfSimilarArrivals(5000, 6000, 16, 1.5, 9)
-
-	fresh := NewSystem(cfg)
-	want := fresh.RunWithArrivals(newGen(5000, 800, 7), gaps)
-
-	reused := NewSystem(cfg)
-	first := reused.RunWithArrivals(newGen(5000, 800, 7), gaps)
-	second := reused.RunWithArrivals(newGen(5000, 800, 7), gaps)
-
-	if !reflect.DeepEqual(want, first) {
-		t.Fatalf("first run on reused system differs from fresh system:\n%+v\nvs\n%+v", first, want)
+	modern := func() *pktgen.Generator { return newModernGen(3000, 10000, 7) }
+	cases := []struct {
+		name    string
+		cfg     Config
+		gen     func() *pktgen.Generator
+		packets int
+		meanGap float64
+	}{
+		{"swan", swanCfg(), func() *pktgen.Generator { return newGen(5000, 800, 7) }, 5000, 6000},
+		{"heron", modernCfg("heron", StackRSS, 1), modern, 3000, 600},
+		{"osprey", modernCfg("osprey", StackPoll, 1), modern, 3000, 600},
+		{"kite", modernCfg("kite", StackZeroCopy, 1), modern, 3000, 600},
 	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("second run on the same System diverged:\n%+v\nvs\n%+v", second, first)
-	}
-	if err := second.CheckConservation(); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := scaled(c.cfg, c.packets)
+			gaps := trace.SelfSimilarArrivals(c.packets, c.meanGap, 16, 1.5, 9)
+
+			want := NewSystem(cfg).RunWithArrivals(c.gen(), gaps)
+
+			reused := NewSystem(cfg)
+			first := reused.RunWithArrivals(c.gen(), gaps)
+			second := reused.RunWithArrivals(c.gen(), gaps)
+
+			if !reflect.DeepEqual(want, first) {
+				t.Fatalf("first run on reused system differs from fresh system:\n%+v\nvs\n%+v", first, want)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("second run on the same System diverged:\n%+v\nvs\n%+v", second, first)
+			}
+			if err := second.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

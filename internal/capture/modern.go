@@ -279,21 +279,50 @@ func (st *rssStack) irqDone([]byte, any)                    {}
 
 type pollStack struct {
 	sys      *System
-	nrings   int
+	pmds     []pmd
 	inflight [][]kpkt
 	socks    []*msock
+}
+
+// pmd is one poll-mode driver loop: ring r's dedicated core and its idle
+// spin. An idle core holds the spin as an open-ended task (sim.CPU.Spin),
+// so its busy time accrues without events. While a packet can still land
+// on the ring, one grain event per PollIdleNS stands in for the empty poll
+// that would notice it, firing at the instant and in the order a loop of
+// PollIdleNS tasks would poll, so a landing is picked up when that loop
+// would pick it up. Once nothing can land, the grains stop: landings, not
+// the grain, bound an idle core's event count.
+type pmd struct {
+	cpu   *sim.CPU
+	spin  sim.Task     // the idle spin; its OnDone polls the ring
+	grain func()       // the grain event, bound once so arming allocates nothing
+	next  sim.EventRef // the armed grain
+	// Once the grains stop, tailFrom is the last grain boundary and
+	// tailGrain the grain length there (0 while grains are armed).
+	tailFrom, tailGrain sim.Time
 }
 
 func newPollStack(s *System, nrings int) *pollStack {
 	st := &pollStack{
 		sys:      s,
-		nrings:   nrings,
+		pmds:     make([]pmd, nrings),
 		inflight: make([][]kpkt, nrings),
 	}
-	// The PMD cores are dedicated: user work must never be placed on a
-	// busy-spinning CPU (it would starve behind the spin forever).
-	for r := 0; r < nrings; r++ {
-		s.Machine.Reserve(r % len(s.Machine.CPUs))
+	for r := range st.pmds {
+		p := &st.pmds[r]
+		p.cpu = s.ringCPU(r)
+		// The PMD cores are dedicated: user work must never be placed on a
+		// busy-spinning CPU (it would starve behind the spin forever).
+		s.Machine.Reserve(p.cpu.ID)
+		// PollIdleNS is the spin grain, a simulation artifact: it is not
+		// scaled by kfixed, and the busy accounting is exact either way.
+		p.spin = sim.Task{
+			Name:    "pmd-spin",
+			Prio:    sim.PrioSoftIRQ,
+			FixedNS: s.Costs.PollIdleNS,
+			OnDone:  func() { st.poll(r) },
+		}
+		p.grain = func() { st.grain(r) }
 	}
 	for i, a := range s.apps {
 		st.socks = append(st.socks, &msock{app: a, gauge: s.newGauge("app-ring", i, s.Costs.AppRingSlots)})
@@ -304,39 +333,61 @@ func newPollStack(s *System, nrings int) *pollStack {
 func (st *pollStack) reset() {
 	for i := range st.inflight {
 		st.inflight[i] = nil
+		st.pmds[i].tailFrom, st.pmds[i].tailGrain = 0, 0
 	}
 	resetSocks(st.socks)
 }
 
 // start launches the PMD loops, one per ring on its own core. Called by
-// System.run after s.running is set; the loops die with the run.
+// System.run after s.running is set.
 func (st *pollStack) start() {
-	for r := 0; r < st.nrings; r++ {
+	for r := range st.pmds {
 		st.poll(r)
 	}
 }
 
-// poll runs one PMD loop iteration on ring r's core: an empty poll is a
-// busy spin of PollIdleNS (the core is 100% busy whether or not traffic
-// flows — the defining cost trade of poll mode, visible in cpusage as a
-// pegged softintr class); a non-empty poll processes up to PollBurst
-// packets and hands them into the per-application rings without copying.
+// stop ends the spins once the run is over. It first moves the clock to
+// where a loop of PollIdleNS tasks would have left it, the last grain
+// boundary at or before limit (the last window the run advanced to), so a
+// truncated run books its remnants at that loop's instant. This assumes a
+// stopped core's grain length holds, which only a hyperthread sibling
+// changing state during a truncated tail would break. Each spin then ends,
+// and the work queued behind it (housekeeping, a starved reader) drains.
+func (st *pollStack) stop(limit sim.Time) {
+	last := st.sys.Sim.Now()
+	for r := range st.pmds {
+		p := &st.pmds[r]
+		p.next.Cancel()
+		if p.tailGrain > 0 {
+			if g := p.tailFrom + (limit-p.tailFrom)/p.tailGrain*p.tailGrain; g > last {
+				last = g
+			}
+		}
+	}
+	st.sys.Sim.AdvanceTo(last)
+	for r := range st.pmds {
+		if p := &st.pmds[r]; p.cpu.Running() == &p.spin {
+			p.cpu.EndSpin() // its OnDone polls nothing: the run is over
+		}
+	}
+}
+
+// poll runs one PMD loop iteration on ring r's core: a non-empty poll
+// processes up to PollBurst packets and hands them into the
+// per-application rings without copying; an empty one parks the core in
+// its spin (the core is 100% busy whether or not traffic flows — the
+// defining cost trade of poll mode, visible in cpusage as a pegged
+// softintr class).
 func (st *pollStack) poll(r int) {
 	if !st.sys.running {
-		return // run over: the spin loop winds down
+		return // run over: the loop winds down
 	}
 	c := &st.sys.Costs
 	batch := st.sys.rss.popBurst(r, c.PollBurst)
 	if len(batch) == 0 {
-		// PollIdleNS is the spin grain, a simulation artifact: it is not
-		// scaled by kfixed so the event count of an idle core stays
-		// bounded, and the busy accounting is exact either way.
-		st.sys.ringCPU(r).Submit(&sim.Task{
-			Name:    "pmd-idle",
-			Prio:    sim.PrioSoftIRQ,
-			FixedNS: c.PollIdleNS,
-			OnDone:  func() { st.poll(r) },
-		})
+		p := &st.pmds[r]
+		p.cpu.Spin(&p.spin)
+		st.arm(r)
 		return
 	}
 	st.inflight[r] = batch
@@ -362,7 +413,7 @@ func (st *pollStack) poll(r int) {
 			delivers = append(delivers, mdelivery{sk, kpkt{data: p.data, caplen: caplen, arrival: p.arrival}})
 		}
 	}
-	st.sys.ringCPU(r).Submit(&sim.Task{
+	st.pmds[r].cpu.Submit(&sim.Task{
 		Name:    "pmd-burst",
 		Prio:    sim.PrioSoftIRQ,
 		FixedNS: st.sys.kfixed(fixed),
@@ -387,6 +438,31 @@ func (st *pollStack) poll(r int) {
 			st.poll(r)
 		},
 	})
+}
+
+// grain is one spin-grain boundary on ring r, where the loop polls the
+// ring again: a packet that landed ends the spin, whose OnDone polls it;
+// otherwise the next grain is armed.
+func (st *pollStack) grain(r int) {
+	if st.sys.rss.depth(r) > 0 {
+		st.pmds[r].cpu.EndSpin()
+		return
+	}
+	st.arm(r)
+}
+
+// arm schedules ring r's next grain one PollIdleNS task from now, as long
+// as the core would run it now (hyperthreading stretches it while the
+// sibling is busy), while a packet can still land on the empty ring:
+// generation running or DMA in flight. Otherwise the grains stop here.
+func (st *pollStack) arm(r int) {
+	p := &st.pmds[r]
+	now, grain := st.sys.Sim.Now(), p.cpu.Cost(&p.spin)
+	if st.sys.genDone && st.sys.rss.dmaPkts == 0 {
+		p.tailFrom, p.tailGrain = now, grain
+		return
+	}
+	p.next = st.sys.Sim.At(now+grain, p.grain)
 }
 
 // appStart: the reader maps the ring frames in place — no syscall, no

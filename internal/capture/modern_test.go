@@ -1,9 +1,15 @@
 package capture
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/filter"
 	"repro/internal/pktgen"
 )
 
@@ -210,5 +216,109 @@ func TestModernRingClamp(t *testing.T) {
 	cfg.RXRings = 99
 	if got := NewSystem(scaled(cfg, 1000)).RXRings; got != 7 {
 		t.Errorf("poll rings=99: clamped to %d, want 7 (NumCPUs-1)", got)
+	}
+}
+
+// pollGoldenPackets is the train length of every golden poll-mode cell.
+const pollGoldenPackets = 3000
+
+// pollGoldenCase is one cell of the poll-mode golden matrix.
+type pollGoldenCase struct {
+	name     string
+	cfg      Config
+	rateMbit float64
+}
+
+// pollGoldenCases is the osprey matrix whose Stats testdata/pollmode.golden.json
+// pins: 8 CPUs × rings {1,2,4,7} × {1,4} apps × {2,25,100}G, then
+// hyperthreading (PMD siblings spinning, and a PMD sibling running the
+// readers), 2 CPUs, a sampling policy, the reference BPF filter, and 1 CPU
+// without housekeeping, where the reader starves behind the spin until the
+// 600 s cap truncates the run.
+func pollGoldenCases() []pollGoldenCase {
+	osprey := func(napps int) Config {
+		return scaled(modernCfg("osprey", StackPoll, napps), pollGoldenPackets)
+	}
+	var cs []pollGoldenCase
+	for _, rings := range []int{1, 2, 4, 7} {
+		for _, napps := range []int{1, 4} {
+			for _, gbit := range []int{2, 25, 100} {
+				cfg := osprey(napps)
+				cfg.RXRings = rings
+				cs = append(cs, pollGoldenCase{fmt.Sprintf("8cpu-rings%d-apps%d-%dG", rings, napps, gbit), cfg, float64(gbit) * 1000})
+			}
+		}
+	}
+	ht := osprey(4)
+	ht.Hyperthreading = true
+	cs = append(cs, pollGoldenCase{"ht-8cpu-rings4-apps4-25G", ht, 25000})
+	for _, gbit := range []int{2, 25} {
+		ht = osprey(4)
+		ht.Hyperthreading = true
+		ht.NumCPUs = 2 // 4 logical CPUs: PMDs on 0-2, readers on 3, cpu 2's sibling
+		cs = append(cs, pollGoldenCase{fmt.Sprintf("ht-2cpu-rings3-apps4-%dG", gbit), ht, float64(gbit) * 1000})
+	}
+	two := osprey(1)
+	two.NumCPUs = 2
+	cs = append(cs, pollGoldenCase{"2cpu-apps1-25G", two, 25000})
+	pol := osprey(4)
+	pol.Policy = PolicySpec{Kind: PolicyUniform, N: 2}
+	cs = append(cs, pollGoldenCase{"8cpu-rings4-apps4-uniform2-25G", pol, 25000})
+	bpf := osprey(4)
+	bpf.Filter = filter.MustCompile(filter.ReferenceFilterExpr, 1515)
+	cs = append(cs, pollGoldenCase{"8cpu-rings4-apps4-bpf-25G", bpf, 25000})
+	one := osprey(1)
+	one.NumCPUs = 1
+	one.Costs.HousekeepNS = 0
+	cs = append(cs, pollGoldenCase{"1cpu-nohousekeeping-apps1-2G", one, 2000})
+	return cs
+}
+
+// TestPollModeGolden pins the Stats of the poll-mode matrix to those of a
+// loop that simulates every empty poll as its own PollIdleNS task: the
+// reference the event-free spin must reproduce exactly. Regenerate with
+// UPDATE_GOLDEN=1 only for a deliberate model change.
+func TestPollModeGolden(t *testing.T) {
+	cases := pollGoldenCases()
+	got := map[string]Stats{}
+	for _, c := range cases {
+		st := NewSystem(c.cfg).Run(newModernGen(pollGoldenPackets, c.rateMbit, 1))
+		if err := st.CheckConservation(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		got[c.name] = st
+	}
+	if !got["1cpu-nohousekeeping-apps1-2G"].Truncated {
+		t.Error("1cpu-nohousekeeping-apps1-2G: the starved reader did not truncate the run")
+	}
+	golden := filepath.Join("testdata", "pollmode.golden.json")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		b, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	var want map[string]Stats
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden has %d cells, the matrix %d", len(want), len(got))
+	}
+	for _, c := range cases {
+		if w, ok := want[c.name]; !ok {
+			t.Errorf("%s: not in the golden file", c.name)
+		} else if st := got[c.name]; !reflect.DeepEqual(st, w) {
+			gb, _ := json.Marshal(st)
+			wb, _ := json.Marshal(w)
+			t.Errorf("%s drifted from golden:\ngot  %s\nwant %s", c.name, gb, wb)
+		}
 	}
 }

@@ -40,6 +40,14 @@ type stack interface {
 	remnants() (shared []kpkt, perApp [][]kpkt)
 }
 
+// spinner is a stack whose cores spin for the whole run (poll mode). start
+// launches the spins once the run is live; stop ends them once it is over,
+// given the last window limit the run advanced to.
+type spinner interface {
+	start()
+	stop(limit sim.Time)
+}
+
 // appState tracks what an application is doing.
 type appState int
 
@@ -310,8 +318,9 @@ func (s *System) RunSource(src Source) Stats {
 
 // resetRun clears every per-run counter and state machine so that a System
 // can be reused for another train: the busy-counter baseline is
-// re-snapshotted (cpu.Busy is cumulative), the ledger, gauges, NIC, stack,
-// disk and application state all start fresh.
+// re-snapshotted (cpu.Busy is cumulative), user-task placement forgets the
+// last run's kernel load, and the ledger, gauges, NIC, stack, disk and
+// application state all start fresh.
 func (s *System) resetRun() {
 	s.genDone = false
 	s.truncated = false
@@ -332,6 +341,7 @@ func (s *System) resetRun() {
 		a.reset()
 	}
 	s.tsStamped, s.tsErrSum, s.tsErrMax, s.tsTies = 0, 0, 0, 0
+	s.Machine.RestartPlacement()
 	ncpu := len(s.Machine.CPUs)
 	if s.busyAtStart == nil {
 		s.busyAtStart = make([][sim.NumPrio]sim.Time, ncpu)
@@ -376,8 +386,9 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 		s.stack.appStart(a)
 	}
 	// A poll-mode stack spins up its PMD loops for the duration of the run.
-	if st, ok := s.stack.(interface{ start() }); ok {
-		st.start()
+	sp, _ := s.stack.(spinner)
+	if sp != nil {
+		sp.start()
 	}
 
 	var sent uint64
@@ -416,8 +427,7 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 		if s.genDone && s.quiescent() {
 			break
 		}
-		limit += window
-		if limit > s.genEnd+600*sim.Second && s.genDone {
+		if s.genDone && limit+window > s.genEnd+600*sim.Second {
 			// Safety cap: a livelocked configuration would take longer to
 			// drain than any real run. Mark the truncation and book the
 			// packets still in flight instead of letting them drain (which
@@ -426,8 +436,12 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 			s.truncated = true
 			break
 		}
+		limit += window
 	}
 	s.running = false
+	if sp != nil {
+		sp.stop(limit)
+	}
 	if s.truncated {
 		s.recordRemnants()
 		st := s.collectStats(sent)

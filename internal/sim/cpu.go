@@ -90,6 +90,10 @@ type Machine struct {
 	// placement candidates so the SubmitUser hot path stays allocation-free.
 	reserved   []bool
 	unreserved []*CPU
+
+	// placeFrom is when SubmitUser's kernel-load history starts (see
+	// RestartPlacement).
+	placeFrom Time
 }
 
 // Reserve dedicates CPU id to pinned kernel work (a poll-mode driver
@@ -171,8 +175,10 @@ type CPU struct {
 
 	queues  [NumPrio]taskq
 	current *Task
+	spin    *Task // the task Spin started: it runs until EndSpin
 
-	busy [NumPrio]Time // completed busy time per class
+	busy     [NumPrio]Time // completed busy time per class
+	kernFrom Time          // kernel busy time before RestartPlacement
 }
 
 // Submit enqueues t on this CPU and dispatches or preempts as needed.
@@ -215,6 +221,10 @@ func (c *CPU) SubmitFront(t *Task) {
 // the remainder at the front of its priority queue.
 func (c *CPU) preempt() {
 	cur := c.current
+	if cur == c.spin {
+		// Nothing models what a spin does when it is interrupted.
+		panic(fmt.Sprintf("sim: higher-class task reached cpu%d while it spins in %s", c.ID, cur.Prio))
+	}
 	elapsed := c.machine.Sim.Now() - cur.started
 	c.busy[cur.Prio] += elapsed
 	frac := 0.0
@@ -250,9 +260,10 @@ func (c *CPU) dispatch() {
 	}
 }
 
-// start computes the task's duration under the current dynamic conditions
-// and schedules its completion.
-func (c *CPU) start(t *Task) {
+// Cost returns how long t would run if c started it now: its fixed and
+// memory cost under the current memory contention and hyperthread
+// sibling state. It is the duration start gives a task.
+func (c *CPU) Cost(t *Task) Time {
 	memNs := t.MemBytes * t.MemNsPerByte
 	if memNs > 0 && c.machine.memActiveElsewhere(c) {
 		memNs *= c.machine.MemContention
@@ -264,10 +275,47 @@ func (c *CPU) start(t *Task) {
 	if ns < 0 {
 		ns = 0
 	}
+	return Time(ns + 0.5)
+}
+
+// start computes the task's duration under the current dynamic conditions
+// and schedules its completion. A spin gets no completion event.
+func (c *CPU) start(t *Task) {
 	t.started = c.machine.Sim.Now()
-	t.duration = Time(ns + 0.5)
 	c.current = t
+	if t == c.spin {
+		return
+	}
+	t.duration = c.Cost(t)
 	t.doneRef = c.machine.Sim.afterTask(t.duration, c, t)
+}
+
+// Spin makes t the CPU's current task with no completion event: an
+// open-ended busy loop, like a poll-mode driver's. The CPU stays busy in
+// class t.Prio until EndSpin, work of that or a lower class queues behind
+// it, and starting it preempts lower-class work exactly as Submit does. A
+// spin must start at once, and a higher-class task must never reach a
+// spinning CPU: nothing in the model does either, so both panic.
+func (c *CPU) Spin(t *Task) {
+	c.spin = t
+	c.Submit(t)
+	if c.current != t {
+		panic(fmt.Sprintf("sim: spin queued behind %s work on cpu%d", c.current.Prio, c.ID))
+	}
+}
+
+// EndSpin stops the current spin at the current instant and books its
+// elapsed time. Like a completion, it runs the spin's OnDone before it
+// dispatches queued work.
+func (c *CPU) EndSpin() {
+	t := c.current
+	if t == nil || t != c.spin {
+		panic(fmt.Sprintf("sim: EndSpin on cpu%d, which is not spinning", c.ID))
+	}
+	c.busy[t.Prio] += c.machine.Sim.Now() - t.started
+	c.current, c.spin = nil, nil
+	t.OnDone()
+	c.dispatch()
 }
 
 func (c *CPU) complete(t *Task) {
@@ -349,7 +397,8 @@ func (m *Machine) siblingBusy(self *CPU) bool {
 // share of the CPU that kernel-side work (interrupts, softirqs) has been
 // consuming — a scheduler quickly learns that the CPU taking the
 // interrupts runs user work slowly. Ties are broken by accumulated kernel
-// busy time, then by CPU ID for determinism.
+// busy time, then by CPU ID for determinism. Both histories start at the
+// last RestartPlacement, or at time zero.
 func (m *Machine) SubmitUser(t *Task) *CPU {
 	cands := m.CPUs
 	if len(m.unreserved) > 0 {
@@ -357,9 +406,9 @@ func (m *Machine) SubmitUser(t *Task) *CPU {
 	}
 	best := cands[0]
 	bestScore := m.finishScore(best, t)
-	bestKern := kernelBusyTotal(best)
+	bestKern := best.kernelBusy()
 	for _, c := range cands[1:] {
-		s, k := m.finishScore(c, t), kernelBusyTotal(c)
+		s, k := m.finishScore(c, t), c.kernelBusy()
 		if s < bestScore || (s == bestScore && k < bestKern) {
 			best, bestScore, bestKern = c, s, k
 		}
@@ -368,11 +417,20 @@ func (m *Machine) SubmitUser(t *Task) *CPU {
 	return best
 }
 
+// RestartPlacement starts SubmitUser's kernel-load history afresh, so a
+// machine reused for another run places user work as a new one would.
+func (m *Machine) RestartPlacement() {
+	m.placeFrom = m.Sim.Now()
+	for _, c := range m.CPUs {
+		c.kernFrom = kernelBusyTotal(c)
+	}
+}
+
 // finishScore projects when t would complete on c.
 func (m *Machine) finishScore(c *CPU, t *Task) float64 {
 	avail := 1.0
-	if now := m.Sim.Now(); now > 0 {
-		kfrac := float64(kernelBusyTotal(c)) / float64(now)
+	if now := m.Sim.Now() - m.placeFrom; now > 0 {
+		kfrac := float64(c.kernelBusy()) / float64(now)
 		avail = 1 - kfrac
 		if avail < 0.1 {
 			avail = 0.1
@@ -404,6 +462,9 @@ func pendingNS(c *CPU) float64 {
 func kernelBusyTotal(c *CPU) Time {
 	return c.Busy(PrioHardIRQ) + c.Busy(PrioSoftIRQ) + c.Busy(PrioKernel)
 }
+
+// kernelBusy is c's kernel busy time since the last RestartPlacement.
+func (c *CPU) kernelBusy() Time { return kernelBusyTotal(c) - c.kernFrom }
 
 // Running returns the currently executing task, or nil.
 func (c *CPU) Running() *Task { return c.current }

@@ -518,3 +518,171 @@ func TestSubmitUserAllReservedFallsBack(t *testing.T) {
 		t.Fatal("no CPU chosen")
 	}
 }
+
+// spinTask is an open-ended softirq spin that records when its OnDone ran.
+func spinTask(s *Sim, ended *[]Time) *Task {
+	return &Task{Name: "spin", Prio: PrioSoftIRQ, FixedNS: 4000, OnDone: func() {
+		*ended = append(*ended, s.Now())
+	}}
+}
+
+// TestSpinBusyIsElapsed: a spin schedules nothing, and Busy mid-spin and
+// after EndSpin is exactly the elapsed time.
+func TestSpinBusyIsElapsed(t *testing.T) {
+	s := New()
+	c := NewMachine(s, 1, false).CPUs[0]
+	var ended []Time
+	s.At(100, func() { c.Spin(spinTask(s, &ended)) })
+	var mid Time
+	s.At(12345, func() { mid = c.Busy(PrioSoftIRQ) })
+	s.At(20000, c.EndSpin)
+	s.RunUntil(15000)
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d mid-spin, want only the EndSpin event", s.Pending())
+	}
+	s.Run()
+	if mid != 12245 {
+		t.Fatalf("busy mid-spin = %v, want 12245", mid)
+	}
+	if got := c.Busy(PrioSoftIRQ); got != 19900 {
+		t.Fatalf("busy after EndSpin = %v, want 19900", got)
+	}
+	if len(ended) != 1 || ended[0] != 20000 {
+		t.Fatalf("OnDone ran at %v, want once at 20000", ended)
+	}
+	if !c.Idle() || s.Now() != 20000 {
+		t.Fatalf("idle=%v now=%v after the spin, want idle at 20000", c.Idle(), s.Now())
+	}
+}
+
+// TestSpinQueuesLowerClasses: kernel and user work submitted to a
+// spinning CPU waits, and runs only once the spin ends.
+func TestSpinQueuesLowerClasses(t *testing.T) {
+	s := New()
+	c := NewMachine(s, 1, false).CPUs[0]
+	var ended []Time
+	var order []string
+	c.Spin(spinTask(s, &ended))
+	c.Submit(&Task{Name: "k", Prio: PrioKernel, FixedNS: 10, OnDone: func() { order = append(order, "k") }})
+	c.Submit(&Task{Name: "u", Prio: PrioUser, FixedNS: 10, OnDone: func() { order = append(order, "u") }})
+	s.At(1000, func() {
+		if c.QueueLen(PrioKernel) != 1 || c.QueueLen(PrioUser) != 1 || len(order) != 0 {
+			t.Errorf("lower classes ran during the spin: %v", order)
+		}
+		c.EndSpin()
+	})
+	s.Run()
+	if len(order) != 2 || order[0] != "k" || order[1] != "u" || s.Now() != 1020 {
+		t.Fatalf("order = %v at %v, want [k u] done at 1020", order, s.Now())
+	}
+	if c.Busy(PrioSoftIRQ) != 1000 || c.Busy(PrioKernel) != 10 || c.Busy(PrioUser) != 10 {
+		t.Fatalf("busy softirq/kernel/user = %v/%v/%v", c.Busy(PrioSoftIRQ), c.Busy(PrioKernel), c.Busy(PrioUser))
+	}
+}
+
+// TestSpinPreemptsLikeSubmit: starting a spin over a running user task
+// preempts it exactly as a softirq Submit does — the task keeps its
+// unfinished fraction, goes back to the front of its queue, and finishes
+// at the same instant under either.
+func TestSpinPreemptsLikeSubmit(t *testing.T) {
+	finish := func(spin bool) (Time, Time) {
+		s := New()
+		c := NewMachine(s, 1, false).CPUs[0]
+		var userDone Time
+		c.Submit(&Task{Name: "u", Prio: PrioUser, FixedNS: 1000, OnDone: func() { userDone = s.Now() }})
+		c.Submit(&Task{Name: "u2", Prio: PrioUser, FixedNS: 1, OnDone: func() {}})
+		s.At(300, func() {
+			if spin {
+				var ended []Time
+				c.Spin(spinTask(s, &ended))
+				s.At(700, c.EndSpin)
+				return
+			}
+			c.Submit(&Task{Name: "irq", Prio: PrioSoftIRQ, FixedNS: 400, OnDone: func() {}})
+		})
+		s.Run()
+		return userDone, c.Busy(PrioUser)
+	}
+	sd, sb := finish(false)
+	pd, pb := finish(true)
+	if sd != 1400 || pd != sd || pb != sb {
+		t.Fatalf("user done at %v (spin) vs %v (submit), busy %v vs %v; want both done at 1400", pd, sd, pb, sb)
+	}
+}
+
+// TestEndSpinRunsOnDoneFirst: like a completion, EndSpin runs the spin's
+// OnDone before dispatching queued work, so work the OnDone submits
+// competes fairly with what was queued.
+func TestEndSpinRunsOnDoneFirst(t *testing.T) {
+	s := New()
+	c := NewMachine(s, 1, false).CPUs[0]
+	var order []string
+	c.Spin(&Task{Name: "spin", Prio: PrioSoftIRQ, OnDone: func() {
+		order = append(order, "spin-done")
+		c.Submit(&Task{Name: "burst", Prio: PrioSoftIRQ, FixedNS: 10, OnDone: func() { order = append(order, "burst") }})
+	}})
+	c.Submit(&Task{Name: "hk", Prio: PrioKernel, FixedNS: 10, OnDone: func() { order = append(order, "hk") }})
+	s.At(50, c.EndSpin)
+	s.Run()
+	want := []string{"spin-done", "burst", "hk"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestSpinRejectsHigherClass: nothing in the model interrupts a spin, so
+// a higher-class task reaching a spinning CPU, a spin that cannot start
+// at once, and EndSpin without a spin all panic.
+func TestSpinRejectsHigherClass(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	var ended []Time
+	s := New()
+	c := NewMachine(s, 1, false).CPUs[0]
+	c.Spin(spinTask(s, &ended))
+	mustPanic("hardirq on a spinning cpu", func() {
+		c.Submit(&Task{Name: "irq", Prio: PrioHardIRQ, FixedNS: 10, OnDone: func() {}})
+	})
+
+	s = New()
+	c = NewMachine(s, 1, false).CPUs[0]
+	c.Submit(&Task{Name: "irq", Prio: PrioHardIRQ, FixedNS: 10, OnDone: func() {}})
+	mustPanic("spin behind higher-class work", func() { c.Spin(spinTask(s, &ended)) })
+
+	mustPanic("EndSpin without a spin", NewMachine(New(), 1, false).CPUs[0].EndSpin)
+}
+
+// TestCostMatchesStart: Cost is the duration start gives a task, including
+// the hyperthread slowdown while the sibling is busy.
+func TestCostMatchesStart(t *testing.T) {
+	s := New()
+	m := NewMachine(s, 2, true)
+	m.HTSlowdown = 1.25
+	grain := &Task{Name: "g", Prio: PrioSoftIRQ, FixedNS: 4000}
+	if got := m.CPUs[0].Cost(grain); got != 4000 {
+		t.Fatalf("cost with an idle sibling = %v, want 4000", got)
+	}
+	var ended []Time
+	m.CPUs[1].Spin(spinTask(s, &ended))
+	if got := m.CPUs[0].Cost(grain); got != 5000 {
+		t.Fatalf("cost with a spinning sibling = %v, want 5000", got)
+	}
+	var done Time
+	m.CPUs[0].Submit(&Task{Name: "t", Prio: PrioSoftIRQ, FixedNS: 4000, OnDone: func() { done = s.Now() }})
+	s.RunUntil(10000)
+	if done != 5000 {
+		t.Fatalf("task started beside the spin finished at %v, want 5000", done)
+	}
+}
