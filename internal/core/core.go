@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -242,8 +241,8 @@ type Point struct {
 	// Truncated counts repetitions that hit the simulation safety cap.
 	Truncated int
 
-	// Chaos bookkeeping, filled by the resilient engine (resilient.go)
-	// when fault injection is active; all zero on clean runs.
+	// Chaos bookkeeping, filled under fault supervision (resilient.go);
+	// all zero on clean runs.
 	//
 	// Attempts is the total number of cycle attempts spent on this point
 	// (reps on a clean run; more when faults forced retries). Quarantined
@@ -265,16 +264,6 @@ type Point struct {
 type Series struct {
 	System string
 	Points []Point
-}
-
-// SweepRates runs the full measurement cycle of §3.4 for each system over
-// the data rates (Mbit/s), repeating each point reps times with distinct
-// seeds and averaging — the thesis repeats each point seven times "to
-// avoid outliers". It is the serial entry point; SweepRatesParallel
-// (parallel.go) runs the same cells on a worker pool with byte-identical
-// output.
-func SweepRates(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int) []Series {
-	return SweepRatesParallel(context.Background(), cfgs, ratesMbit, w, reps, 0)
 }
 
 // aggregatePoint folds the per-repetition statistics of one cell column

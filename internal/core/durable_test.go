@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -69,16 +70,17 @@ func (j *memJournal) subset() *memJournal {
 	return part
 }
 
-// TestRunCellsDurableReplay: once every cell is recorded, a re-run with
-// the same journal replays everything — no cell executes — and the
-// replayed results are identical to the originals (JSON round trip
-// included, via memJournal).
-func TestRunCellsDurableReplay(t *testing.T) {
+// TestRunJournalReplay: once every cell is recorded, a re-run with the
+// same journal replays everything — no cell executes — and the replayed
+// outcomes are identical to the originals (JSON round trip included, via
+// memJournal).
+func TestRunJournalReplay(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 6}
 	cells, ids := sweepCells(Sniffers(), []float64{300, 700}, w, 2)
 	j := newMemJournal()
 	ctx := context.Background()
-	first, errs := RunCellsDurable(ctx, cells, ids, 3, "rates", j)
+	o := Options{Workers: 3, Experiment: "rates", Journal: j}
+	first, errs := Run(ctx, cells, ids, o)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
@@ -95,14 +97,14 @@ func TestRunCellsDurableReplay(t *testing.T) {
 			return src
 		}
 	}
-	second, errs2 := RunCellsDurable(ctx, cells, ids, 3, "rates", j)
+	second, errs2 := Run(ctx, cells, ids, o)
 	for i, err := range errs2 {
 		if err != nil {
 			t.Fatalf("replayed cell %d: %v", i, err)
 		}
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Fatal("replayed stats differ from the recorded run")
+		t.Fatal("replayed outcomes differ from the recorded run")
 	}
 
 	// A different experiment id is a different campaign namespace: nothing
@@ -110,7 +112,8 @@ func TestRunCellsDurableReplay(t *testing.T) {
 	for i := range cells {
 		cells[i].Wrap = nil
 	}
-	third, _ := RunCellsDurable(ctx, cells, ids, 3, "buffers", j)
+	o.Experiment = "buffers"
+	third, _ := Run(ctx, cells, ids, o)
 	if !reflect.DeepEqual(first, third) {
 		t.Fatal("same cells under another experiment id computed different stats")
 	}
@@ -127,11 +130,11 @@ func TestSweepDurableResumeByteIdentical(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 6}
 	rates := []float64{250, 750}
 	ctx := context.Background()
-	clean := SweepRatesParallel(ctx, cfgs, rates, w, 2, 2)
+	clean := Sweep(ctx, cfgs, rates, w, 2, Options{Workers: 2})
 
 	full := newMemJournal()
-	SweepRatesDurable(ctx, cfgs, rates, w, 2, 2, "rates", full)
-	resumed := SweepRatesDurable(ctx, cfgs, rates, w, 2, 3, "rates", full.subset())
+	Sweep(ctx, cfgs, rates, w, 2, Options{Workers: 2, Experiment: "rates", Journal: full})
+	resumed := Sweep(ctx, cfgs, rates, w, 2, Options{Workers: 3, Experiment: "rates", Journal: full.subset()})
 	if !reflect.DeepEqual(clean, resumed) {
 		t.Fatal("resumed sweep differs from uninterrupted sweep")
 	}
@@ -149,17 +152,12 @@ func TestChaosDurableResumeIdentical(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 3}
 	rates := []float64{300, 900}
 	ctx := context.Background()
-	co := ChaosOptions{Plan: faults.DefaultPlan(42)}
-	uninterrupted := SweepRatesResilient(ctx, cfgs, rates, w, 3, 2, co)
+	plan := faults.DefaultPlan(42)
+	uninterrupted := Sweep(ctx, cfgs, rates, w, 3, Options{Workers: 2, Chaos: plan})
 
 	full := newMemJournal()
-	coFull := co
-	coFull.Journal, coFull.Experiment = full, "rates"
-	SweepRatesResilient(ctx, cfgs, rates, w, 3, 2, coFull)
-
-	coPart := co
-	coPart.Journal, coPart.Experiment = full.subset(), "rates"
-	resumed := SweepRatesResilient(ctx, cfgs, rates, w, 3, 4, coPart)
+	Sweep(ctx, cfgs, rates, w, 3, Options{Workers: 2, Experiment: "rates", Journal: full, Chaos: plan})
+	resumed := Sweep(ctx, cfgs, rates, w, 3, Options{Workers: 4, Experiment: "rates", Journal: full.subset(), Chaos: plan})
 	if !reflect.DeepEqual(uninterrupted, resumed) {
 		t.Fatal("resumed chaos sweep differs from uninterrupted one")
 	}
@@ -199,10 +197,10 @@ func waitGoroutines(t *testing.T, base int) {
 		runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 }
 
-// TestRunCellsCancelDrainsNoLeak: cancelling mid-sweep lets in-flight
-// cells finish, marks every undispatched cell with the context error, and
+// TestRunCancelDrainsNoLeak: cancelling mid-sweep lets in-flight cells
+// finish, marks every undispatched cell with the context error, and
 // leaves no worker goroutine behind.
-func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
+func TestRunCancelDrainsNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := Workload{Packets: 800, Seed: 3, TargetRate: 6e8}
 	started := make(chan struct{}, 16)
@@ -215,10 +213,10 @@ func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var errs []error
-	var stats []capture.Stats
+	var outs []CellOutcome
 	done := make(chan struct{})
 	go func() {
-		stats, errs = RunCellsErr(ctx, cells, 2)
+		outs, errs = Run(ctx, cells, cellIDs(len(cells)), Options{Workers: 2})
 		close(done)
 	}()
 	<-started
@@ -233,7 +231,7 @@ func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
 		switch {
 		case err == nil:
 			finished++
-			if !reflect.DeepEqual(stats[i], want) {
+			if !reflect.DeepEqual(outs[i].Stats, want) {
 				t.Fatalf("cell %d finished with wrong stats after cancel", i)
 			}
 		case IsCancel(err):
@@ -250,15 +248,15 @@ func TestRunCellsCancelDrainsNoLeak(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 
-	// RunCells must treat the cancellation as expected, not panic.
-	RunCells(ctx, cells[:1], 0)
+	// Sweep must treat the cancellation as expected, not panic.
+	Sweep(ctx, []capture.Config{Swan()}, []float64{600}, w, 1, Options{})
 }
 
-// TestRunCellsResilientCancelLeavesUnresolved: an interrupt mid-campaign
-// leaves unfinished cells neither accepted nor quarantined — so a resume
-// measures them from scratch — records nothing spurious in the journal,
-// and leaks no workers.
-func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
+// TestRunChaosCancelLeavesUnresolved: an interrupt mid-campaign leaves
+// unfinished supervised cells neither accepted nor quarantined — so a
+// resume measures them from scratch — records nothing spurious in the
+// journal, and leaks no workers.
+func TestRunChaosCancelLeavesUnresolved(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := Workload{Packets: 800, Seed: 3, TargetRate: 6e8}
 	started := make(chan struct{}, 16)
@@ -273,9 +271,10 @@ func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
 	j := newMemJournal()
 	ctx, cancel := context.WithCancel(context.Background())
 	var outs []CellOutcome
+	var errs []error
 	done := make(chan struct{})
 	go func() {
-		outs = RunCellsResilient(ctx, cells, ids, 2, ChaosOptions{Journal: j, Experiment: "rates"})
+		outs, errs = Run(ctx, cells, ids, Options{Workers: 2, Experiment: "rates", Journal: j, Chaos: &faults.Plan{Seed: 1}})
 		close(done)
 	}()
 	<-started
@@ -293,6 +292,9 @@ func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
 			t.Fatalf("cell %d quarantined by an interrupt, not by its retry budget", i)
 		default:
 			unresolved++
+			if !IsCancel(errs[i]) {
+				t.Fatalf("unresolved cell %d carries %v, want the cancellation", i, errs[i])
+			}
 		}
 	}
 	if resolved < 2 || unresolved == 0 {
@@ -302,4 +304,102 @@ func TestRunCellsResilientCancelLeavesUnresolved(t *testing.T) {
 		t.Fatalf("journal holds %d records for %d resolved cells", len(j.m), resolved)
 	}
 	waitGoroutines(t, base)
+}
+
+// serialExecutor is a CellExecutor that runs every cell it receives in
+// order and counts its calls.
+type serialExecutor struct{ calls [][]CellID }
+
+func (x *serialExecutor) ExecuteCells(ctx context.Context, experiment string, cells []Cell, ids []CellID, done func(int, *capture.Stats, string) error) []error {
+	x.calls = append(x.calls, append([]CellID(nil), ids...))
+	errs := make([]error, len(cells))
+	for i, c := range cells {
+		st := RunOnce(c.Cfg, c.W)
+		errs[i] = done(i, &st, "w1")
+	}
+	return errs
+}
+
+// idleExecutor is a CellExecutor that completes none of its cells, like
+// the capturing executor of cell enumeration.
+type idleExecutor struct{}
+
+func (idleExecutor) ExecuteCells(ctx context.Context, experiment string, cells []Cell, ids []CellID, done func(int, *capture.Stats, string) error) []error {
+	return make([]error, len(cells))
+}
+
+// TestRunJournalFailure: a failed journal append must not masquerade as
+// a measurement — the cell's error slot carries the append error, no
+// EventCell is published for it, and a supervised cell is not retried as
+// a failed attempt.
+func TestRunJournalFailure(t *testing.T) {
+	diskFull := errors.New("disk full")
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"local", Options{Workers: 2}},
+		{"executor", Options{Executor: &serialExecutor{}}},
+		{"supervised", Options{Workers: 2, Chaos: &faults.Plan{Seed: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := Workload{Packets: 800, Seed: 3, TargetRate: 4e8}
+			cells := []Cell{{Cfg: Swan(), W: w}, {Cfg: Moorhen(), W: w}, {Cfg: Snipe(), W: w}}
+			j := newMemJournal()
+			j.fail = diskFull
+			var mu sync.Mutex
+			var published []EventKind
+			o := tc.o
+			o.Experiment, o.Journal = "rates", j
+			o.Observer = ObserverFunc(func(ev Event) {
+				mu.Lock()
+				published = append(published, ev.Kind)
+				mu.Unlock()
+			})
+			outs, errs := Run(context.Background(), cells, cellIDs(len(cells)), o)
+			for i := range cells {
+				if !errors.Is(errs[i], diskFull) {
+					t.Fatalf("cell %d: error %v, want the journal's", i, errs[i])
+				}
+				if outs[i].Attempts != 1 {
+					t.Fatalf("cell %d: %d attempts — a failed append was retried", i, outs[i].Attempts)
+				}
+			}
+			if len(published) != 0 {
+				t.Fatalf("published %v for cells that were never recorded", published)
+			}
+		})
+	}
+}
+
+// TestRunExecutorContract: the executor receives every cell the journal
+// does not replay in one call, in cell order; a cell it never completes
+// stays a zero outcome with a nil error; and a caller's feed cache is the
+// one the local pool replays.
+func TestRunExecutorContract(t *testing.T) {
+	w := Workload{Packets: 800, Seed: 3, TargetRate: 4e8}
+	cells, ids := sweepCells([]capture.Config{Swan(), Moorhen()}, []float64{300, 600}, w, 1)
+	j := newMemJournal()
+	ctx := context.Background()
+	if _, errs := Run(ctx, cells[:1], ids[:1], Options{Experiment: "rates", Journal: j}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	x := &serialExecutor{}
+	Run(ctx, cells, ids, Options{Experiment: "rates", Journal: j, Executor: x})
+	if len(x.calls) != 1 || !reflect.DeepEqual(x.calls[0], ids[1:]) {
+		t.Fatalf("executor calls %v, want one call with %v", x.calls, ids[1:])
+	}
+
+	outs, errs := Run(ctx, cells, ids, Options{Executor: idleExecutor{}})
+	for i := range cells {
+		if errs[i] != nil || !reflect.DeepEqual(outs[i], CellOutcome{}) {
+			t.Fatalf("uncompleted cell %d: outcome %+v, error %v", i, outs[i], errs[i])
+		}
+	}
+
+	feeds := NewFeedCache(0)
+	Run(ctx, cells, ids, Options{Workers: 2, Feeds: feeds})
+	if hits, misses := feeds.Counters(); misses != 2 || hits != 2 {
+		t.Fatalf("caller's cache: %d hits, %d misses; want 2 and 2", hits, misses)
+	}
 }

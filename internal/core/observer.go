@@ -1,8 +1,8 @@
-// Observer hook: the measurement engines' live event feed. Every engine
-// entry point accepts an optional Observer; when one is attached, the
+// Observer hook: the cell engine's live event feed. Run and Sweep accept
+// an optional Observer in their Options; when one is attached, the
 // engine publishes typed events as the campaign unfolds — per-cell
 // completions (with the cell's full statistics), deterministic per-point
-// aggregates, and the resilient path's retry/quarantine decisions. The
+// aggregates, and the supervisor's retry/quarantine decisions. The
 // monitoring service (internal/monitor) fans these events out to HTTP
 // subscribers; the `experiment -json` writer streams its NDJSON records
 // from the same feed.
@@ -10,7 +10,7 @@
 // The contract is strictly one-way and non-blocking: an Observer must
 // never block (the monitor hub drops to bounded per-subscriber rings) and
 // must not retain the Stats/Point/Outcome pointers beyond the call unless
-// it copies them — the engines hand out private copies, so retaining is
+// it copies them — the engine hands out private copies, so retaining is
 // in fact safe, but mutating is not. Observation never changes a result:
 // a sweep with an observer attached is byte-identical to one without.
 package core
@@ -34,7 +34,7 @@ const (
 	EventExperimentStart
 	EventExperimentFinish
 	// EventCell: one measurement cell reached its final, accepted outcome
-	// (Stats set; Outcome set on the resilient path; Replayed when the
+	// (Stats set; Outcome set under fault supervision; Replayed when the
 	// cell was served from the campaign journal instead of running).
 	EventCell
 	// EventPoint: one plotted point — a (system, x) aggregate over its
@@ -49,7 +49,7 @@ const (
 	// run — its final outcome (Outcome set, Quarantined) is as recorded.
 	EventQuarantine
 	// EventSnifferDead: the fault model declared a sniffer dead for an
-	// attempt (resilient engine), or the testbed supervisor struck a
+	// attempt (fault supervision), or the testbed supervisor struck a
 	// persistently silent sniffer from the expected set.
 	EventSnifferDead
 	// EventCheckpoint: the campaign journal durably recorded a cell.
@@ -146,9 +146,14 @@ type Event struct {
 	Stats *capture.Stats
 	// Agg is the completed point aggregate (EventPoint). A private copy.
 	Agg *Point
-	// Outcome is the resilient engine's supervised outcome of the cell
-	// (EventCell/EventQuarantine under a fault plan). A private copy.
+	// Outcome is the supervised outcome of the cell (EventCell and
+	// EventQuarantine under a fault plan). A private copy.
 	Outcome *CellOutcome
+}
+
+// Key returns the durable key of the cell a cell-level event reports.
+func (ev Event) Key() CellKey {
+	return CellKey{Experiment: ev.Experiment, Point: ev.Point, System: ev.System, Rep: ev.Rep}
 }
 
 // Observer receives engine events. Implementations must be safe for
@@ -165,7 +170,7 @@ type ObserverFunc func(Event)
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
 // MultiObserver fans one event out to several observers in order, nils
-// skipped. It returns nil when every observer is nil, so the engines'
+// skipped. It returns nil when every observer is nil, so the engine's
 // "no observer attached" fast path stays intact.
 func MultiObserver(obs ...Observer) Observer {
 	live := make([]Observer, 0, len(obs))
@@ -187,11 +192,41 @@ func MultiObserver(obs ...Observer) Observer {
 	})
 }
 
-// observe is the nil-safe emission helper.
-func observe(obs Observer, ev Event) {
-	if obs != nil {
-		obs.Observe(ev)
+// sweepObserver wraps obs for Sweep's cell layout (ncfg systems per
+// column, reps columns per rate): cell events are forwarded as-is, and
+// once every repetition of a (system, rate) point is final, the point
+// resolved by point is published as an EventPoint — in the canonical
+// x-major layout order (every system of rate[0], then rate[1], …)
+// regardless of worker scheduling, via head-of-line sequencing.
+func sweepObserver(obs Observer, experiment string, cells []Cell, ids []CellID, ncfg, reps int, point func(outs []CellOutcome, ri, ci int) Point) Observer {
+	idxOf := make(map[CellKey]int, len(cells))
+	for i := range cells {
+		idxOf[KeyOf(experiment, cells[i], ids[i])] = i
 	}
+	outs := make([]CellOutcome, len(cells))
+	seq := newPointSequencer(len(cells)/reps, reps, func(p int) {
+		pt := point(outs, p/ncfg, p%ncfg)
+		obs.Observe(Event{
+			Kind: EventPoint, Experiment: experiment, System: pt.System,
+			Point: pointKey(pt.X), X: pt.X, Agg: &pt,
+		})
+	})
+	return ObserverFunc(func(ev Event) {
+		obs.Observe(ev)
+		if ev.Kind != EventCell && ev.Kind != EventQuarantine {
+			return
+		}
+		i, ok := idxOf[ev.Key()]
+		if !ok {
+			return
+		}
+		if ev.Outcome != nil {
+			outs[i] = *ev.Outcome
+		} else if ev.Stats != nil {
+			outs[i].Stats = *ev.Stats
+		}
+		seq.done((i/(reps*ncfg))*ncfg + i%ncfg)
+	})
 }
 
 // pointSequencer turns unordered per-cell completions into deterministic

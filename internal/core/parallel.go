@@ -1,16 +1,19 @@
-// Parallel measurement engine. The testbed is embarrassingly parallel by
+// The cell engine. The testbed is embarrassingly parallel by
 // construction: the splitter feeds the same train to all sniffers at once,
 // and every (system, rate, repetition) point is an independent run with its
-// own simulator. The engine decomposes a sweep into such cells, records
-// each train once (feed.go), runs the cells on a worker pool, and
-// reassembles the series in the fixed plotting order — so the output is
-// byte-identical to the serial path for any worker count.
+// own simulator. Run executes such cells — replaying the ones the campaign
+// journal already holds, recording each train once (feed.go), running the
+// rest on a worker pool or handing them to an executor, recording and
+// publishing every final outcome — and Sweep lays the §3.4 rate sweep out
+// as cells and reassembles the series in the fixed plotting order, so the
+// output is byte-identical for any worker count.
 //
-// Every entry point takes a context: on cancellation the pool drains
-// cleanly — in-flight cells finish, queued cells are marked with the
-// context's error, and no worker goroutine is abandoned. Combined with a
-// CellJournal (the durable write-ahead log of completed cells), an
-// interrupted sweep resumes exactly where it left off.
+// Run takes a context: on cancellation the pool drains cleanly — in-flight
+// cells finish, queued cells are marked with the context's error, and no
+// worker goroutine is abandoned. Combined with a CellJournal (the durable
+// write-ahead log of completed cells), an interrupted sweep resumes
+// exactly where it left off. With Options.Chaos set, every cell runs under
+// fault supervision instead (resilient.go); everything else is shared.
 package core
 
 import (
@@ -21,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/capture"
+	"repro/internal/faults"
 )
 
 // repSeedStride separates the seeds of successive repetitions of one point
@@ -38,10 +42,22 @@ type Cell struct {
 	Wrap func(capture.Source) capture.Source
 }
 
+// CellID names a cell for the fault model and the campaign journal: the
+// measurement point it belongs to (a stable fingerprint, e.g. the x
+// value's bits) and the repetition index. Faults are drawn from (plan
+// seed, point, system, rep, attempt), never from execution order, so
+// chaos runs are exactly reproducible for any worker count — and across
+// an interrupt-and-resume boundary.
+type CellID struct {
+	Point uint64
+	Rep   int
+}
+
 // CellKey identifies one measurement cell durably, across process
 // restarts: the experiment it belongs to, the point fingerprint and
 // repetition (CellID), and the system under test. It is the journal key
-// of the campaign write-ahead log.
+// of the campaign write-ahead log and the lease key of the dispatch
+// protocol.
 type CellKey struct {
 	Experiment string `json:"experiment"`
 	Point      uint64 `json:"point"`
@@ -49,13 +65,42 @@ type CellKey struct {
 	Rep        int    `json:"rep"`
 }
 
-// cellKey builds the durable key of cell c under experiment.
-func cellKey(experiment string, c Cell, id CellID) CellKey {
+// KeyOf is the durable key of cell c, named id, under experiment — the
+// one place the journal and lease key format is decided.
+func KeyOf(experiment string, c Cell, id CellID) CellKey {
 	return CellKey{Experiment: experiment, Point: id.Point, System: c.Cfg.Name, Rep: id.Rep}
 }
 
-// CellJournal is the durable campaign log the engines record completed
-// cells into (and replay them from). Implementations must be safe for
+// CellOutcome is the final result of one measurement cell. It is what
+// the campaign journal stores per cell, so every field must — and does —
+// round-trip exactly through JSON. An unsupervised cell that ran is
+// {Stats, OK: true, Attempts: 1}.
+type CellOutcome struct {
+	Stats capture.Stats
+	// OK: a validated Stats was produced (possibly degraded). When false
+	// the cell is quarantined and Stats holds the last failed attempt's
+	// partial data (zero if the sniffer never returned statistics).
+	OK bool
+	// Degraded: the accepted run was offered fewer frames than the switch
+	// counted (degraded splitter leg); the shortfall is booked in the
+	// ledger under fault-splitter and Generated is normalized, so the
+	// stats balance but the capturing rate reflects the impairment.
+	Degraded bool
+	// Quarantined: no attempt within the retry budget produced a valid
+	// run.
+	Quarantined bool
+	// Attempts is the number of cycle attempts spent (1 = clean first
+	// try).
+	Attempts int
+	// BackoffNS is the simulated control-host time spent backing off
+	// between attempts.
+	BackoffNS float64
+	// Log is the cell's fault-and-retry history, oldest first.
+	Log []string
+}
+
+// CellJournal is the durable campaign log Run records completed cells
+// into (and replays them from). Implementations must be safe for
 // concurrent Record calls: workers append as cells finish. The contract
 // is write-ahead: Record must make the outcome durable before returning,
 // and Lookup must only return outcomes Record accepted. Duplicate keys
@@ -75,12 +120,46 @@ type CellJournal interface {
 // worker label for event attribution, and must return one error slot per
 // cell — nil for cells whose done call succeeded, the done error
 // otherwise, and ctx.Err() for cells abandoned on cancellation. Replayed
-// cells never reach an executor: the durable engine filters against the
-// campaign journal first, so a resumed campaign re-dispatches only
-// unfinished work.
+// cells never reach an executor: Run filters against the campaign
+// journal first, so a resumed campaign re-dispatches only unfinished
+// work.
 type CellExecutor interface {
 	ExecuteCells(ctx context.Context, experiment string, cells []Cell, ids []CellID,
 		done func(i int, st *capture.Stats, worker string) error) []error
+}
+
+// Options configure Run and Sweep. The zero value runs the cells
+// serially on a private feed cache: unjournaled, unobserved and
+// unsupervised.
+type Options struct {
+	// Workers is the parallelism knob, resolved by the Workers function
+	// (0 = serial).
+	Workers int
+	// Experiment namespaces the journal keys and events of the run (the
+	// experiment id).
+	Experiment string
+	// Journal, when non-nil, makes the run durable: cells with a recorded
+	// final outcome are replayed instead of run, and every newly final
+	// outcome is recorded before it is published or returned.
+	Journal CellJournal
+	// Observer, when non-nil, receives the run's live events: EventCell
+	// per final cell (replayed ones up front), and under Chaos EventRetry,
+	// EventSnifferDead and EventQuarantine. Observation never changes an
+	// outcome.
+	Observer Observer
+	// Executor, when non-nil, runs the cells that were not replayed
+	// instead of the local pool — all of them in one ExecuteCells call, in
+	// cell order. Ignored under Chaos: fault injection works through
+	// process-local hooks that cannot be dispatched.
+	Executor CellExecutor
+	// Feeds is the recorded-train cache the cells replay; nil gives each
+	// Run a fresh DefaultFeedCacheSize cache. A dispatch worker passes its
+	// own so successive leases of one experiment reuse their trains.
+	Feeds *FeedCache
+	// Chaos, when non-nil, runs every cell under fault supervision with
+	// this plan: validation, bounded retry with simulated backoff,
+	// quarantine, and MAD outlier rejection in Sweep (resilient.go).
+	Chaos *faults.Plan
 }
 
 // Workers resolves a parallelism knob to a worker count: 0 keeps the
@@ -95,8 +174,8 @@ func Workers(parallelism int) int {
 
 // CellPanicError reports a measurement cell whose run panicked. The
 // worker recovers it so one broken configuration cannot kill the whole
-// sweep process or leave sibling workers blocked; the resilient supervisor
-// treats it as a failed attempt and retries the cell.
+// sweep process or leave sibling workers blocked; the supervisor treats
+// it as a failed attempt and retries the cell.
 type CellPanicError struct {
 	Index  int
 	System string
@@ -114,203 +193,181 @@ func IsCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunCells executes independent measurement cells and returns their
-// statistics in cell order. workers follows the Workers convention
-// (0 = serial). Cells with an identical Workload share one recorded feed
-// regardless of worker count, so a four-sniffer column generates its train
-// exactly once — the splitter semantics of Figure 3.1.
+// Run executes independent measurement cells, named by ids (which must
+// parallel cells), and returns their outcomes and error slots in cell
+// order. Cells with an identical Workload share one recorded feed
+// regardless of worker count, so a four-sniffer column generates its
+// train exactly once — the splitter semantics of Figure 3.1.
 //
-// A panic inside a cell is recovered in the worker and re-raised here, in
-// the caller's goroutine, only after every other cell has completed — the
-// pool always drains, no sibling goroutine is left blocked on the job
-// channel. Cells skipped because ctx was cancelled return zero Stats; the
-// caller detects the interruption via ctx.Err(). Callers that want to
-// survive a failed cell use RunCellsErr.
-func RunCells(ctx context.Context, cells []Cell, workers int) []capture.Stats {
-	results, errs := RunCellsErr(ctx, cells, workers)
-	for _, err := range errs {
-		if err != nil && !IsCancel(err) {
-			panic(err)
-		}
-	}
-	return results
-}
-
-// RunCellsErr is RunCells with per-cell failure capture: a panicking cell
-// yields a zero Stats and a *CellPanicError in the same slot instead of
-// crashing the process, and a cell skipped by context cancellation
-// carries the context's error. Each cell owns a private sim.Sim (built by
-// capture.NewSystem); the only state crossing goroutines is the immutable
-// feed and the result/error slots.
-func RunCellsErr(ctx context.Context, cells []Cell, workers int) ([]capture.Stats, []error) {
-	return runCellsWith(ctx, cells, workers, NewFeedCache(DefaultFeedCacheSize), nil)
-}
-
-// RunCellsDurable is RunCellsErr backed by the campaign journal: cells
-// whose final outcome is already recorded under (experiment, ids[i]) are
-// replayed from the journal without running, and every freshly completed
-// cell is recorded — durably, before its result is used — so an
-// interrupted campaign loses at most the cells that were still in flight.
-// ids must parallel cells. A nil journal degrades to RunCellsErr. A
-// failed journal append surfaces as the cell's error: durability failures
-// must not masquerade as measurements.
-func RunCellsDurable(ctx context.Context, cells []Cell, ids []CellID, workers int, experiment string, j CellJournal) ([]capture.Stats, []error) {
-	return RunCellsObserved(ctx, cells, ids, workers, experiment, j, nil)
-}
-
-// RunCellsObserved is RunCellsDurable with a live event feed: every cell
-// that reaches its final outcome is published to obs as an EventCell —
-// replayed cells up front (in cell order, Replayed set), freshly measured
-// cells from the workers as they finish. A nil observer (and a nil
-// journal) degrades to the plain paths unchanged.
-func RunCellsObserved(ctx context.Context, cells []Cell, ids []CellID, workers int, experiment string, j CellJournal, obs Observer) ([]capture.Stats, []error) {
-	return RunCellsDispatched(ctx, cells, ids, workers, experiment, j, obs, nil)
-}
-
-// RunCellsDispatched is RunCellsObserved with an optional CellExecutor:
-// when exec is non-nil, cells not replayed from the journal are handed to
-// the executor instead of the local pool, and the executor's done
-// callback drives the same journal Record and observer emission the local
-// pool would. Results are aggregated by the caller in the same fixed
-// order either way, so a dispatched run is byte-identical to a local one.
-// A nil executor (and nil journal/observer) keeps the plain paths
-// untouched.
-func RunCellsDispatched(ctx context.Context, cells []Cell, ids []CellID, workers int, experiment string, j CellJournal, obs Observer, exec CellExecutor) ([]capture.Stats, []error) {
-	if exec == nil && j == nil && obs == nil {
-		return RunCellsErr(ctx, cells, workers)
-	}
+// A panicking cell yields a *CellPanicError in its slot instead of
+// crashing the process; a failed journal append yields the append error
+// and publishes nothing — durability failures must not masquerade as
+// measurements. On cancellation the run drains: cells never started
+// carry ctx.Err(), and supervised cells cut short are neither accepted
+// nor quarantined, so a resumed campaign measures them from scratch. A
+// cell the executor never completes stays a zero outcome with a nil
+// error.
+func Run(ctx context.Context, cells []Cell, ids []CellID, o Options) ([]CellOutcome, []error) {
 	if len(ids) != len(cells) {
 		panic(fmt.Sprintf("core: %d ids for %d cells", len(ids), len(cells)))
 	}
-	emit := func(i int, st capture.Stats, replayed bool, worker string) {
-		observe(obs, Event{
-			Kind:       EventCell,
-			Experiment: experiment,
-			System:     cells[i].Cfg.Name,
-			Worker:     worker,
-			Point:      ids[i].Point,
-			X:          cells[i].W.TargetRate / 1e6,
-			Rep:        ids[i].Rep,
-			Replayed:   replayed,
-			Stats:      &st,
-		})
+	if o.Feeds == nil {
+		o.Feeds = NewFeedCache(DefaultFeedCacheSize)
 	}
-	results := make([]capture.Stats, len(cells))
-	errs := make([]error, len(cells))
-	var torun []Cell
-	var idx []int
+	e := &engine{ctx: ctx, cells: cells, ids: ids, o: o,
+		outs: make([]CellOutcome, len(cells)), errs: make([]error, len(cells))}
+	pending := make([]int, 0, len(cells))
 	for i := range cells {
-		if j != nil {
-			if out, ok := j.Lookup(cellKey(experiment, cells[i], ids[i])); ok && out.OK {
-				results[i] = out.Stats
-				emit(i, out.Stats, true, "")
+		if o.Journal != nil {
+			if out, ok := o.Journal.Lookup(e.key(i)); ok && (out.OK || out.Quarantined) {
+				e.outs[i] = out
+				e.publish(i, "", 0, true)
 				continue
 			}
 		}
-		torun = append(torun, cells[i])
-		idx = append(idx, i)
+		pending = append(pending, i)
 	}
-	record := func(i int, st *capture.Stats, worker string) error {
-		if j != nil {
-			if err := j.Record(cellKey(experiment, cells[i], ids[i]),
-				CellOutcome{Stats: *st, OK: true, Attempts: 1}); err != nil {
-				return err
-			}
-		}
-		emit(i, *st, false, worker)
-		return nil
-	}
-	if exec != nil {
-		subIDs := make([]CellID, len(idx))
-		for bi, i := range idx {
-			subIDs[bi] = ids[i]
-		}
-		subErrs := exec.ExecuteCells(ctx, experiment, torun, subIDs,
-			func(bi int, st *capture.Stats, worker string) error {
-				i := idx[bi]
-				results[i] = *st
-				return record(i, st, worker)
-			})
-		for bi, i := range idx {
-			if bi < len(subErrs) {
-				errs[i] = subErrs[bi]
-			}
-		}
-		return results, errs
-	}
-	sub, subErrs := runCellsWith(ctx, torun, workers, NewFeedCache(DefaultFeedCacheSize),
-		func(bi int, st *capture.Stats) error {
-			return record(idx[bi], st, "")
+	var errs []error
+	switch {
+	case o.Chaos != nil:
+		e.supervise(pending)
+		return e.outs, e.errs
+	case o.Executor != nil:
+		errs = e.dispatch(pending)
+	default:
+		errs = e.pool(cells, pending, func(i int, st *capture.Stats) error {
+			return e.measured(i, st, "")
 		})
-	for bi, i := range idx {
-		results[i], errs[i] = sub[bi], subErrs[bi]
 	}
-	return results, errs
+	for k, i := range pending {
+		if k < len(errs) {
+			e.errs[i] = errs[k]
+		}
+	}
+	return e.outs, e.errs
 }
 
-// RunCellsWithCache is RunCellsErr with a caller-owned feed cache, so a
-// dispatch worker measuring successive leases of one experiment reuses
-// its recorded trains across calls instead of regenerating them per
-// lease. A nil cache allocates a private default-sized one.
-func RunCellsWithCache(ctx context.Context, cells []Cell, workers int, feeds *FeedCache) ([]capture.Stats, []error) {
-	if feeds == nil {
-		feeds = NewFeedCache(DefaultFeedCacheSize)
-	}
-	return runCellsWith(ctx, cells, workers, feeds, nil)
+// engine is the state of one Run call. Workers write only the slots of
+// the cells they hold.
+type engine struct {
+	ctx   context.Context
+	cells []Cell
+	ids   []CellID
+	o     Options
+	outs  []CellOutcome
+	errs  []error
 }
 
-// runCellsWith is the pool body shared by RunCellsErr and the resilient
-// engine: an external feed cache lets retry waves reuse recorded trains,
-// and post — when non-nil — runs in the worker right after each cell,
-// inside the panic-recovery scope and while the cell's feed is still hot
-// in the cache (the resilient engine validates and books fault losses
-// there; the durable engine records the cell in the journal). A non-nil
-// error from post lands in the cell's error slot.
+func (e *engine) key(i int) CellKey { return KeyOf(e.o.Experiment, e.cells[i], e.ids[i]) }
+
+// event is the skeleton of a cell-level event of cell i.
+func (e *engine) event(kind EventKind, i, attempt int, detail string) Event {
+	return Event{
+		Kind: kind, Experiment: e.o.Experiment, System: e.cells[i].Cfg.Name,
+		Point: e.ids[i].Point, X: e.cells[i].W.TargetRate / 1e6, Rep: e.ids[i].Rep,
+		Attempt: attempt, Detail: detail,
+	}
+}
+
+// measured finishes an unsupervised cell that ran: its outcome is the
+// run's statistics from one clean attempt.
+func (e *engine) measured(i int, st *capture.Stats, worker string) error {
+	e.outs[i] = CellOutcome{Stats: *st, OK: true, Attempts: 1}
+	return e.finish(i, worker, 0)
+}
+
+// finish is the record-then-emit step of a cell whose outcome just became
+// final: make it durable, then publish it. A failed append is returned and
+// nothing is published.
+func (e *engine) finish(i int, worker string, attempt int) error {
+	if e.o.Journal != nil {
+		if err := e.o.Journal.Record(e.key(i), e.outs[i]); err != nil {
+			return err
+		}
+	}
+	e.publish(i, worker, attempt, false)
+	return nil
+}
+
+// publish emits cell i's final outcome: an EventCell carrying a private
+// copy of its statistics, or an EventQuarantine. Supervised events also
+// carry the outcome; unsupervised ones carry Stats only.
+func (e *engine) publish(i int, worker string, attempt int, replayed bool) {
+	if e.o.Observer == nil {
+		return
+	}
+	out := e.outs[i]
+	ev := e.event(EventCell, i, attempt, "")
+	if out.Quarantined {
+		ev.Kind, ev.Detail = EventQuarantine, "retry budget exhausted"
+		if replayed {
+			ev.Detail = "replayed quarantine verdict"
+		}
+	}
+	ev.Worker, ev.Replayed, ev.Stats = worker, replayed, &out.Stats
+	if e.o.Chaos != nil {
+		ev.Outcome = &out
+	}
+	e.o.Observer.Observe(ev)
+}
+
+// dispatch hands the pending cells to the executor in one call, in cell
+// order, and returns its error slots; its done callback drives the same
+// record-then-emit step the local pool does.
+func (e *engine) dispatch(pending []int) []error {
+	cells := make([]Cell, len(pending))
+	ids := make([]CellID, len(pending))
+	for k, i := range pending {
+		cells[k], ids[k] = e.cells[i], e.ids[i]
+	}
+	return e.o.Executor.ExecuteCells(e.ctx, e.o.Experiment, cells, ids,
+		func(k int, st *capture.Stats, worker string) error {
+			return e.measured(pending[k], st, worker)
+		})
+}
+
+// pool runs cells[i] for every i in idx on the worker pool, replaying
+// the shared feeds, and returns one error slot per idx entry. post runs
+// in the worker right after each run, inside the panic-recovery scope and
+// while the cell's feed is still hot in the cache; its error lands in the
+// slot.
 //
 // Cancellation drains the pool instead of abandoning it: the dispatcher
 // stops handing out cells, every worker finishes its in-flight cell and
-// exits, and cells never dispatched carry ctx.Err() in their error slot.
-func runCellsWith(ctx context.Context, cells []Cell, workers int, feeds *FeedCache, post func(i int, st *capture.Stats) error) ([]capture.Stats, []error) {
-	results := make([]capture.Stats, len(cells))
-	errs := make([]error, len(cells))
-	runCell := func(i int) {
+// exits, and cells never dispatched carry ctx.Err().
+func (e *engine) pool(cells []Cell, idx []int, post func(i int, st *capture.Stats) error) []error {
+	errs := make([]error, len(idx))
+	runCell := func(k int) {
+		i := idx[k]
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = &CellPanicError{
-					Index:  i,
-					System: cells[i].Cfg.Name,
-					Value:  r,
-					Stack:  stackTrace(),
-				}
+				errs[k] = &CellPanicError{Index: i, System: cells[i].Cfg.Name, Value: r, Stack: stackTrace()}
 			}
 		}()
 		c := cells[i]
-		src := feeds.Get(c.W).Replay()
+		src := e.o.Feeds.Get(c.W).Replay()
 		if c.Wrap != nil {
 			src = c.Wrap(src)
 		}
-		sys := capture.NewSystem(Prepare(c.Cfg, c.W))
-		results[i] = sys.RunSource(src)
-		if post != nil {
-			errs[i] = post(i, &results[i])
-		}
+		st := capture.NewSystem(Prepare(c.Cfg, c.W)).RunSource(src)
+		errs[k] = post(i, &st)
 	}
 
-	workers = Workers(workers)
-	if workers > len(cells) {
-		workers = len(cells)
+	workers := Workers(e.o.Workers)
+	if workers > len(idx) {
+		workers = len(idx)
 	}
 	if workers <= 1 {
 		// Serial fallback (and the degenerate one-worker pool): same code
 		// path as the pool body, no goroutines.
-		for i := range cells {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
+		for k := range idx {
+			if err := e.ctx.Err(); err != nil {
+				errs[k] = err
 				continue
 			}
-			runCell(i)
+			runCell(k)
 		}
-		return results, errs
+		return errs
 	}
 
 	jobs := make(chan int)
@@ -319,31 +376,31 @@ func runCellsWith(ctx context.Context, cells []Cell, workers int, feeds *FeedCac
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				runCell(i)
+			for k := range jobs {
+				runCell(k)
 			}
 		}()
 	}
-	i := 0
+	k := 0
 dispatch:
-	for ; i < len(cells); i++ {
-		if ctx.Err() != nil {
+	for ; k < len(idx); k++ {
+		if e.ctx.Err() != nil {
 			break
 		}
 		select {
-		case jobs <- i:
-		case <-ctx.Done():
+		case jobs <- k:
+		case <-e.ctx.Done():
 			break dispatch
 		}
 	}
 	close(jobs)
 	// Cells never dispatched carry the cancellation; their slots are
 	// disjoint from anything a worker still writes.
-	for ; i < len(cells); i++ {
-		errs[i] = ctx.Err()
+	for ; k < len(idx); k++ {
+		errs[k] = e.ctx.Err()
 	}
 	wg.Wait()
-	return results, errs
+	return errs
 }
 
 // stackTrace captures the recovering goroutine's stack for the panic
@@ -374,110 +431,50 @@ func sweepCells(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int
 	return cells, ids
 }
 
-// SweepRatesParallel is SweepRates with the measurement cells distributed
-// over a worker pool (workers per the Workers convention; 0 = serial).
-// Results are reassembled in the fixed plotting order, so FormatTable
-// output is byte-identical regardless of worker count or completion order.
-// On cancellation the returned series are incomplete and must be
-// discarded — callers check ctx.Err().
-func SweepRatesParallel(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps, workers int) []Series {
-	return SweepRatesDurable(ctx, cfgs, ratesMbit, w, reps, workers, "", nil)
-}
+// pointKey fingerprints a sweep point for the fault model and the journal.
+func pointKey(x float64) uint64 { return uint64(int64(x * 1e3)) }
 
-// SweepRatesDurable is SweepRatesParallel under the campaign journal:
-// cells already recorded under experiment are replayed instead of re-run,
-// fresh cells are recorded as they complete, and the aggregated output is
-// byte-identical to an uninterrupted, unjournaled sweep — recorded Stats
-// round-trip exactly. A nil journal runs a plain sweep.
-func SweepRatesDurable(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps, workers int, experiment string, j CellJournal) []Series {
-	return SweepRatesObserved(ctx, cfgs, ratesMbit, w, reps, workers, experiment, j, nil)
-}
-
-// sweepPointObserver wraps obs for the standard sweep layout: cell events
-// are forwarded as-is, and when a (system, rate) point's repetitions are
-// all in, the aggregated Point is published as an EventPoint — in the
-// canonical x-major layout order (every system of rate[0], then rate[1],
-// …) regardless of worker scheduling, via head-of-line sequencing.
-func sweepPointObserver(obs Observer, experiment string, cfgs []capture.Config, ratesMbit []float64, reps int, cells []Cell, ids []CellID) Observer {
-	ncfg := len(cfgs)
-	idxOf := make(map[CellKey]int, len(cells))
-	for i := range cells {
-		idxOf[cellKey(experiment, cells[i], ids[i])] = i
-	}
-	colStats := make([]capture.Stats, len(cells))
-	seq := newPointSequencer(len(ratesMbit)*ncfg, reps, func(p int) {
-		ri, ci := p/ncfg, p%ncfg
-		runs := make([]capture.Stats, reps)
-		for rep := 0; rep < reps; rep++ {
-			runs[rep] = colStats[(ri*reps+rep)*ncfg+ci]
-		}
-		pt := aggregatePoint(cfgs[ci].Name, runs)
-		pt.X = ratesMbit[ri]
-		obs.Observe(Event{
-			Kind: EventPoint, Experiment: experiment, System: cfgs[ci].Name,
-			Point: pointKey(ratesMbit[ri]), X: ratesMbit[ri], Agg: &pt,
-		})
-	})
-	return ObserverFunc(func(ev Event) {
-		obs.Observe(ev)
-		if ev.Kind != EventCell && ev.Kind != EventQuarantine {
-			return
-		}
-		i, ok := idxOf[CellKey{Experiment: ev.Experiment, Point: ev.Point, System: ev.System, Rep: ev.Rep}]
-		if !ok {
-			return
-		}
-		if ev.Stats != nil {
-			colStats[i] = *ev.Stats
-		}
-		seq.done((i/(reps*ncfg))*ncfg + i%ncfg)
-	})
-}
-
-// SweepRatesObserved is SweepRatesDurable with the live event feed: cell
-// completions stream to obs as they happen, and completed points are
-// published deterministically in plotting layout order (see
-// sweepPointObserver). A nil observer keeps the plain durable path.
-func SweepRatesObserved(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps, workers int, experiment string, j CellJournal, obs Observer) []Series {
-	return SweepRatesDispatched(ctx, cfgs, ratesMbit, w, reps, workers, experiment, j, obs, nil)
-}
-
-// SweepRatesDispatched is SweepRatesObserved with an optional
-// CellExecutor (see RunCellsDispatched): non-replayed cells run wherever
-// the executor puts them, while journaling, point sequencing, and the
-// fixed-order aggregation stay on the caller's side — so the rendered
-// table is byte-identical whether the cells ran in-process or were
-// leased to remote workers.
-func SweepRatesDispatched(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps, workers int, experiment string, j CellJournal, obs Observer, exec CellExecutor) []Series {
+// Sweep runs the full measurement cycle of §3.4 for each system over the
+// data rates (Mbit/s), repeating each point reps times with distinct
+// seeds and aggregating in repetition order — the thesis repeats each
+// point seven times "to avoid outliers". The cells run through Run with
+// o, so the series are byte-identical for any worker count, journal
+// state or executor. With an Observer attached, each (system, rate)
+// point is also published as an EventPoint once its repetitions are
+// final, in plotting layout order. On cancellation the returned series
+// are incomplete and must be discarded — callers check ctx.Err(); any
+// other cell error panics.
+func Sweep(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps int, o Options) []Series {
 	if reps <= 0 {
 		reps = 1
 	}
 	cells, ids := sweepCells(cfgs, ratesMbit, w, reps)
-	cellObs := obs
-	if obs != nil {
-		cellObs = sweepPointObserver(obs, experiment, cfgs, ratesMbit, reps, cells, ids)
+	ncfg := len(cfgs)
+	// point resolves the (rate ri, system ci) point from the outcomes of
+	// its repetitions.
+	point := func(outs []CellOutcome, ri, ci int) Point {
+		column := make([]CellOutcome, reps)
+		for rep := range column {
+			column[rep] = outs[(ri*reps+rep)*ncfg+ci]
+		}
+		pt := resolvePoint(cfgs[ci].Name, column, o.Chaos != nil)
+		pt.X = ratesMbit[ri]
+		return pt
 	}
-	stats, errs := RunCellsDispatched(ctx, cells, ids, workers, experiment, j, cellObs, exec)
+	if o.Observer != nil {
+		o.Observer = sweepObserver(o.Observer, o.Experiment, cells, ids, ncfg, reps, point)
+	}
+	outs, errs := Run(ctx, cells, ids, o)
 	for _, err := range errs {
 		if err != nil && !IsCancel(err) {
 			panic(err)
 		}
 	}
-
-	out := make([]Series, len(cfgs))
-	runs := make([]capture.Stats, reps)
-	for i, cfg := range cfgs {
-		out[i].System = cfg.Name
-		out[i].Points = make([]Point, 0, len(ratesMbit))
-		for ri, r := range ratesMbit {
-			// Aggregate in repetition order: floating-point sums stay
-			// identical no matter which worker finished first.
-			for rep := 0; rep < reps; rep++ {
-				runs[rep] = stats[(ri*reps+rep)*len(cfgs)+i]
-			}
-			pt := aggregatePoint(cfg.Name, runs)
-			pt.X = r
-			out[i].Points = append(out[i].Points, pt)
+	out := make([]Series, ncfg)
+	for ci, cfg := range cfgs {
+		out[ci] = Series{System: cfg.Name, Points: make([]Point, len(ratesMbit))}
+		for ri := range ratesMbit {
+			out[ci].Points[ri] = point(outs, ri, ci)
 		}
 	}
 	return out

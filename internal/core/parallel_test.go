@@ -17,10 +17,10 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	cfgs := Sniffers()
 	w := Workload{Packets: 2500, Seed: 5}
 	rates := []float64{150, 450, 900}
-	serial := SweepRatesParallel(context.Background(), cfgs, rates, w, 2, 0)
+	serial := Sweep(context.Background(), cfgs, rates, w, 2, Options{})
 	serialTbl := FormatTable("t", serial)
 	for _, workers := range []int{1, 3, 8, -1} {
-		par := SweepRatesParallel(context.Background(), cfgs, rates, w, 2, workers)
+		par := Sweep(context.Background(), cfgs, rates, w, 2, Options{Workers: workers})
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("workers=%d: series differ from serial", workers)
 		}
@@ -30,31 +30,43 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepSerialDelegationUnchanged: the SweepRates facade and the engine
-// agree (SweepRates is the workers=0 case).
+// TestSweepSerialDelegationUnchanged: the zero Options (the serial
+// case) and a four-worker pool agree.
 func TestSweepSerialDelegationUnchanged(t *testing.T) {
 	cfgs := []capture.Config{Swan()}
 	w := Workload{Packets: 2000, Seed: 9}
-	a := SweepRates(cfgs, []float64{300, 800}, w, 2)
-	b := SweepRatesParallel(context.Background(), cfgs, []float64{300, 800}, w, 2, 4)
+	a := Sweep(context.Background(), cfgs, []float64{300, 800}, w, 2, Options{})
+	b := Sweep(context.Background(), cfgs, []float64{300, 800}, w, 2, Options{Workers: 4})
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("SweepRates differs from the parallel engine")
+		t.Fatal("the serial sweep differs from the parallel one")
 	}
 }
 
-func TestRunCellsOrderAndFeedSharing(t *testing.T) {
+// cellIDs names n cells of one point by repetition.
+func cellIDs(n int) []CellID {
+	ids := make([]CellID, n)
+	for i := range ids {
+		ids[i] = CellID{Point: 1, Rep: i}
+	}
+	return ids
+}
+
+func TestRunOrderAndFeedSharing(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 4, TargetRate: 6e8}
 	var cells []Cell
 	for _, cfg := range Sniffers() {
 		cells = append(cells, Cell{Cfg: cfg, W: w})
 	}
-	stats := RunCells(context.Background(), cells, 4)
-	if len(stats) != len(cells) {
-		t.Fatalf("got %d results for %d cells", len(stats), len(cells))
+	outs, errs := Run(context.Background(), cells, cellIDs(len(cells)), Options{Workers: 4})
+	if len(outs) != len(cells) {
+		t.Fatalf("got %d results for %d cells", len(outs), len(cells))
 	}
-	for i, st := range stats {
+	for i, out := range outs {
+		if errs[i] != nil || !out.OK || out.Attempts != 1 {
+			t.Fatalf("cell %d: outcome %+v, error %v", i, out, errs[i])
+		}
 		want := RunOnce(cells[i].Cfg, cells[i].W)
-		if !reflect.DeepEqual(st, want) {
+		if !reflect.DeepEqual(out.Stats, want) {
 			t.Errorf("cell %d (%s): parallel result differs from direct run", i, cells[i].Cfg.Name)
 		}
 	}
@@ -77,12 +89,12 @@ func (s *panicSource) Next() (p pktgen.Packet, ok bool) {
 	return s.src.Next()
 }
 
-// TestRunCellsWorkerPanicRecovered is the regression test for the worker
+// TestRunWorkerPanicRecovered is the regression test for the worker
 // panic: one panicking cell must not kill the process or leave sibling
 // goroutines blocked on the job channel — every other cell completes and
 // the failed cell comes back as a *CellPanicError the supervisor can
 // retry.
-func TestRunCellsWorkerPanicRecovered(t *testing.T) {
+func TestRunWorkerPanicRecovered(t *testing.T) {
 	w := Workload{Packets: 1200, Seed: 4, TargetRate: 6e8}
 	var cells []Cell
 	for _, cfg := range Sniffers() {
@@ -93,15 +105,18 @@ func TestRunCellsWorkerPanicRecovered(t *testing.T) {
 		return &panicSource{src: src, after: 5}
 	}
 	// More cells than workers so a dying worker would strand queued jobs.
-	stats, errs := RunCellsErr(context.Background(), cells, 2)
+	outs, errs := Run(context.Background(), cells, cellIDs(len(cells)), Options{Workers: 2})
 	for i := range cells {
 		if i == bad {
 			var pe *CellPanicError
 			if !errors.As(errs[i], &pe) {
 				t.Fatalf("cell %d: want CellPanicError, got %v", i, errs[i])
 			}
-			if pe.System != cells[bad].Cfg.Name || pe.Value != "injected cell panic" {
+			if pe.Index != bad || pe.System != cells[bad].Cfg.Name || pe.Value != "injected cell panic" {
 				t.Fatalf("panic error = %+v", pe)
+			}
+			if outs[i].OK {
+				t.Fatal("a panicked cell reports an accepted outcome")
 			}
 			continue
 		}
@@ -109,23 +124,25 @@ func TestRunCellsWorkerPanicRecovered(t *testing.T) {
 			t.Fatalf("healthy cell %d failed: %v", i, errs[i])
 		}
 		want := RunOnce(cells[i].Cfg, cells[i].W)
-		if !reflect.DeepEqual(stats[i], want) {
+		if !reflect.DeepEqual(outs[i].Stats, want) {
 			t.Errorf("cell %d: result differs after sibling panic", i)
 		}
 	}
 
-	// The legacy RunCells contract: the panic still surfaces (as a typed
-	// error value), but only after the pool has drained.
+	// Sweep's contract: the panic still surfaces (as a typed error
+	// value), but only after the pool has drained.
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("RunCells swallowed the cell panic")
+			t.Fatal("Sweep swallowed the cell panic")
 		}
 		if _, ok := r.(*CellPanicError); !ok {
-			t.Fatalf("RunCells re-raised %T, want *CellPanicError", r)
+			t.Fatalf("Sweep re-raised %T, want *CellPanicError", r)
 		}
 	}()
-	RunCells(context.Background(), cells, 2)
+	broken := Swan()
+	broken.OS = 99 // NewSystem panics on an unknown OS
+	Sweep(context.Background(), []capture.Config{Swan(), broken, Moorhen()}, []float64{600}, w, 1, Options{Workers: 2})
 }
 
 func TestAggregateDefensive(t *testing.T) {

@@ -1,24 +1,24 @@
-// Resilient measurement engine: the fault-tolerant sibling of
-// parallel.go. A real Figure 3.1 testbed misbehaves — counters read
-// stale, the generator underruns, a sniffer hangs, the splitter degrades
-// a leg — so every measurement cell is run under per-cycle validation
-// with bounded retry (simulated-time backoff), quarantine of
-// irrecoverably bad repetitions, thesis-style outlier rejection across
-// the surviving repetitions, and graceful degradation: a dead sniffer's
-// points are marked Degraded instead of aborting the sweep. Injected
-// losses are booked into the drop-cause ledger under the fault-* causes,
-// so the conservation check holds against the switch's ground truth.
+// Fault supervision: what Run does when Options.Chaos is set. A real
+// Figure 3.1 testbed misbehaves — counters read stale, the generator
+// underruns, a sniffer hangs, the splitter degrades a leg — so every
+// measurement cell is run under per-cycle validation with bounded retry
+// (simulated-time backoff), quarantine of irrecoverably bad repetitions,
+// thesis-style outlier rejection across the surviving repetitions, and
+// graceful degradation: a dead sniffer's points are marked Degraded
+// instead of aborting the sweep. Injected losses are booked into the
+// drop-cause ledger under the fault-* causes, so the conservation check
+// holds against the switch's ground truth.
 //
-// The engine is also durable: with a CellJournal in ChaosOptions every
-// final cell outcome — accepted or quarantined — is recorded in the
-// campaign write-ahead log as soon as it is known, and cells already
-// recorded are replayed without running. Fault draws are keyed by (plan
-// seed, point, system, rep, attempt), never by execution order, so a
-// resumed chaos campaign reproduces the uninterrupted one bit for bit.
+// Supervision shares the journal replay, the record-then-emit step, the
+// worker pool and the point observer with the unsupervised engine, so a
+// chaos campaign is durable too: every final outcome — accepted or
+// quarantined — is recorded as soon as it is known. Fault draws are keyed
+// by (plan seed, point, system, rep, attempt), never by execution order,
+// so a resumed chaos campaign reproduces the uninterrupted one bit for
+// bit.
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -27,97 +27,24 @@ import (
 	"repro/internal/stats"
 )
 
-// ChaosOptions configure the resilient cell runner.
-type ChaosOptions struct {
-	// Plan is the seeded fault model; nil injects nothing (the engine then
-	// only adds panic recovery and retry on top of the plain pool).
-	Plan *faults.Plan
-	// RetryBudget is the number of retries per cell beyond the first
-	// attempt (default 3).
-	RetryBudget int
-	// BackoffNS is the simulated control-host backoff before the first
-	// retry; it doubles per further retry (default 250 ms — rerunning a
-	// cycle in the real testbed costs seconds, the backoff models the
-	// "wait and re-poll" step without consuming wall-clock time).
-	BackoffNS float64
-	// MADK is the outlier-rejection threshold: a surviving repetition is
+const (
+	// retryBudget is the number of retries per cell beyond the first
+	// attempt.
+	retryBudget = 3
+	// backoffNS is the simulated control-host backoff before the first
+	// retry; it doubles per further retry (rerunning a cycle in the real
+	// testbed costs seconds, the backoff models the "wait and re-poll"
+	// step without consuming wall-clock time).
+	backoffNS = 250e6
+	// madK is the outlier-rejection threshold: a surviving repetition is
 	// rejected when its capturing rate deviates from the per-point median
-	// by more than MADK × MAD (default 3.5).
-	MADK float64
-	// MADFloor is the absolute deviation (percentage points) below which a
+	// by more than madK × MAD.
+	madK = 3.5
+	// madFloor is the absolute deviation (percentage points) below which a
 	// repetition is never rejected, guarding the MAD ≈ 0 case of
-	// near-identical repetitions (default 0.5).
-	MADFloor float64
-	// Journal, when non-nil, makes the run durable: cells with a recorded
-	// final outcome are replayed from the journal instead of running, and
-	// every newly finalized outcome (accepted or quarantined) is recorded
-	// before the engine returns it. A journal append failure panics —
-	// durability failures must never masquerade as measurements.
-	Journal CellJournal
-	// Experiment namespaces the journal keys of this run (the experiment
-	// id); only meaningful with a non-nil Journal.
-	Experiment string
-	// Observer, when non-nil, receives the supervision's live events:
-	// EventRetry per failed attempt, EventSnifferDead when the fault model
-	// kills a sniffer for an attempt, EventCell when a cell's outcome is
-	// accepted, EventQuarantine when the retry budget is exhausted. A
-	// runtime hook — it never changes an outcome.
-	Observer Observer
-}
-
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 3
-	}
-	if o.BackoffNS <= 0 {
-		o.BackoffNS = 250e6
-	}
-	if o.MADK <= 0 {
-		o.MADK = 3.5
-	}
-	if o.MADFloor <= 0 {
-		o.MADFloor = 0.5
-	}
-	return o
-}
-
-// CellID names a cell for the fault model and the campaign journal: the
-// measurement point it belongs to (a stable fingerprint, e.g. the x
-// value's bits) and the repetition index. Faults are drawn from (plan
-// seed, point, system, rep, attempt), never from execution order, so
-// chaos runs are exactly reproducible for any worker count — and across
-// an interrupt-and-resume boundary.
-type CellID struct {
-	Point uint64
-	Rep   int
-}
-
-// CellOutcome is the supervised result of one measurement cell. It is
-// what the campaign journal stores per cell, so every field must — and
-// does — round-trip exactly through JSON.
-type CellOutcome struct {
-	Stats capture.Stats
-	// OK: a validated Stats was produced (possibly degraded). When false
-	// the cell is quarantined and Stats holds the last failed attempt's
-	// partial data (zero if the sniffer never returned statistics).
-	OK bool
-	// Degraded: the accepted run was offered fewer frames than the switch
-	// counted (degraded splitter leg); the shortfall is booked in the
-	// ledger under fault-splitter and Generated is normalized, so the
-	// stats balance but the capturing rate reflects the impairment.
-	Degraded bool
-	// Quarantined: no attempt within the retry budget produced a valid
-	// run.
-	Quarantined bool
-	// Attempts is the number of cycle attempts spent (1 = clean first
-	// try).
-	Attempts int
-	// BackoffNS is the simulated control-host time spent backing off
-	// between attempts.
-	BackoffNS float64
-	// Log is the cell's fault-and-retry history, oldest first.
-	Log []string
-}
+	// near-identical repetitions.
+	madFloor = 0.5
+)
 
 // cellFault is a validation failure of one attempt (distinct from a
 // CellPanicError, which the pool produces).
@@ -125,116 +52,62 @@ type cellFault struct{ reason string }
 
 func (e *cellFault) Error() string { return e.reason }
 
-// RunCellsResilient executes the cells under the fault plan with
-// validation, bounded retry and quarantine. ids must parallel cells.
-// Results are in cell order; the call always returns — a cell that cannot
-// be measured is quarantined, never retried forever, and a panicking cell
-// is recovered and retried like any other failed attempt. On context
-// cancellation the engine drains: in-flight attempts finish (and are
-// journaled if they validate), but no new attempts start and unfinished
-// cells are left unresolved — neither accepted nor quarantined — so a
-// resumed campaign measures them from scratch.
-func RunCellsResilient(ctx context.Context, cells []Cell, ids []CellID, workers int, co ChaosOptions) []CellOutcome {
-	if len(ids) != len(cells) {
-		panic(fmt.Sprintf("core: %d ids for %d cells", len(ids), len(cells)))
-	}
-	co = co.withDefaults()
-	outs := make([]CellOutcome, len(cells))
-	feeds := NewFeedCache(DefaultFeedCacheSize)
+// injected is what the fault plan did to one attempt's replayed feed.
+type injected struct {
+	lossy *faults.LossySource
+	trunc *faults.TruncatedSource
+	stale bool
+}
 
-	record := func(i int) {
-		if co.Journal == nil {
-			return
-		}
-		if err := co.Journal.Record(cellKey(co.Experiment, cells[i], ids[i]), outs[i]); err != nil {
-			panic(fmt.Errorf("core: journal record %v: %w", cellKey(co.Experiment, cells[i], ids[i]), err))
-		}
-	}
-
-	// emit publishes one supervision event for cell i; final kinds carry
-	// private copies of the cell's outcome and statistics.
-	emit := func(kind EventKind, i, attempt int, detail string, replayed bool) {
-		if co.Observer == nil {
-			return
-		}
-		ev := Event{
-			Kind: kind, Experiment: co.Experiment, System: cells[i].Cfg.Name,
-			Point: ids[i].Point, X: cells[i].W.TargetRate / 1e6, Rep: ids[i].Rep,
-			Attempt: attempt, Replayed: replayed, Detail: detail,
-		}
-		if kind == EventCell || kind == EventQuarantine {
-			out := outs[i]
-			st := out.Stats
-			ev.Outcome, ev.Stats = &out, &st
-		}
-		co.Observer.Observe(ev)
-	}
-
-	pending := make([]int, 0, len(cells))
-	for i := range cells {
-		if co.Journal != nil {
-			if out, ok := co.Journal.Lookup(cellKey(co.Experiment, cells[i], ids[i])); ok && (out.OK || out.Quarantined) {
-				outs[i] = out
-				if out.OK {
-					emit(EventCell, i, 0, "", true)
-				} else {
-					emit(EventQuarantine, i, 0, "replayed quarantine verdict", true)
-				}
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-
+// supervise runs the pending cells under the fault plan in attempt waves
+// until each is accepted or its retry budget is spent. A cell that cannot
+// be measured is quarantined, never retried forever; a panicking cell is
+// retried like any other failed attempt. On cancellation no new wave
+// starts and unfinished cells stay unresolved, carrying ctx.Err().
+func (e *engine) supervise(pending []int) {
+	plan := e.o.Chaos
 	logf := func(i int, format string, args ...any) {
-		outs[i].Log = append(outs[i].Log, fmt.Sprintf(format, args...))
+		e.outs[i].Log = append(e.outs[i].Log, fmt.Sprintf(format, args...))
 	}
-
-	for attempt := 0; attempt <= co.RetryBudget && len(pending) > 0 && ctx.Err() == nil; attempt++ {
-		// Retries pay the control host's simulated backoff, doubling per
-		// attempt (capped by the retry budget, so this stays bounded).
-		if attempt > 0 {
-			backoff := co.BackoffNS * float64(int(1)<<(attempt-1))
-			for _, i := range pending {
-				outs[i].BackoffNS += backoff
-			}
+	emit := func(kind EventKind, i, attempt int, detail string) {
+		if e.o.Observer != nil {
+			e.o.Observer.Observe(e.event(kind, i, attempt, detail))
 		}
-
-		// Draw this attempt's faults and split the pending cells into
-		// "runs" (possibly with wrapped sources) and "fails fast" (the
-		// sniffer is hung, crashed or dead — no run, no statistics).
-		var batch []Cell
-		var batchIdx []int
-		type injected struct {
-			lossy *faults.LossySource
-			trunc *faults.TruncatedSource
-			stale bool
-		}
-		var inj []*injected
+	}
+	inj := make([]injected, len(e.cells))
+	for attempt := 0; attempt <= retryBudget && len(pending) > 0 && e.ctx.Err() == nil; attempt++ {
+		// Draw this attempt's faults: a hung, crashed or dead sniffer fails
+		// fast (no run, no statistics); the rest run on feeds wrapped with
+		// the attempt's injections.
+		wave := append([]Cell(nil), e.cells...)
+		var run []int
 		for _, i := range pending {
-			c := cells[i]
-			id := ids[i]
-			outs[i].Attempts++
-			sf := co.Plan.Sniffer(c.Cfg.Name, id.Point, id.Rep, attempt)
-			if sf.Failed() {
-				switch {
-				case sf.Dead:
-					logf(i, "rep%d.%d %s:sniffer-dead", id.Rep, attempt, c.Cfg.Name)
-					emit(EventSnifferDead, i, attempt, "sniffer dead for this attempt", false)
-				case sf.Hang:
-					logf(i, "rep%d.%d %s:sniffer-hang", id.Rep, attempt, c.Cfg.Name)
-					emit(EventRetry, i, attempt, "sniffer hang: no statistics", false)
-				default:
-					logf(i, "rep%d.%d %s:sniffer-crash", id.Rep, attempt, c.Cfg.Name)
-					emit(EventRetry, i, attempt, "sniffer crash: no statistics", false)
-				}
+			c, id := e.cells[i], e.ids[i]
+			e.outs[i].Attempts++
+			if attempt > 0 {
+				e.outs[i].BackoffNS += backoffNS * float64(int(1)<<(attempt-1))
+			}
+			sf := plan.Sniffer(c.Cfg.Name, id.Point, id.Rep, attempt)
+			switch {
+			case sf.Dead:
+				logf(i, "rep%d.%d %s:sniffer-dead", id.Rep, attempt, c.Cfg.Name)
+				emit(EventSnifferDead, i, attempt, "sniffer dead for this attempt")
+				continue
+			case sf.Hang:
+				logf(i, "rep%d.%d %s:sniffer-hang", id.Rep, attempt, c.Cfg.Name)
+				emit(EventRetry, i, attempt, "sniffer hang: no statistics")
+				continue
+			case sf.Crash:
+				logf(i, "rep%d.%d %s:sniffer-crash", id.Rep, attempt, c.Cfg.Name)
+				emit(EventRetry, i, attempt, "sniffer crash: no statistics")
 				continue
 			}
-			in := &injected{stale: co.Plan.Stale(id.Point, id.Rep, attempt)}
+			in := &inj[i]
+			*in = injected{stale: plan.Stale(id.Point, id.Rep, attempt)}
 			if in.stale {
 				logf(i, "rep%d.%d switch:snmp-stale", id.Rep, attempt)
 			}
-			frac, stall := co.Plan.Gen(id.Point, id.Rep, attempt)
+			frac, stall := plan.Gen(id.Point, id.Rep, attempt)
 			if frac > 0 && frac < 1 {
 				if stall {
 					logf(i, "rep%d.%d gen:gen-stall(%.2g)", id.Rep, attempt, frac)
@@ -245,87 +118,68 @@ func RunCellsResilient(ctx context.Context, cells []Cell, ids []CellID, workers 
 			if sf.LegLoss > 0 {
 				logf(i, "rep%d.%d %s:splitter-leg-loss(%.2g)", id.Rep, attempt, c.Cfg.Name, sf.LegLoss)
 			}
-			// Wrap the replayed feed with this attempt's injections. The
-			// closure runs in the worker; it writes only this cell's slot.
-			baseWrap := c.Wrap
-			legLoss := sf.LegLoss
-			legSeed := co.Plan.LegSeed(c.Cfg.Name, id.Point, id.Rep)
-			limitFrac := frac
-			packets := c.W.Packets
-			c.Wrap = func(src capture.Source) capture.Source {
-				if baseWrap != nil {
-					src = baseWrap(src)
+			legSeed := plan.LegSeed(c.Cfg.Name, id.Point, id.Rep)
+			// The wrap runs in the worker; it writes only this cell's slot.
+			wave[i].Wrap = func(src capture.Source) capture.Source {
+				if c.Wrap != nil {
+					src = c.Wrap(src)
 				}
-				if limitFrac > 0 && limitFrac < 1 {
-					in.trunc = faults.NewTruncatedSource(src, int(float64(packets)*limitFrac))
+				if frac > 0 && frac < 1 {
+					in.trunc = faults.NewTruncatedSource(src, int(float64(c.W.Packets)*frac))
 					src = in.trunc
 				}
-				if legLoss > 0 {
-					in.lossy = faults.NewLossySource(src, legSeed, legLoss)
+				if sf.LegLoss > 0 {
+					in.lossy = faults.NewLossySource(src, legSeed, sf.LegLoss)
 					src = in.lossy
 				}
 				return src
 			}
-			batch = append(batch, c)
-			batchIdx = append(batchIdx, i)
-			inj = append(inj, in)
+			// A failed attempt leaves its partial data behind, zero if it
+			// never returned (a panic).
+			e.outs[i].Stats = capture.Stats{}
+			run = append(run, i)
 		}
 
-		// Run the batch; validation happens in the worker while the cell's
-		// feed is still hot in the shared cache.
-		if len(batch) > 0 {
-			results, errs := runCellsWith(ctx, batch, workers, feeds, func(bi int, st *capture.Stats) error {
-				in := inj[bi]
-				expected := feeds.Get(batch[bi].W).Sent
-				// A degraded splitter leg is an environmental loss, not a
-				// measurement error: book the withheld frames so the run
-				// balances against the switch's ground truth.
-				if in.lossy != nil && in.lossy.Lost > 0 {
-					st.BookFaultLoss(capture.CauseFaultSplitter, in.lossy.Lost, in.lossy.LostBytes, in.lossy.LastAt)
-				}
-				if in.stale {
-					return &cellFault{reason: "stale SNMP read: switch delta 0"}
-				}
-				if st.Generated != expected {
-					return &cellFault{reason: fmt.Sprintf(
-						"switch counted %d frames, sniffer was offered %d", expected, st.Generated)}
-				}
-				if err := st.CheckConservation(); err != nil {
-					return &cellFault{reason: err.Error()}
-				}
-				return nil
-			})
-			for bi, i := range batchIdx {
-				if IsCancel(errs[bi]) {
-					// Interrupted, not faulted: the cell stays unresolved and
-					// a resumed campaign measures it from scratch.
-					continue
-				}
-				if errs[bi] != nil {
-					logf(i, "rep%d.%d %s:retry: %v", ids[i].Rep, attempt, cells[i].Cfg.Name, errs[bi])
-					emit(EventRetry, i, attempt, errs[bi].Error(), false)
-					// Keep the last failed attempt's partial data so a
-					// quarantined cell is inspectable; book a generator
-					// shortfall so even the partial stats balance.
-					st := results[bi]
-					if in := inj[bi]; in.trunc != nil && in.trunc.Cut > 0 {
-						st.BookFaultLoss(capture.CauseFaultGenerator, in.trunc.Cut, in.trunc.CutBytes, in.trunc.LastAt)
-					}
-					outs[i].Stats = st
-					continue
-				}
-				outs[i].Stats = results[bi]
-				outs[i].OK = true
-				outs[i].Degraded = inj[bi].lossy != nil && inj[bi].lossy.Lost > 0
-				// The outcome is final — make it durable before it is used.
-				record(i)
-				emit(EventCell, i, attempt, "", false)
+		// Validate in the worker while the cell's feed is still hot in the
+		// shared cache; an accepted outcome is final, so it is recorded and
+		// published right there.
+		errs := e.pool(wave, run, func(i int, st *capture.Stats) error {
+			in := &inj[i]
+			// A degraded splitter leg is an environmental loss, not a
+			// measurement error: book the withheld frames so the run
+			// balances against the switch's ground truth.
+			if in.lossy != nil && in.lossy.Lost > 0 {
+				st.BookFaultLoss(capture.CauseFaultSplitter, in.lossy.Lost, in.lossy.LostBytes, in.lossy.LastAt)
+			}
+			e.outs[i].Stats = *st
+			if err := validate(st, in, e.o.Feeds.Get(e.cells[i].W).Sent); err != nil {
+				return err
+			}
+			e.outs[i].OK = true
+			e.outs[i].Degraded = in.lossy != nil && in.lossy.Lost > 0
+			// A failed append is not a failed attempt: the measurement
+			// stands, the cell is not retried, and the error is returned.
+			e.errs[i] = e.finish(i, "", attempt)
+			return nil
+		})
+		for k, i := range run {
+			err := errs[k]
+			if err == nil || IsCancel(err) {
+				// Accepted, or interrupted rather than faulted: an
+				// interrupted cell stays unresolved.
+				continue
+			}
+			logf(i, "rep%d.%d %s:retry: %v", e.ids[i].Rep, attempt, e.cells[i].Cfg.Name, err)
+			emit(EventRetry, i, attempt, err.Error())
+			// Book a generator shortfall so even the partial stats balance.
+			if t := inj[i].trunc; t != nil && t.Cut > 0 {
+				e.outs[i].Stats.BookFaultLoss(capture.CauseFaultGenerator, t.Cut, t.CutBytes, t.LastAt)
 			}
 		}
 
-		var next []int
+		next := pending[:0]
 		for _, i := range pending {
-			if !outs[i].OK {
+			if !e.outs[i].OK {
 				next = append(next, i)
 			}
 		}
@@ -335,102 +189,47 @@ func RunCellsResilient(ctx context.Context, cells []Cell, ids []CellID, workers 
 	// Quarantine is a final verdict: only pronounce (and journal) it when
 	// the retry budget is truly exhausted, not when an interrupt cut the
 	// budget short.
-	if ctx.Err() == nil {
-		for _, i := range pending {
-			outs[i].Quarantined = true
-			record(i)
-			emit(EventQuarantine, i, co.RetryBudget, "retry budget exhausted", false)
+	cancelled := e.ctx.Err()
+	for _, i := range pending {
+		if cancelled != nil {
+			e.errs[i] = cancelled
+			continue
 		}
+		e.outs[i].Quarantined = true
+		e.errs[i] = e.finish(i, "", retryBudget)
 	}
-	return outs
 }
 
-// SweepRatesResilient is SweepRatesParallel under the fault plan: the same
-// cells, each supervised by RunCellsResilient, aggregated per point over
-// the repetitions that survived validation and the MAD outlier rejection.
-// Points whose accepted data is impaired are marked Degraded; the sweep
-// always completes (on context cancellation the returned series are
-// incomplete and must be discarded — callers check ctx.Err()). With a nil
-// plan the numeric output matches SweepRatesParallel exactly (the chaos
-// counters then just record one clean attempt per repetition).
-// resilientPointObserver is sweepPointObserver's sibling for the
-// supervised sweep: it collects final cell outcomes and emits each
-// (system, rate) point — resolved exactly like the returned series,
-// outlier rejection included — in canonical layout order.
-func resilientPointObserver(co ChaosOptions, cfgs []capture.Config, ratesMbit []float64, reps int, cells []Cell, ids []CellID) Observer {
-	obs := co.Observer
-	ncfg := len(cfgs)
-	idxOf := make(map[CellKey]int, len(cells))
-	for i := range cells {
-		idxOf[cellKey(co.Experiment, cells[i], ids[i])] = i
+// validate checks one attempt's statistics against the switch's ground
+// truth (expected frames) and the fault plan's counter corruption.
+func validate(st *capture.Stats, in *injected, expected uint64) error {
+	if in.stale {
+		return &cellFault{reason: "stale SNMP read: switch delta 0"}
 	}
-	colOuts := make([]CellOutcome, len(cells))
-	seq := newPointSequencer(len(ratesMbit)*ncfg, reps, func(p int) {
-		ri, ci := p/ncfg, p%ncfg
-		column := make([]CellOutcome, reps)
-		for rep := 0; rep < reps; rep++ {
-			column[rep] = colOuts[(ri*reps+rep)*ncfg+ci]
-		}
-		pt := resolvePoint(cfgs[ci].Name, column, co)
-		pt.X = ratesMbit[ri]
-		obs.Observe(Event{
-			Kind: EventPoint, Experiment: co.Experiment, System: cfgs[ci].Name,
-			Point: pointKey(ratesMbit[ri]), X: ratesMbit[ri], Agg: &pt,
-		})
-	})
-	return ObserverFunc(func(ev Event) {
-		obs.Observe(ev)
-		if (ev.Kind != EventCell && ev.Kind != EventQuarantine) || ev.Outcome == nil {
-			return
-		}
-		i, ok := idxOf[CellKey{Experiment: ev.Experiment, Point: ev.Point, System: ev.System, Rep: ev.Rep}]
-		if !ok {
-			return
-		}
-		colOuts[i] = *ev.Outcome
-		seq.done((i/(reps*ncfg))*ncfg + i%ncfg)
-	})
+	if st.Generated != expected {
+		return &cellFault{reason: fmt.Sprintf(
+			"switch counted %d frames, sniffer was offered %d", expected, st.Generated)}
+	}
+	if err := st.CheckConservation(); err != nil {
+		return &cellFault{reason: err.Error()}
+	}
+	return nil
 }
 
-func SweepRatesResilient(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps, workers int, co ChaosOptions) []Series {
-	if reps <= 0 {
-		reps = 1
-	}
-	co = co.withDefaults()
-	// Identical cell layout to SweepRatesParallel: column-major, so the
-	// systems of one (rate, rep) column share one recorded feed.
-	cells, ids := sweepCells(cfgs, ratesMbit, w, reps)
-	if co.Observer != nil {
-		co.Observer = resilientPointObserver(co, cfgs, ratesMbit, reps, cells, ids)
-	}
-	outs := RunCellsResilient(ctx, cells, ids, workers, co)
-
-	out := make([]Series, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i].System = cfg.Name
-		out[i].Points = make([]Point, 0, len(ratesMbit))
-		for ri, r := range ratesMbit {
-			column := make([]CellOutcome, reps)
-			for rep := 0; rep < reps; rep++ {
-				column[rep] = outs[(ri*reps+rep)*len(cfgs)+i]
-			}
-			pt := resolvePoint(cfg.Name, column, co)
-			pt.X = r
-			out[i].Points = append(out[i].Points, pt)
+// resolvePoint folds one point's repetitions into a plotted Point. An
+// unsupervised point aggregates every repetition. A supervised one passes
+// its accepted runs through the thesis-style outlier rejection (median
+// absolute deviation on the capturing rate), aggregates the survivors
+// exactly like a clean point, and records in the chaos counters what the
+// supervisor had to do to get there.
+func resolvePoint(system string, column []CellOutcome, supervised bool) Point {
+	if !supervised {
+		runs := make([]capture.Stats, len(column))
+		for i, o := range column {
+			runs[i] = o.Stats
 		}
+		return aggregatePoint(system, runs)
 	}
-	return out
-}
-
-// pointKey fingerprints a sweep point for the fault model.
-func pointKey(x float64) uint64 { return uint64(int64(x * 1e3)) }
-
-// resolvePoint folds one point's supervised repetitions into a plotted
-// Point: accepted runs pass through the thesis-style outlier rejection
-// (median absolute deviation on the capturing rate), the survivors
-// aggregate exactly like a clean point, and the chaos counters record what
-// the supervisor had to do to get there.
-func resolvePoint(system string, column []CellOutcome, co ChaosOptions) Point {
 	var accepted []CellOutcome
 	var pt Point
 	var log []string
@@ -448,14 +247,7 @@ func resolvePoint(system string, column []CellOutcome, co ChaosOptions) Point {
 	for i, o := range accepted {
 		rates[i] = o.Stats.CaptureRate()
 	}
-	// Outlier rejection is part of the chaos supervision: with no fault
-	// plan every repetition is trusted, keeping the nil-plan output
-	// numerically identical to SweepRatesParallel even when legitimate
-	// repetitions spread widely.
-	reject := make([]bool, len(rates))
-	if co.Plan != nil {
-		reject = stats.MADOutliers(rates, co.MADK, co.MADFloor)
-	}
+	reject := stats.MADOutliers(rates, madK, madFloor)
 	kept := make([]capture.Stats, 0, len(accepted))
 	degraded := false
 	for i, o := range accepted {

@@ -10,16 +10,18 @@ import (
 	"repro/internal/faults"
 )
 
-// TestChaosNilPlanMatchesParallel: with no fault plan the resilient sweep
-// must be numerically identical to the parallel engine — the chaos
-// counters then only record one clean attempt per repetition.
+// TestChaosNilPlanMatchesParallel: under a plan that injects nothing the
+// supervised sweep must be numerically identical to the unsupervised one
+// — the chaos counters then only record one clean attempt per
+// repetition. (MAD rejection cannot fire: it needs at least three
+// repetitions.)
 func TestChaosNilPlanMatchesParallel(t *testing.T) {
 	cfgs := Sniffers()
 	w := Workload{Packets: 2000, Seed: 5}
 	rates := []float64{200, 800}
 	reps := 2
-	clean := SweepRatesParallel(context.Background(), cfgs, rates, w, reps, 2)
-	chaos := SweepRatesResilient(context.Background(), cfgs, rates, w, reps, 2, ChaosOptions{})
+	clean := Sweep(context.Background(), cfgs, rates, w, reps, Options{Workers: 2})
+	chaos := Sweep(context.Background(), cfgs, rates, w, reps, Options{Workers: 2, Chaos: &faults.Plan{Seed: 1}})
 	for si := range chaos {
 		for pi := range chaos[si].Points {
 			p := chaos[si].Points[pi]
@@ -28,7 +30,7 @@ func TestChaosNilPlanMatchesParallel(t *testing.T) {
 			}
 			p.Attempts = 0
 			if !reflect.DeepEqual(p, clean[si].Points[pi]) {
-				t.Fatalf("%s x=%g: nil-plan point differs from parallel engine:\n%+v\nvs\n%+v",
+				t.Fatalf("%s x=%g: nil-plan point differs from the unsupervised sweep:\n%+v\nvs\n%+v",
 					chaos[si].System, p.X, p, clean[si].Points[pi])
 			}
 		}
@@ -41,10 +43,10 @@ func TestChaosDeterministic(t *testing.T) {
 	cfgs := Sniffers()
 	w := Workload{Packets: 1500, Seed: 3}
 	rates := []float64{300, 900}
-	co := ChaosOptions{Plan: faults.DefaultPlan(42)}
-	a := SweepRatesResilient(context.Background(), cfgs, rates, w, 3, 0, co)
-	b := SweepRatesResilient(context.Background(), cfgs, rates, w, 3, 4, co)
-	c := SweepRatesResilient(context.Background(), cfgs, rates, w, 3, 4, co)
+	plan := faults.DefaultPlan(42)
+	a := Sweep(context.Background(), cfgs, rates, w, 3, Options{Chaos: plan})
+	b := Sweep(context.Background(), cfgs, rates, w, 3, Options{Workers: 4, Chaos: plan})
+	c := Sweep(context.Background(), cfgs, rates, w, 3, Options{Workers: 4, Chaos: plan})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("chaos sweep differs between serial and 4 workers")
 	}
@@ -65,9 +67,8 @@ func TestChaosConvergesToCleanRates(t *testing.T) {
 	rates := []float64{200, 600, 1000}
 	reps := 4
 	plan := faults.DefaultPlan(11)
-	co := ChaosOptions{Plan: plan}
-	clean := SweepRatesParallel(context.Background(), cfgs, rates, w, reps, 4)
-	chaos := SweepRatesResilient(context.Background(), cfgs, rates, w, reps, 4, co)
+	clean := Sweep(context.Background(), cfgs, rates, w, reps, Options{Workers: 4})
+	chaos := Sweep(context.Background(), cfgs, rates, w, reps, Options{Workers: 4, Chaos: plan})
 
 	quarantined := 0
 	for si := range chaos {
@@ -117,8 +118,11 @@ func TestFaultRetryRecoversPanic(t *testing.T) {
 		}
 		return src
 	}}}
-	outs := RunCellsResilient(context.Background(), cells, []CellID{{Point: 1, Rep: 0}}, 0, ChaosOptions{})
+	outs, errs := Run(context.Background(), cells, []CellID{{Point: 1, Rep: 0}}, Options{Chaos: &faults.Plan{Seed: 1}})
 	o := outs[0]
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
 	if !o.OK || o.Quarantined {
 		t.Fatalf("panicking cell not recovered: %+v", o)
 	}
@@ -142,16 +146,15 @@ func TestFaultRetryRecoversPanic(t *testing.T) {
 // the point marked Degraded instead of deadlocking or aborting.
 func TestChaosQuarantineAfterBudget(t *testing.T) {
 	plan := &faults.Plan{Seed: 1, PHang: 1}
-	co := ChaosOptions{Plan: plan, RetryBudget: 2}
 	w := Workload{Packets: 1000, Seed: 2}
-	outs := RunCellsResilient(
-		context.Background(), []Cell{{Cfg: Swan(), W: w}}, []CellID{{Point: 9, Rep: 0}}, 0, co)
+	outs, errs := Run(
+		context.Background(), []Cell{{Cfg: Swan(), W: w}}, []CellID{{Point: 9, Rep: 0}}, Options{Chaos: plan})
 	o := outs[0]
-	if o.OK || !o.Quarantined {
-		t.Fatalf("always-hanging cell not quarantined: %+v", o)
+	if o.OK || !o.Quarantined || errs[0] != nil {
+		t.Fatalf("always-hanging cell not quarantined: %+v (error %v)", o, errs[0])
 	}
-	if o.Attempts != 3 {
-		t.Fatalf("want budget+1 = 3 attempts, got %d", o.Attempts)
+	if o.Attempts != 4 {
+		t.Fatalf("want budget+1 = 4 attempts, got %d", o.Attempts)
 	}
 	if o.Stats.Generated != 0 {
 		t.Fatalf("hung sniffer returned statistics: %+v", o.Stats)
@@ -159,9 +162,9 @@ func TestChaosQuarantineAfterBudget(t *testing.T) {
 
 	// The dead-sniffer case at sweep level: the other three systems keep
 	// measuring, the hung one's points are Degraded with zero rate.
-	series := SweepRatesResilient(
-		context.Background(), []capture.Config{Swan(), Moorhen()}, []float64{400}, w, 2, 2,
-		ChaosOptions{Plan: &faults.Plan{Seed: 1, PHang: 1}, RetryBudget: 1})
+	series := Sweep(
+		context.Background(), []capture.Config{Swan(), Moorhen()}, []float64{400}, w, 2,
+		Options{Workers: 2, Chaos: plan})
 	for _, s := range series {
 		p := s.Points[0]
 		if !p.Degraded || p.Quarantined != 2 || p.Rate != 0 {
@@ -177,9 +180,9 @@ func TestChaosQuarantineAfterBudget(t *testing.T) {
 func TestChaosDegradedLegBooksFaultLoss(t *testing.T) {
 	plan := &faults.Plan{Seed: 6, PLegLoss: 1, LegLossRatio: 0.05}
 	w := Workload{Packets: 2000, Seed: 8, TargetRate: 4e8}
-	outs := RunCellsResilient(
-		context.Background(), []Cell{{Cfg: Moorhen(), W: w}}, []CellID{{Point: 4, Rep: 1}}, 0,
-		ChaosOptions{Plan: plan})
+	outs, _ := Run(
+		context.Background(), []Cell{{Cfg: Moorhen(), W: w}}, []CellID{{Point: 4, Rep: 1}},
+		Options{Chaos: plan})
 	o := outs[0]
 	if !o.OK || !o.Degraded {
 		t.Fatalf("lossy-leg cell not accepted as degraded: %+v", o)

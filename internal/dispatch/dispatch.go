@@ -1,9 +1,9 @@
 // Package dispatch shards a campaign's measurement cells across worker
 // processes with lease-based fault tolerance.
 //
-// The coordinator implements core.CellExecutor: the durable engines hand
-// it the cells a campaign still has to measure (replayed cells never
-// arrive), and it leases them in small batches to workers over the
+// The coordinator implements core.CellExecutor: core.Run hands it the
+// cells a campaign still has to measure (replayed cells never arrive),
+// and it leases them in small batches to workers over the
 // monitoring HTTP API. Robustness is the design center:
 //
 //   - Leases carry deadlines in coordinator-monotonic time (a
@@ -13,9 +13,10 @@
 //     stops, its leases expire, and only its in-flight cells return to
 //     the queue.
 //   - Expired cells are re-dispatched with bounded retry and doubling
-//     backoff — the RunCellsResilient shape — and a cell that exhausts
-//     its dispatch budget is run locally by the coordinator, so a
-//     campaign always terminates even if every worker is hostile.
+//     backoff — the shape of the cell engine's fault supervision — and a
+//     cell that exhausts its dispatch budget is run locally by the
+//     coordinator, so a campaign always terminates even if every worker
+//     is hostile.
 //   - A lease that lives past the straggler threshold (its worker
 //     heartbeats but never finishes) is speculatively re-dispatched to a
 //     healthy worker; whichever copy finishes first wins.
@@ -61,7 +62,8 @@ const (
 	// coordinator stops trusting workers and runs it locally.
 	DefaultRetryBudget = 3
 	// DefaultBackoff is the base re-dispatch delay after an expiry,
-	// doubled per spent attempt (the RunCellsResilient shape).
+	// doubled per spent attempt (the shape of the cell engine's fault
+	// supervision).
 	DefaultBackoff = 250 * time.Millisecond
 	// DefaultStrikeout quarantines a worker after this many expired
 	// leases: it keeps asking for work and keeps losing it.
@@ -451,8 +453,7 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		feeds:      core.NewFeedCache(core.DefaultFeedCacheSize),
 	}
 	for i := range cells {
-		st.keys[i] = core.CellKey{Experiment: experiment, Point: ids[i].Point,
-			System: cells[i].Cfg.Name, Rep: ids[i].Rep}
+		st.keys[i] = core.KeyOf(experiment, cells[i], ids[i])
 		st.byKey[st.keys[i]] = i
 		st.pending = append(st.pending, i)
 	}
@@ -787,10 +788,10 @@ func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs 
 // losing leases.
 func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
 	cells := make([]core.Cell, len(idxs))
+	ids := make([]core.CellID, len(idxs))
 	keys := make([]core.CellKey, len(idxs))
 	for bi, i := range idxs {
-		cells[bi] = st.cells[i]
-		keys[bi] = st.keys[i]
+		cells[bi], ids[bi], keys[bi] = st.cells[i], st.ids[i], st.keys[i]
 	}
 	c.mu.Lock()
 	c.walAppendLocked(walRecord{T: "local", Exp: st.experiment, Keys: keys})
@@ -798,14 +799,14 @@ func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
 	c.mu.Unlock()
 	c.observe(core.Event{Kind: core.EventRetry, Experiment: st.experiment, Worker: "coordinator",
 		Detail: fmt.Sprintf("retry budget exhausted: running %d cells locally", len(idxs))})
-	sts, errs := core.RunCellsWithCache(ctx, cells, c.LocalWorkers, st.feeds)
+	outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: c.LocalWorkers, Feeds: st.feeds})
 	for bi, i := range idxs {
 		c.mu.Lock()
 		if st.done[i] { // a worker raced us to it after all
 			c.mu.Unlock()
 			if errs[bi] == nil && c.Journal != nil {
 				c.stats.Duplicates++
-				c.Journal.Record(st.keys[i], core.CellOutcome{Stats: sts[bi], OK: true, Attempts: 1})
+				c.Journal.Record(st.keys[i], outs[bi])
 			}
 			continue
 		}
@@ -818,7 +819,7 @@ func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
 		}
 		st.wg.Add(1)
 		c.mu.Unlock()
-		if e := st.finish(i, &sts[bi], "coordinator"); e != nil {
+		if e := st.finish(i, &outs[bi].Stats, "coordinator"); e != nil {
 			c.mu.Lock()
 			st.errs[i] = e
 			c.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mix"
 )
 
 // TestBreakerLifecycle walks the breaker through its full state machine
@@ -100,7 +101,7 @@ func TestPostRetrySurvivesTransientFailures(t *testing.T) {
 	defer srv.Close()
 
 	w := &Worker{ID: "w", BaseURL: srv.URL, Backoff: time.Millisecond, campaign: "c"}
-	w.jitter = hash64(w.ID) | 1
+	w.jitter = mix.String(w.ID) | 1
 	var out infoResponse
 	status, err := w.postRetry(context.Background(), "lease", heartbeatRequest{Worker: "w"}, &out)
 	if err != nil || status != http.StatusOK {
@@ -126,7 +127,7 @@ func TestPostRetryBudgetExhausted(t *testing.T) {
 	defer srv.Close()
 
 	w := &Worker{ID: "w", BaseURL: srv.URL, Backoff: time.Millisecond, Retries: 2, campaign: "c"}
-	w.jitter = hash64(w.ID) | 1
+	w.jitter = mix.String(w.ID) | 1
 	status, err := w.postRetry(context.Background(), "lease", heartbeatRequest{Worker: "w"}, nil)
 	if err == nil {
 		t.Fatalf("postRetry succeeded against a dead coordinator (status %d)", status)
@@ -150,7 +151,7 @@ func TestBreakerFailsFastWithoutTraffic(t *testing.T) {
 		ID: "w", BaseURL: srv.URL, Retries: -1, campaign: "c",
 		Breaker: NewBreaker(2, time.Hour),
 	}
-	w.jitter = hash64(w.ID) | 1
+	w.jitter = mix.String(w.ID) | 1
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, err := w.post(ctx, "lease", heartbeatRequest{Worker: "w"}, nil); err != nil {
@@ -173,7 +174,7 @@ func TestBreakerFailsFastWithoutTraffic(t *testing.T) {
 func TestRetryDelayJitterDeterministic(t *testing.T) {
 	mk := func(id string) *Worker {
 		w := &Worker{ID: id, Backoff: 100 * time.Millisecond}
-		w.jitter = hash64(id) | 1
+		w.jitter = mix.String(id) | 1
 		return w
 	}
 	a, b := mk("w1"), mk("w1")

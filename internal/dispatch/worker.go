@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mix"
 )
 
 // Worker defaults.
@@ -103,8 +104,10 @@ type Worker struct {
 	campaign    string
 	sets        map[string]*experiments.CellSet
 	feeds       map[string]*core.FeedCache
-	jitter      uint64 // splitmix64 state for retry jitter, seeded from ID
-	jmu         sync.Mutex
+	// jitter is the splitmix64 state for retry jitter, seeded from ID so
+	// two workers retrying the same outage do not march in lockstep.
+	jitter uint64
+	jmu    sync.Mutex
 }
 
 func (w *Worker) client() *http.Client {
@@ -136,7 +139,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Breaker == nil {
 		w.Breaker = NewBreaker(0, 0)
 	}
-	w.jitter = hash64(w.ID) | 1
+	w.jitter = mix.String(w.ID) | 1
 
 	if err := w.awaitCoordinator(ctx); err != nil {
 		return err
@@ -236,28 +239,14 @@ func (w *Worker) backoff() time.Duration {
 	return DefaultRetryBackoff
 }
 
-// hash64 is FNV-1a, used to seed the per-worker jitter stream so two
-// workers retrying the same outage do not march in lockstep.
-func hash64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // nextJitter draws a deterministic fraction in [0,1) from the worker's
 // splitmix64 stream.
 func (w *Worker) nextJitter() float64 {
 	w.jmu.Lock()
 	defer w.jmu.Unlock()
-	w.jitter += 0x9e3779b97f4a7c15
-	z := w.jitter
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
+	z := mix.SplitMix64(w.jitter)
+	w.jitter += mix.Golden
+	return mix.Unit(z)
 }
 
 // retryDelay is the backoff before retry attempt (1-based): base·2^(a-1)
@@ -382,6 +371,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 		return err
 	}
 	var cells []core.Cell
+	var ids []core.CellID
 	var okIdx []int
 	var failed []core.CellKey
 	for _, k := range l.Keys {
@@ -393,6 +383,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 			continue
 		}
 		cells = append(cells, set.Cells[i])
+		ids = append(ids, set.IDs[i])
 		okIdx = append(okIdx, i)
 	}
 	var recs []Record
@@ -402,17 +393,14 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 			feeds = core.NewFeedCache(core.DefaultFeedCacheSize)
 			w.feeds[l.Experiment] = feeds
 		}
-		sts, errs := core.RunCellsWithCache(ctx, cells, w.Options.Parallelism, feeds)
+		outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: w.Options.Parallelism, Feeds: feeds})
 		for bi, i := range okIdx {
-			k := core.CellKey{Experiment: l.Experiment, Point: set.IDs[i].Point,
-				System: set.Cells[i].Cfg.Name, Rep: set.IDs[i].Rep}
+			k := core.KeyOf(l.Experiment, set.Cells[i], set.IDs[i])
 			if errs[bi] != nil {
 				failed = append(failed, k)
 				continue
 			}
-			recs = append(recs, Record{Key: k, Out: core.CellOutcome{
-				Stats: sts[bi], OK: true, Attempts: 1,
-			}})
+			recs = append(recs, Record{Key: k, Out: outs[bi]})
 		}
 	}
 	if err := ctx.Err(); err != nil {

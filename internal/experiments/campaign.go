@@ -80,7 +80,7 @@ type cellRecord struct {
 // It implements core.CellJournal: Record appends to the fsync'd on-disk
 // write-ahead log before returning, Lookup serves the outcomes recovered
 // at resume time (plus anything recorded since). Safe for concurrent use
-// by the engines' workers.
+// by the engine's workers.
 type Campaign struct {
 	j  *journal.Journal
 	mu sync.Mutex

@@ -3,8 +3,8 @@
 // their durable CellKey only — a capture.Config carries closures (BPF
 // filters, fault wraps) and is deliberately not wire-safe — so both
 // sides re-derive the key → cell mapping locally. The derivation is the
-// experiment code itself: the engines are run with a capturing executor
-// that records the cells they would have dispatched and returns without
+// experiment code itself: it is run with a capturing executor that
+// records the cells core.Run would have dispatched and returns without
 // running any. Cell layout is a pure function of the semantic Options
 // fields, which is exactly what the campaign fingerprint hashes, so a
 // fingerprint match guarantees the coordinator and every worker
@@ -20,7 +20,7 @@ import (
 )
 
 // CellSet is the enumerated cell space of one experiment: the exact
-// cells and ids the durable engines would run, in engine layout order,
+// cells and ids core.Run would run, in engine layout order,
 // with a durable-key index for lease resolution.
 type CellSet struct {
 	Experiment string
@@ -66,16 +66,14 @@ func EnumerateCells(id string, o Options) (*CellSet, error) {
 	return cap.set, nil
 }
 
-// capturingExecutor records the cells the engines hand it and completes
+// capturingExecutor records the cells core.Run hands it and completes
 // none of them: the engine's aggregation sees zero statistics (its
 // rendered output is discarded) and its journal hook never fires.
 type capturingExecutor struct{ set *CellSet }
 
 func (c *capturingExecutor) ExecuteCells(ctx context.Context, experiment string, cells []core.Cell, ids []core.CellID, done func(int, *capture.Stats, string) error) []error {
 	for i := range cells {
-		k := core.CellKey{Experiment: experiment, Point: ids[i].Point,
-			System: cells[i].Cfg.Name, Rep: ids[i].Rep}
-		c.set.index[k] = len(c.set.Cells)
+		c.set.index[core.KeyOf(experiment, cells[i], ids[i])] = len(c.set.Cells)
 		c.set.Cells = append(c.set.Cells, cells[i])
 		c.set.IDs = append(c.set.IDs, ids[i])
 	}

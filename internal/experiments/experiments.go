@@ -36,12 +36,12 @@ type Options struct {
 	// Why appends the per-point drop-cause breakdown (core.FormatWhy) to
 	// the rendered table — the `experiment -why` flag.
 	Why bool
-	// Chaos, when nonzero, runs the sweeps under the seeded fault-injection
-	// plan (faults.DefaultPlan) with the resilient supervisor: validation,
-	// bounded retry, quarantine, outlier rejection, graceful degradation.
-	// The chaos bookkeeping is appended to tables (core.FormatChaos) and
-	// carried in the NDJSON records. Zero keeps the legacy byte-identical
-	// output paths.
+	// Chaos, when nonzero, runs the sweeps' cells under fault supervision
+	// with the seeded plan faults.DefaultPlan(Chaos) (core.Options.Chaos):
+	// validation, bounded retry, quarantine, outlier rejection, graceful
+	// degradation. The chaos bookkeeping is appended to tables
+	// (core.FormatChaos) and carried in the NDJSON records. Zero keeps the
+	// unsupervised, byte-identical output.
 	Chaos uint64
 	// Policy applies a sampling / load-shedding policy to every capturing
 	// application of the sweeps (capture.ParsePolicy syntax) — the
@@ -68,16 +68,16 @@ type Options struct {
 	// on a resumed run (see Campaign). A runtime knob, not part of the
 	// campaign fingerprint.
 	Journal core.CellJournal
-	// Observer, when non-nil, receives the engines' live event feed (cell
-	// completions, deterministic point aggregates, retry/quarantine
+	// Observer, when non-nil, receives the cell engine's live event feed
+	// (cell completions, deterministic point aggregates, retry/quarantine
 	// decisions) — the monitoring service and the streaming -json writer
 	// attach here. A runtime knob, not part of the campaign fingerprint;
 	// observation never changes a result.
 	Observer core.Observer
-	// Executor, when non-nil, hands the cells the durable engines would
-	// run locally to an external executor instead — the dispatch
-	// coordinator leases them to remote workers. Replayed cells never
-	// reach the executor, and the executor's results feed the same
+	// Executor, when non-nil, hands the cells core.Run would run locally
+	// to an external executor instead (core.Options.Executor) — the
+	// dispatch coordinator leases them to remote workers. Replayed cells
+	// never reach the executor, and the executor's results feed the same
 	// journaling, observation, and fixed-order aggregation, so output
 	// stays byte-identical to a local run. A runtime knob, not part of
 	// the campaign fingerprint. Ignored under -chaos: fault injection
@@ -93,15 +93,32 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// chaosOptions builds the resilient engine's options from the -chaos seed,
-// wiring in the campaign journal under the given experiment id.
-func (o Options) chaosOptions(experiment string) core.ChaosOptions {
-	return core.ChaosOptions{
-		Plan:       faults.DefaultPlan(o.Chaos),
-		Journal:    o.Journal,
-		Experiment: experiment,
-		Observer:   o.Observer,
+// engine builds the cell engine's options for experiment: the worker
+// count, the campaign journal, the observer and the executor, and the
+// fault plan of the -chaos seed.
+func (o Options) engine(experiment string) core.Options {
+	co := core.Options{
+		Workers: o.Parallelism, Experiment: experiment,
+		Journal: o.Journal, Observer: o.Observer, Executor: o.Executor,
 	}
+	if o.Chaos != 0 {
+		co.Chaos = faults.DefaultPlan(o.Chaos)
+	}
+	return co
+}
+
+// companions renders the tables that follow an experiment's main table:
+// the per-point drop causes under -why and the chaos bookkeeping under
+// -chaos.
+func (o Options) companions(series []core.Series) string {
+	var out strings.Builder
+	if o.Why {
+		out.WriteString("\n" + core.FormatWhy(series))
+	}
+	if o.Chaos != 0 {
+		out.WriteString("\n" + core.FormatChaos(series))
+	}
+	return out.String()
 }
 
 // applyPolicy stamps the -policy override onto sweep configs. An empty or
@@ -277,53 +294,38 @@ func sysCfgs(mods ...modifier) func() []capture.Config {
 	return func() []capture.Config { return systems(mods...) }
 }
 
-// seriesSweep runs the standard §3.4 data-rate sweep over the configs —
-// through the resilient supervisor when -chaos is set, the durable
-// parallel engine otherwise (with a nil journal the legacy path stays
-// byte-identical). experiment namespaces the campaign journal keys.
+// seriesSweep runs the standard §3.4 data-rate sweep over the configs.
+// experiment namespaces the campaign journal keys.
 func seriesSweep(experiment string, cfgs func() []capture.Config) func(o Options) []core.Series {
 	return func(o Options) []core.Series {
 		o = o.withDefaults()
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed}
-		sweepCfgs := o.applyPolicy(cfgs())
-		if o.Chaos != 0 {
-			return core.SweepRatesResilient(o.ctx(), sweepCfgs, o.Rates, w, o.Reps, o.Parallelism, o.chaosOptions(experiment))
-		}
-		return core.SweepRatesDispatched(o.ctx(), sweepCfgs, o.Rates, w, o.Reps, o.Parallelism, experiment, o.Journal, o.Observer, o.Executor)
+		return core.Sweep(o.ctx(), o.applyPolicy(cfgs()), o.Rates, w, o.Reps, o.engine(experiment))
 	}
 }
 
-// tableRun renders a sweep the way the thesis plots it, appending the
-// per-point drop-cause table when -why is set and the chaos bookkeeping
-// when -chaos is set.
+// tableRun renders a sweep the way the thesis plots it, followed by its
+// companion tables.
 func tableRun(title string, series func(o Options) []core.Series) func(o Options) string {
 	return func(o Options) string {
 		o = o.withDefaults()
 		s := series(o)
-		out := core.FormatTable(title, s)
-		if o.Why {
-			out += "\n" + core.FormatWhy(s)
-		}
-		if o.Chaos != 0 {
-			out += "\n" + core.FormatChaos(s)
-		}
-		return out
+		return core.FormatTable(title, s) + o.companions(s)
 	}
 }
 
-// observeCellPoints wraps obs so a per-cell sweep (buffer sweep,
-// multi-app: one cell per plotted point) publishes one EventPoint per
-// finalized cell, decorated exactly like cellSeries decorates the series
-// form. Emission is head-of-line sequenced in cell layout order, so the
-// point stream is deterministic for any worker count.
+// observeCellPoints wraps obs so a per-cell sweep (one cell per plotted
+// point) publishes one EventPoint per final cell, rendered exactly like
+// cellSeries renders the series form. Emission is head-of-line sequenced
+// in cell layout order, so the point stream is deterministic for any
+// worker count.
 func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, ids []core.CellID, xOf func(i int) float64) core.Observer {
 	if obs == nil {
 		return nil
 	}
 	idxOf := make(map[core.CellKey]int, len(cells))
 	for i := range cells {
-		idxOf[core.CellKey{Experiment: experiment, Point: ids[i].Point,
-			System: cells[i].Cfg.Name, Rep: ids[i].Rep}] = i
+		idxOf[core.KeyOf(experiment, cells[i], ids[i])] = i
 	}
 	var mu sync.Mutex
 	pending := make([]*core.Event, len(cells))
@@ -333,20 +335,15 @@ func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, 
 		if (ev.Kind != core.EventCell && ev.Kind != core.EventQuarantine) || ev.Stats == nil {
 			return
 		}
-		i, ok := idxOf[core.CellKey{Experiment: ev.Experiment, Point: ev.Point,
-			System: ev.System, Rep: ev.Rep}]
+		i, ok := idxOf[ev.Key()]
 		if !ok {
 			return
 		}
-		pt := core.AggregatePoint(ev.System, xOf(i), []capture.Stats{*ev.Stats})
-		if out := ev.Outcome; out != nil {
-			pt.Attempts = out.Attempts
-			if out.Quarantined {
-				pt.Quarantined = 1
-			}
-			pt.Degraded = out.Degraded || out.Quarantined
-			pt.FaultLog = strings.Join(out.Log, "; ")
+		out := core.CellOutcome{Stats: *ev.Stats}
+		if ev.Outcome != nil {
+			out = *ev.Outcome
 		}
+		pt := cellPoint(ev.System, xOf(i), out, ev.Outcome != nil)
 		pe := core.Event{Kind: core.EventPoint, Experiment: ev.Experiment,
 			System: ev.System, Point: ev.Point, X: pt.X, Agg: &pt}
 		mu.Lock()
@@ -359,35 +356,23 @@ func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, 
 	})
 }
 
-// runCellsMaybeChaos executes per-cell sweeps (buffer sweep, multi-app)
-// through the resilient engine when -chaos is set, and through the durable
-// engine otherwise. key fingerprints the measurement point of cell i for
-// the fault model and the campaign journal; xOf is the plotted x of cell i
-// (for the observer's point events); experiment namespaces the journal
-// keys. The returned outcomes are nil on the plain path.
-func runCellsMaybeChaos(o Options, experiment string, cells []core.Cell, key func(i int) uint64, xOf func(i int) float64) ([]capture.Stats, []core.CellOutcome) {
-	ids := make([]core.CellID, len(cells))
-	for i := range cells {
-		ids[i] = core.CellID{Point: key(i), Rep: 0}
+// runCells executes a per-cell sweep (buffer sweep, multi-app, shedding,
+// modern stacks) through the cell engine; experiment namespaces the
+// journal keys.
+func runCells(o Options, experiment string, l cellSweep) []core.CellOutcome {
+	ids := make([]core.CellID, len(l.cells))
+	for i := range l.cells {
+		ids[i] = core.CellID{Point: l.point(i), Rep: 0}
 	}
-	obs := observeCellPoints(o.Observer, experiment, cells, ids, xOf)
-	if o.Chaos == 0 {
-		sts, errs := core.RunCellsDispatched(o.ctx(), cells, ids, o.Parallelism, experiment, o.Journal, obs, o.Executor)
-		for _, err := range errs {
-			if err != nil && !core.IsCancel(err) {
-				panic(err)
-			}
+	co := o.engine(experiment)
+	co.Observer = observeCellPoints(o.Observer, experiment, l.cells, ids, l.x)
+	outs, errs := core.Run(o.ctx(), l.cells, ids, co)
+	for _, err := range errs {
+		if err != nil && !core.IsCancel(err) {
+			panic(err)
 		}
-		return sts, nil
 	}
-	co := o.chaosOptions(experiment)
-	co.Observer = obs
-	outs := core.RunCellsResilient(o.ctx(), cells, ids, o.Parallelism, co)
-	sts := make([]capture.Stats, len(cells))
-	for i := range outs {
-		sts[i] = outs[i].Stats
-	}
-	return sts, outs
+	return outs
 }
 
 // sweepExpt builds a data-rate-sweep experiment with both the rendered
@@ -398,14 +383,13 @@ func sweepExpt(id, paper, title, tableTitle string, cfgs func() []capture.Config
 		Run: tableRun(tableTitle, series), Series: series}
 }
 
-// cellSeries groups per-cell runs (laid out x-major, system-minor) into
-// one Series per system, with the given per-cell x value. outs, when
-// non-nil, carries the resilient engine's per-cell bookkeeping onto the
-// points.
-func cellSeries(cells []core.Cell, sts []capture.Stats, outs []core.CellOutcome, x func(i int) float64) []core.Series {
+// cellSeries groups per-cell outcomes (laid out x-major, system-minor)
+// into one Series per system, with the given per-cell x value.
+// supervised carries the chaos bookkeeping onto the points.
+func cellSeries(cells []core.Cell, outs []core.CellOutcome, x func(i int) float64, supervised bool) []core.Series {
 	var series []core.Series
 	idx := map[string]int{}
-	for i, st := range sts {
+	for i, out := range outs {
 		name := cells[i].Cfg.Name
 		j, ok := idx[name]
 		if !ok {
@@ -413,19 +397,26 @@ func cellSeries(cells []core.Cell, sts []capture.Stats, outs []core.CellOutcome,
 			idx[name] = j
 			series = append(series, core.Series{System: name})
 		}
-		pt := core.AggregatePoint(name, x(i), []capture.Stats{st})
-		if outs != nil {
-			out := outs[i]
-			pt.Attempts = out.Attempts
-			if out.Quarantined {
-				pt.Quarantined = 1
-			}
-			pt.Degraded = out.Degraded || out.Quarantined
-			pt.FaultLog = strings.Join(out.Log, "; ")
-		}
-		series[j].Points = append(series[j].Points, pt)
+		series[j].Points = append(series[j].Points, cellPoint(name, x(i), out, supervised))
 	}
 	return series
+}
+
+// cellPoint renders the point of a per-cell sweep from its one cell's
+// outcome. A quarantined cell keeps the statistics of its last attempt
+// that produced any — unlike a rate-sweep point, which aggregates only
+// accepted repetitions.
+func cellPoint(system string, x float64, out core.CellOutcome, supervised bool) core.Point {
+	pt := core.AggregatePoint(system, x, []capture.Stats{out.Stats})
+	if supervised {
+		pt.Attempts = out.Attempts
+		if out.Quarantined {
+			pt.Quarantined = 1
+		}
+		pt.Degraded = out.Degraded || out.Quarantined
+		pt.FaultLog = strings.Join(out.Log, "; ")
+	}
+	return pt
 }
 
 func systems(mods ...modifier) []capture.Config {
@@ -438,114 +429,108 @@ func systems(mods ...modifier) []capture.Config {
 	return cfgs
 }
 
-// bufferSweepExpt reproduces Figure 6.4: highest rate, buffer size on the
-// x axis ("the buffer size was reduced by a factor of two for FreeBSD" so
-// the effective capacity matches single-buffered Linux).
-func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
-	series := func(o Options) []core.Series {
+// cellSweep is the layout of a per-cell sweep — one cell per plotted
+// point, laid out x-major, system-minor — with the plotted x and the
+// point fingerprint (for the fault model and the campaign journal) of
+// each cell.
+type cellSweep struct {
+	cells []core.Cell
+	x     func(i int) float64
+	point func(i int) uint64
+}
+
+// rateCells lays a per-cell data-rate sweep out rate-major over bases,
+// feeding each rate's column the workload w at that rate.
+func rateCells(rates []float64, w core.Workload, bases []capture.Config) cellSweep {
+	var cells []core.Cell
+	for _, r := range rates {
+		w.TargetRate = r * 1e6
+		for _, cfg := range bases {
+			cells = append(cells, core.Cell{Cfg: cfg, W: w})
+		}
+	}
+	nsys := len(bases)
+	return cellSweep{cells: cells,
+		x:     func(i int) float64 { return rates[i/nsys] },
+		point: func(i int) uint64 { return uint64(rates[i/nsys] * 1e3) }}
+}
+
+// cellExpt builds a per-cell sweep experiment: layout lays out its cells
+// under the (defaulted) options, and the rendered table is header
+// followed by one row per cell, then the companion tables.
+func cellExpt(id, paper, title, header string, layout func(o Options) cellSweep, row func(out *strings.Builder, x float64, system string, st capture.Stats)) Experiment {
+	measure := func(o Options) (Options, cellSweep, []core.CellOutcome) {
 		o = o.withDefaults()
-		kbs, cells, sts, outs := bufferSweepRun(o, id, cpuMod)
-		nsys := len(systems(cpuMod))
-		return cellSeries(cells, sts, outs, func(i int) float64 { return float64(kbs[i/nsys]) })
+		l := layout(o)
+		return o, l, runCells(o, id, l)
+	}
+	series := func(o Options) []core.Series {
+		o, l, outs := measure(o)
+		return cellSeries(l.cells, outs, l.x, o.Chaos != 0)
 	}
 	run := func(o Options) string {
-		o = o.withDefaults()
-		kbs, cells, sts, outs := bufferSweepRun(o, id, cpuMod)
-		nsys := len(systems(cpuMod))
+		o, l, outs := measure(o)
 		var out strings.Builder
-		fmt.Fprintln(&out, "# capturing rate and CPU usage vs buffer size [kByte] at top rate")
-		fmt.Fprintln(&out, "# kB\tsystem\trate%\tcpu%")
-		for i, st := range sts {
-			fmt.Fprintf(&out, "%d\t%s\t%6.2f\t%6.2f\n",
-				kbs[i/nsys], cells[i].Cfg.Name, st.CaptureRate(), st.CPUUsage())
+		out.WriteString(header)
+		for i, c := range outs {
+			row(&out, l.x(i), l.cells[i].Cfg.Name, c.Stats)
 		}
-		xOf := func(i int) float64 { return float64(kbs[i/nsys]) }
-		if o.Why {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatWhy(cellSeries(cells, sts, outs, xOf)))
-		}
-		if o.Chaos != 0 {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatChaos(cellSeries(cells, sts, outs, xOf)))
+		if o.Why || o.Chaos != 0 {
+			out.WriteString(o.companions(cellSeries(l.cells, outs, l.x, o.Chaos != 0)))
 		}
 		return out.String()
 	}
 	return Experiment{ID: id, Paper: paper, Title: title, Run: run, Series: series}
 }
 
-func bufferSweepRun(o Options, experiment string, cpuMod modifier) (kbs []int, cells []core.Cell, sts []capture.Stats, outs []core.CellOutcome) {
-	w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 980e6}
-	bases := o.applyPolicy(systems(cpuMod))
-	for kb := 128; kb <= 262144; kb *= 2 {
-		kbs = append(kbs, kb)
-		for _, base := range bases {
-			cfg := base
-			if cfg.OS == capture.Linux {
-				cfg.BufferBytes = kb << 10
-			} else {
-				cfg.BufferBytes = kb << 10 / 2
+// bufferSweepExpt reproduces Figure 6.4: highest rate, buffer size on the
+// x axis ("the buffer size was reduced by a factor of two for FreeBSD" so
+// the effective capacity matches single-buffered Linux).
+func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
+	layout := func(o Options) cellSweep {
+		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 980e6}
+		bases := o.applyPolicy(systems(cpuMod))
+		var kbs []int
+		var cells []core.Cell
+		for kb := 128; kb <= 262144; kb *= 2 {
+			kbs = append(kbs, kb)
+			for _, cfg := range bases {
+				if cfg.OS == capture.Linux {
+					cfg.BufferBytes = kb << 10
+				} else {
+					cfg.BufferBytes = kb << 10 / 2
+				}
+				cells = append(cells, core.Cell{Cfg: cfg, W: w})
 			}
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
 		}
+		nsys := len(bases)
+		return cellSweep{cells: cells,
+			x:     func(i int) float64 { return float64(kbs[i/nsys]) },
+			point: func(i int) uint64 { return uint64(kbs[i/nsys]) }}
 	}
-	nsys := len(systems(cpuMod))
-	sts, outs = runCellsMaybeChaos(o, experiment, cells,
-		func(i int) uint64 { return uint64(kbs[i/nsys]) },
-		func(i int) float64 { return float64(kbs[i/nsys]) })
-	return kbs, cells, sts, outs
+	return cellExpt(id, paper, title,
+		"# capturing rate and CPU usage vs buffer size [kByte] at top rate\n# kB\tsystem\trate%\tcpu%\n",
+		layout, func(out *strings.Builder, x float64, system string, st capture.Stats) {
+			fmt.Fprintf(out, "%d\t%s\t%6.2f\t%6.2f\n", int(x), system, st.CaptureRate(), st.CPUUsage())
+		})
 }
 
 // multiAppExpt reproduces Figures 6.7–6.9: n applications, SMP, with the
 // worst/average/best per-application lines.
 func multiAppExpt(id, paper, title string, n int) Experiment {
-	series := func(o Options) []core.Series {
-		o = o.withDefaults()
-		cells, sts, outs := multiAppRun(o, id, n)
-		nsys := len(systems(bigBuffers, dual))
-		return cellSeries(cells, sts, outs, func(i int) float64 { return o.Rates[i/nsys] })
+	layout := func(o Options) cellSweep {
+		bases := o.applyPolicy(systems(bigBuffers, dual))
+		for i := range bases {
+			bases[i].NumApps = n
+		}
+		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
 	}
-	run := func(o Options) string {
-		o = o.withDefaults()
-		cells, sts, outs := multiAppRun(o, id, n)
-		nsys := len(systems(bigBuffers, dual))
-		var out strings.Builder
-		fmt.Fprintf(&out, "# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n", n)
-		fmt.Fprintln(&out, "# rate\tsystem\tworst%\tavg%\tbest%\tcpu%")
-		for i, st := range sts {
+	return cellExpt(id, paper, title,
+		fmt.Sprintf("# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n# rate\tsystem\tworst%%\tavg%%\tbest%%\tcpu%%\n", n),
+		layout, func(out *strings.Builder, x float64, system string, st capture.Stats) {
 			wo, av, be := st.AppRates()
-			fmt.Fprintf(&out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n",
-				o.Rates[i/nsys], cells[i].Cfg.Name, wo, av, be, st.CPUUsage())
-		}
-		xOf := func(i int) float64 { return o.Rates[i/nsys] }
-		if o.Why {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatWhy(cellSeries(cells, sts, outs, xOf)))
-		}
-		if o.Chaos != 0 {
-			out.WriteByte('\n')
-			out.WriteString(core.FormatChaos(cellSeries(cells, sts, outs, xOf)))
-		}
-		return out.String()
-	}
-	return Experiment{ID: id, Paper: paper, Title: title, Run: run, Series: series}
-}
-
-func multiAppRun(o Options, experiment string, n int) ([]core.Cell, []capture.Stats, []core.CellOutcome) {
-	var cells []core.Cell
-	bases := o.applyPolicy(systems(bigBuffers, dual))
-	for _, r := range o.Rates {
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}
-		for _, base := range bases {
-			cfg := base
-			cfg.NumApps = n
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
-		}
-	}
-	nsys := len(systems(bigBuffers, dual))
-	sts, outs := runCellsMaybeChaos(o, experiment, cells,
-		func(i int) uint64 { return uint64(o.Rates[i/nsys] * 1e3) },
-		func(i int) float64 { return o.Rates[i/nsys] })
-	return cells, sts, outs
+			fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n", x, system, wo, av, be, st.CPUUsage())
+		})
 }
 
 // mmapConfigs builds Figure 6.15's systems: the two Linux machines with

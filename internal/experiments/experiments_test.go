@@ -96,7 +96,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 
 // TestModernSweepDeterminism pins the modern-stack sweep's determinism
 // across parallelism levels, and that the sweep still produces points in
-// every cell under -chaos (the resilient engine validates conservation,
+// every cell under -chaos (fault supervision validates conservation,
 // including the new rss-ring / poll-budget / umem-fill / pcie-bus causes).
 func TestModernSweepDeterminism(t *testing.T) {
 	e, err := Find("ext-modern")

@@ -33,6 +33,8 @@ import (
 	"os"
 	"sync"
 	"syscall"
+
+	"repro/internal/mix"
 )
 
 // File is the subset of *os.File the durability layer uses.
@@ -144,30 +146,11 @@ func DefaultPlan(seed uint64) *Plan {
 	}
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator — the same
-// mixer internal/faults uses for its deterministic draws.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func mix(keys ...uint64) uint64 {
-	h := uint64(0x8f1bbcdcbfa53e0b)
-	for _, k := range keys {
-		h = splitmix64(h ^ k)
-	}
-	return h
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 func (p *Plan) roll(prob float64, op Op, n uint64, salt uint64) bool {
 	if p == nil || prob <= 0 {
 		return false
 	}
-	return unit(mix(p.Seed, uint64(op), n, salt)) < prob
+	return mix.Unit(mix.Keys(p.Seed, uint64(op), n, salt)) < prob
 }
 
 // Fault is one scripted failure: it fires on the Nth call (1-based) of

@@ -19,7 +19,11 @@
 // retry forever.
 package faults
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mix"
+)
 
 // Kind identifies one injectable failure of the Figure 3.1 testbed.
 type Kind int
@@ -142,47 +146,13 @@ func DefaultPlan(seed uint64) *Plan {
 	}
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator — a strong
-// 64-bit mixer used to derive independent deterministic draws from
-// composite keys.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// mix folds the keys into one 64-bit hash, order-sensitively.
-func mix(keys ...uint64) uint64 {
-	h := uint64(0x8f1bbcdcbfa53e0b)
-	for _, k := range keys {
-		h = splitmix64(h ^ k)
-	}
-	return h
-}
-
-// hashString folds a component name into a roll key.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// unit maps a hash to [0, 1).
-func unit(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
-}
-
 // roll draws a deterministic Bernoulli with probability prob for the key.
 func (p *Plan) roll(prob float64, kind Kind, keys ...uint64) bool {
 	if p == nil || prob <= 0 {
 		return false
 	}
-	k := append([]uint64{p.Seed, uint64(kind) * 0x9e3779b97f4a7c15}, keys...)
-	return unit(mix(k...)) < prob
+	k := append([]uint64{p.Seed, uint64(kind) * mix.Golden}, keys...)
+	return mix.Unit(mix.Keys(k...)) < prob
 }
 
 // SnifferFaults are the faults one sniffer exhibits in one cycle attempt.
@@ -319,7 +289,7 @@ func (p *Plan) Sniffer(name string, point uint64, rep, attempt int) SnifferFault
 	if p == nil {
 		return sf
 	}
-	c, r, a := hashString(name), uint64(rep), uint64(attempt)
+	c, r, a := mix.String(name), uint64(rep), uint64(attempt)
 	// Persistent death: keyed by (point, sniffer) only.
 	if p.roll(p.PDead, SnifferDead, point, c) {
 		sf.Dead = true
@@ -347,5 +317,5 @@ func (p *Plan) LegSeed(name string, point uint64, rep int) uint64 {
 	if p == nil {
 		return 0
 	}
-	return mix(p.Seed, hashString(name), point, uint64(rep), 0x5eed1e9)
+	return mix.Keys(p.Seed, mix.String(name), point, uint64(rep), 0x5eed1e9)
 }

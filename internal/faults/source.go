@@ -2,6 +2,7 @@ package faults
 
 import (
 	"repro/internal/capture"
+	"repro/internal/mix"
 	"repro/internal/pktgen"
 	"repro/internal/sim"
 )
@@ -43,7 +44,7 @@ func (s *LossySource) Next() (pktgen.Packet, bool) {
 		s.LastAt = p.At
 		i := s.idx
 		s.idx++
-		if unit(mix(s.seed, i)) < s.ratio {
+		if mix.Unit(mix.Keys(s.seed, i)) < s.ratio {
 			s.Lost++
 			s.LostBytes += uint64(len(p.Data))
 			continue

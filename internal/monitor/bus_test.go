@@ -88,7 +88,7 @@ func TestSweepUnaffectedByStalledSubscriber(t *testing.T) {
 	w := core.Workload{Packets: 2000, Seed: 1}
 	ctx := context.Background()
 
-	want := core.FormatTable("t", core.SweepRatesObserved(ctx, cfgs, rates, w, 2, 4, "x", nil, nil))
+	want := core.FormatTable("t", core.Sweep(ctx, cfgs, rates, w, 2, core.Options{Workers: 4, Experiment: "x"}))
 
 	h := NewHub()
 	reg := NewRegistry()
@@ -113,7 +113,7 @@ func TestSweepUnaffectedByStalledSubscriber(t *testing.T) {
 		}
 	}()
 
-	got := core.FormatTable("t", core.SweepRatesObserved(ctx, cfgs, rates, w, 2, 4, "x", nil, h))
+	got := core.FormatTable("t", core.Sweep(ctx, cfgs, rates, w, 2, core.Options{Workers: 4, Experiment: "x", Observer: h}))
 	close(done)
 	wg.Wait()
 
@@ -155,7 +155,7 @@ func TestSweepPointEventsDeterministic(t *testing.T) {
 			got = append(got, strings.Join([]string{ev.System, formatX(ev.X)}, "@"))
 			mu.Unlock()
 		})
-		core.SweepRatesObserved(context.Background(), cfgs, rates, w, 2, workers, "x", nil, obs)
+		core.Sweep(context.Background(), cfgs, rates, w, 2, core.Options{Workers: workers, Experiment: "x", Observer: obs})
 		return got
 	}
 

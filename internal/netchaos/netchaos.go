@@ -37,6 +37,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/mix"
 )
 
 // Class identifies one injectable network fault.
@@ -146,38 +148,11 @@ func DefaultPlan(seed uint64) *Plan {
 	}
 }
 
-// splitmix64 is the shared deterministic mixer (see internal/faults).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func mix(keys ...uint64) uint64 {
-	h := uint64(0x8f1bbcdcbfa53e0b)
-	for _, k := range keys {
-		h = splitmix64(h ^ k)
-	}
-	return h
-}
-
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
 func (p *Plan) roll(prob float64, peer uint64, c Class, n uint64) bool {
 	if p == nil || prob <= 0 {
 		return false
 	}
-	return unit(mix(p.Seed, peer, uint64(c)*0x9e3779b97f4a7c15, n)) < prob
+	return mix.Unit(mix.Keys(p.Seed, peer, uint64(c)*mix.Golden, n)) < prob
 }
 
 // Typed injected errors, so tests and logs can tell chaos from real
@@ -228,7 +203,7 @@ func (t *Transport) base() http.RoundTripper {
 }
 
 func (t *Transport) peer() uint64 {
-	t.peerOnce.Do(func() { t.peerHash = hashString(t.Peer) })
+	t.peerOnce.Do(func() { t.peerHash = mix.String(t.Peer) })
 	return t.peerHash
 }
 
@@ -264,7 +239,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, ErrInjectedPartition
 	}
 	if p.roll(p.PLatency, peer, Latency, n) {
-		d := time.Duration(unit(mix(p.Seed, peer, uint64(Latency), n, 1)) * float64(p.LatencyMax))
+		d := time.Duration(mix.Unit(mix.Keys(p.Seed, peer, uint64(Latency), n, 1)) * float64(p.LatencyMax))
 		t.fault(Latency, fmt.Sprintf("%s %s +%s", req.Method, req.URL.Path, d.Round(time.Millisecond)))
 		select {
 		case <-time.After(d):
@@ -294,16 +269,16 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, ErrInjectedLost
 	case p.roll(p.PReset, peer, Reset, n):
 		t.fault(Reset, req.Method+" "+req.URL.Path)
-		resp.Body = &resetBody{inner: resp.Body, after: 1 + int(mix(p.Seed, peer, uint64(Reset), n, 1)%64)}
+		resp.Body = &resetBody{inner: resp.Body, after: 1 + int(mix.Keys(p.Seed, peer, uint64(Reset), n, 1)%64)}
 	case p.roll(p.PSlowBody, peer, SlowBody, n):
 		t.fault(SlowBody, req.Method+" "+req.URL.Path)
 		resp.Body = &slowBody{inner: resp.Body, delay: p.SlowBodyDelay}
 	case p.roll(p.PTruncate, peer, TruncateBody, n):
 		t.fault(TruncateBody, req.Method+" "+req.URL.Path)
-		resp.Body = truncateBody(resp.Body, unit(mix(p.Seed, peer, uint64(TruncateBody), n, 1)))
+		resp.Body = truncateBody(resp.Body, mix.Unit(mix.Keys(p.Seed, peer, uint64(TruncateBody), n, 1)))
 	case p.roll(p.PMalformed, peer, MalformedBody, n):
 		t.fault(MalformedBody, req.Method+" "+req.URL.Path)
-		resp.Body = malformBody(resp.Body, mix(p.Seed, peer, uint64(MalformedBody), n, 1))
+		resp.Body = malformBody(resp.Body, mix.Keys(p.Seed, peer, uint64(MalformedBody), n, 1))
 	}
 	return resp, nil
 }

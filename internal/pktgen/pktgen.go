@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/dist"
+	"repro/internal/mix"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
@@ -369,18 +370,6 @@ func (g *Generator) nextFrameLen() int {
 	return g.Config.PktSize
 }
 
-// portMix decorrelates the flow sequence from the packet sequence (the
-// splitmix64 finalizer). A plain Sent%count round-robin aliases with
-// count-based packet samplers — any sampling modulus dividing the flow
-// count keeps exactly the same flows on every cycle, which would make a
-// uniform packet sampler look flow-aware by accident.
-func portMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // frame returns the (cached) frame bytes for a size, MAC and source-port
 // index.
 func (g *Generator) frame(size, macIdx, portIdx int) []byte {
@@ -415,7 +404,12 @@ func (g *Generator) Next() (Packet, bool) {
 	}
 	portIdx := 0
 	if g.Config.UDPSrcPortCount > 1 {
-		portIdx = int(portMix(g.Sent) % uint64(g.Config.UDPSrcPortCount))
+		// Decorrelate the flow sequence from the packet sequence: a plain
+		// Sent%count round-robin aliases with count-based packet samplers —
+		// any sampling modulus dividing the flow count keeps exactly the
+		// same flows on every cycle, which would make a uniform packet
+		// sampler look flow-aware by accident.
+		portIdx = int(mix.SplitMix64(g.Sent) % uint64(g.Config.UDPSrcPortCount))
 	}
 	data := g.frame(size, macIdx, portIdx)
 	wire := len(data) + pkt.WireOverhead

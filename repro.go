@@ -111,7 +111,7 @@ type (
 // Sweep runs the §3.4 measurement cycle over the given data rates
 // (Mbit/s) with reps repetitions per point.
 func Sweep(cfgs []Config, ratesMbit []float64, w Workload, reps int) []Series {
-	return core.SweepRates(cfgs, ratesMbit, w, reps)
+	return SweepParallel(cfgs, ratesMbit, w, reps, 0)
 }
 
 // SweepParallel is Sweep with the independent measurement cells — one per
@@ -121,7 +121,7 @@ func Sweep(cfgs []Config, ratesMbit []float64, w Workload, reps int) []Series {
 // the testbed), and the output is byte-identical to Sweep for any worker
 // count.
 func SweepParallel(cfgs []Config, ratesMbit []float64, w Workload, reps, workers int) []Series {
-	return core.SweepRatesParallel(context.Background(), cfgs, ratesMbit, w, reps, workers)
+	return core.Sweep(context.Background(), cfgs, ratesMbit, w, reps, core.Options{Workers: workers})
 }
 
 // FormatTable renders sweep results as the thesis-style table.
