@@ -685,7 +685,6 @@ func runOne(ctx context.Context, out io.Writer, e experiments.Experiment, o expe
 func writeJSON(ctx context.Context, out io.Writer, e experiments.Experiment, o experiments.Options) error {
 	enc := json.NewEncoder(out)
 	var mu sync.Mutex
-	var streamed int
 	var werr error
 	o.Observer = core.MultiObserver(o.Observer, core.ObserverFunc(func(ev core.Event) {
 		if ev.Kind != core.EventPoint || ev.Experiment != e.ID || ev.Agg == nil {
@@ -702,30 +701,12 @@ func writeJSON(ctx context.Context, out io.Writer, e experiments.Experiment, o e
 		if f, ok := out.(interface{ Flush() error }); ok {
 			werr = f.Flush()
 		}
-		streamed++
 	}))
-	series := e.Series(o)
+	e.Series(o)
 	if ctx.Err() != nil {
 		return nil
 	}
-	if werr != nil {
-		return werr
-	}
-	if streamed > 0 {
-		return nil
-	}
-	// Safety net for a Series path that bypasses the observed engines
-	// (none today): emit the buffered rows rather than nothing.
-	for _, s := range series {
-		for _, p := range s.Points {
-			r := experiments.PointRecord(e.ID, p)
-			r.System = s.System
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return werr
 }
 
 // writeGnuplot stores the experiment output as <id>.dat and, for the

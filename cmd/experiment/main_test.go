@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 func runBG(args []string, out, errb *bytes.Buffer) int {
@@ -246,6 +248,42 @@ func TestRunJSONDeterministicAcrossParallelism(t *testing.T) {
 		want := []float64{200, 600, 900}[i/nsys]
 		if x != want {
 			t.Fatalf("record %d has x=%v, want %v: stream not x-major", i, x, want)
+		}
+	}
+}
+
+// TestRunAllJSONStreamsEverySeries pins that every series-form
+// experiment reaches the -json stream through the observed engines: under
+// -all, the stream's experiment ids are exactly those with a Series.
+func TestRunAllJSONStreamsEverySeries(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := runBG([]string{"-all", "-json", "-packets", "2000"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var rec struct {
+			Experiment string `json:"experiment"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		got[rec.Experiment] = true
+	}
+	want := map[string]bool{}
+	for _, e := range experiments.All() {
+		if e.Series != nil {
+			want[e.ID] = true
+		}
+	}
+	for id := range want {
+		if !got[id] {
+			t.Errorf("%s has a series form but streamed no records", id)
+		}
+	}
+	for id := range got {
+		if !want[id] {
+			t.Errorf("%s streamed records without a series form", id)
 		}
 	}
 }

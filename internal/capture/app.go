@@ -147,6 +147,83 @@ func (adm *admission) noteFlow(a *App, frame []byte) {
 	}
 }
 
+// busy reports whether the application is inside a read or parked on
+// disk, pipe or worker backpressure: its loop resumes on its own.
+func (a *App) busy() bool {
+	return a.state == stRunning || a.state == stBlockedDisk ||
+		a.state == stBlockedPipe || a.state == stBlockedWorkers
+}
+
+// readSock runs one read burst from the application's socket: up to
+// AppBatch packets, syscallNS once and perPktNS per packet (a syscall or
+// a ring hand-off), with copyOut a copy of each packet to user space.
+func (a *App) readSock(sk *sock, name string, syscallNS, perPktNS float64, copyOut bool) {
+	if a.busy() {
+		return
+	}
+	if len(sk.queue) == 0 {
+		a.state = stIdle
+		return
+	}
+	if a.blockedOnBackpressure() {
+		return
+	}
+	a.state = stRunning
+	// Occupancy is observed before the batch is drained: the controller
+	// sees the socket as the wakeup found it.
+	occ := a.occupancy(float64(sk.used) / float64(sk.capacity))
+	n := min(len(sk.queue), a.sys.Costs.AppBatch)
+	batch := popFront(&sk.queue, n)
+	var frames []*xframe
+	if len(sk.frames) > 0 {
+		frames = popFront(&sk.frames, n)
+	}
+	fixed, mem := syscallNS, 0.0
+	for _, p := range batch {
+		sk.used -= sk.charge(p.caplen)
+		fixed += perPktNS
+		if copyOut {
+			mem += float64(p.caplen)
+		}
+	}
+	a.read(name, batch, frames, occ, fixed, mem, 1.0)
+}
+
+// read is the one read task of every stack. The stack has taken batch
+// off its buffer and priced the hand-off (fixed, mem: syscalls and
+// copies); the sampling policy picks the packets to process, whose load
+// joins the task (memory-bound part discounted by locality) or goes to
+// the analysis workers. When the task completes the batch counts as
+// captured or shed, its UMEM frames (zero copy) return to the pool, and
+// the loop goes on with the next read.
+func (a *App) read(name string, batch []kpkt, frames []*xframe, occ, fixed, mem, locality float64) {
+	a.inflightPkts = len(batch)
+	for _, p := range batch {
+		a.inflightBytes += uint64(p.caplen)
+	}
+	adm := a.admitBatch(batch, occ)
+	fixed += adm.policyNS
+	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, locality)
+	fixed += loadFixed
+	mem += loadMem
+	a.submitWork(&sim.Task{
+		Name:         name,
+		Prio:         sim.PrioUser,
+		FixedNS:      fixed,
+		MemBytes:     mem,
+		MemNsPerByte: a.sys.umemNs(),
+		OnDone: func() {
+			a.finishRead(adm)
+			for _, f := range frames {
+				f.release()
+			}
+			finish()
+			a.state = stIdle
+			a.sys.stack.appStart(a)
+		},
+	}, fixed+mem*a.sys.umemNs())
+}
+
 // finishRead books a completed read batch: admitted packets count as
 // captured (with their flows), shed packets go to the policy's ledger
 // cause at completion time, and the in-flight window closes.

@@ -24,7 +24,6 @@ type batt struct {
 	timeoutArmed bool
 	timeout      sim.EventRef
 
-	Drops  uint64
 	Stored uint64
 }
 
@@ -53,7 +52,7 @@ func (st *bsdStack) reset() {
 			att.timeout.Cancel()
 			att.timeoutArmed = false
 		}
-		att.Drops, att.Stored = 0, 0
+		att.Stored = 0
 	}
 }
 
@@ -132,7 +131,6 @@ func (st *bsdStack) irqDone(data []byte, aux any) {
 			continue
 		}
 		if acc.drop {
-			att.Drops++
 			st.sys.recordDrop(CauseBPFBuf, acc.caplen)
 			att.gauge.overflow()
 			continue
@@ -142,7 +140,7 @@ func (st *bsdStack) irqDone(data []byte, aux any) {
 		}
 		sz := align4(acc.caplen + st.sys.Costs.BpfHdrBytes)
 		if att.store.bytes+sz > st.sys.BufferBytes {
-			att.Drops++ // defensive: decision invalidated concurrently
+			// Defensive: the decision was invalidated concurrently.
 			st.sys.recordDrop(CauseBPFBuf, acc.caplen)
 			att.gauge.overflow()
 			continue
@@ -168,7 +166,6 @@ func (st *bsdStack) rotate(att *batt) {
 		for _, p := range att.store.pkts {
 			bytes += uint64(p.caplen)
 		}
-		att.Drops += uint64(n)
 		st.sys.ledger.RecordN(CauseBPFBuf, n, bytes, st.sys.Sim.Now()-st.sys.runStart)
 	}
 	att.store.reset()
@@ -187,8 +184,7 @@ func (st *bsdStack) rotate(att *batt) {
 // HOLD buffer if ready, else rotate a non-empty STORE ("if the HOLD buffer
 // is empty and the application performs a read"), else block.
 func (st *bsdStack) appStart(a *App) {
-	if a.state == stRunning || a.state == stBlockedDisk || a.state == stBlockedPipe ||
-		a.state == stBlockedWorkers || a.state == stWaitingRead {
+	if a.busy() || a.state == stWaitingRead {
 		return
 	}
 	att := st.atts[a.idx]
@@ -236,7 +232,6 @@ func (st *bsdStack) armTimeout(att *batt) {
 // consumeHold reads the whole HOLD buffer in one syscall — FreeBSD's bulk
 // copy to user space — then processes every packet in the chunk.
 func (st *bsdStack) consumeHold(a *App, att *batt) {
-	c := &st.sys.Costs
 	chunk := att.hold.pkts
 	chunkBytes := att.hold.bytes
 	att.hold = bpfBuf{pkts: make([]kpkt, 0, cap(chunk))}
@@ -247,48 +242,20 @@ func (st *bsdStack) consumeHold(a *App, att *batt) {
 	// mechanism behind the thesis's single-CPU degradation with large
 	// double buffers (Figure 6.4a). The penalty is folded into equivalent
 	// bytes because a task has a single per-byte rate. The memory-mapped
-	// variant (§7.2 future work) reads the buffer in place: no copy at all.
+	// variant (§7.2 future work) reads the buffer in place: no copy at all,
+	// and without the copy the chunk is not pre-warmed.
 	copyBytes := float64(chunkBytes)
+	locality := st.sys.Costs.BulkLocalityFactor
 	if st.sys.MmapPatch {
-		copyBytes = 0
+		copyBytes, locality = 0, 1.0
 	} else if chunkBytes > st.sys.Arch.CacheBytes {
 		copyBytes *= st.sys.Arch.CachePenalty
-	}
-	fixed := st.sys.ufixed(c.ReadSyscallNS)
-	mem := copyBytes
-	locality := c.BulkLocalityFactor
-	if st.sys.MmapPatch {
-		// Without the copy the chunk is not pre-warmed.
-		locality = 1.0
 	}
 	// The controller watches the STORE half filling behind the read: by
 	// the time the HOLD is consumed, store occupancy is the freshest
 	// congestion signal this attachment has.
 	occ := a.occupancy(float64(att.store.bytes) / float64(st.sys.BufferBytes))
-	adm := a.admitBatch(chunk, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, locality)
-	fixed += loadFixed
-	mem += loadMem
-	n := len(chunk)
-	a.inflightPkts = n
-	for _, p := range chunk {
-		a.inflightBytes += uint64(p.caplen)
-	}
-	est := fixed + mem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "bpf-read",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.read("bpf-read", chunk, nil, occ, st.sys.ufixed(st.sys.Costs.ReadSyscallNS), copyBytes, locality)
 }
 
 func (st *bsdStack) pending() bool {
@@ -298,14 +265,6 @@ func (st *bsdStack) pending() bool {
 		}
 	}
 	return false
-}
-
-func (st *bsdStack) dropStats() ([]uint64, uint64) {
-	per := make([]uint64, len(st.atts))
-	for i, att := range st.atts {
-		per[i] = att.Drops
-	}
-	return per, 0
 }
 
 func align4(n int) int { return (n + 3) &^ 3 }

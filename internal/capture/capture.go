@@ -332,11 +332,9 @@ type kpkt struct {
 // Stats aggregates the outcome of one run.
 type Stats struct {
 	Generated uint64 // packets offered to the NIC
-	NICDrops  uint64 // RX ring overflows
-	// Per-application results.
+	// AppCaptured counts the packets each application captured; the
+	// Ledger says where every other packet went.
 	AppCaptured []uint64
-	AppDrops    []uint64 // stack-level drops attributed to the app's buffer
-	QueueDrops  uint64   // Linux input-queue (backlog) overflows
 	// AppShed counts the packets each application's sampling policy
 	// deliberately declined (nil when no Policy is configured, so runs
 	// without a policy serialize byte-identically to older records).

@@ -106,19 +106,21 @@ func TestPacketConservationLinux(t *testing.T) {
 	st := sys.Run(newGen(20000, 950, 3))
 	ls := sys.stack.(*linuxStack)
 	sk := ls.socks[0]
-	if got := st.NICDrops + sys.NIC.Delivered; got != st.Generated {
+	nic := st.Ledger.NICPackets()
+	if got := nic + sys.NIC.Delivered; got != st.Generated {
 		t.Fatalf("NIC conservation: drops %d + delivered %d != generated %d",
-			st.NICDrops, sys.NIC.Delivered, st.Generated)
+			nic, sys.NIC.Delivered, st.Generated)
 	}
-	if got := st.QueueDrops + sk.Drops + sk.Enqueued; got != sys.NIC.Delivered {
+	backlog, rcvbuf := st.Ledger.Drops[CauseBacklog].Packets, st.Ledger.Drops[CauseRcvbuf].Packets
+	if got := backlog + rcvbuf + sk.Enqueued; got != sys.NIC.Delivered {
 		t.Fatalf("stack conservation: %d backlog + %d sock + %d enq != %d delivered",
-			st.QueueDrops, sk.Drops, sk.Enqueued, sys.NIC.Delivered)
+			backlog, rcvbuf, sk.Enqueued, sys.NIC.Delivered)
 	}
 	if sk.Enqueued != st.AppCaptured[0] {
 		t.Fatalf("drain incomplete: enqueued %d, captured %d", sk.Enqueued, st.AppCaptured[0])
 	}
-	if len(sk.queue) != 0 || sk.bytes != 0 {
-		t.Fatalf("socket not drained: %d packets, %d bytes", len(sk.queue), sk.bytes)
+	if len(sk.queue) != 0 || sk.used != 0 {
+		t.Fatalf("socket not drained: %d packets, %d bytes", len(sk.queue), sk.used)
 	}
 }
 
@@ -129,9 +131,10 @@ func TestPacketConservationBSD(t *testing.T) {
 	st := sys.Run(newGen(20000, 950, 3))
 	bs := sys.stack.(*bsdStack)
 	att := bs.atts[0]
-	if att.Stored+att.Drops+st.NICDrops != st.Generated {
+	drops, nic := st.Ledger.Drops[CauseBPFBuf].Packets, st.Ledger.NICPackets()
+	if att.Stored+drops+nic != st.Generated {
 		t.Fatalf("conservation: stored %d + drops %d + nic %d != generated %d",
-			att.Stored, att.Drops, st.NICDrops, st.Generated)
+			att.Stored, drops, nic, st.Generated)
 	}
 	if att.Stored != st.AppCaptured[0] {
 		t.Fatalf("drain incomplete: stored %d, captured %d", att.Stored, st.AppCaptured[0])
@@ -205,11 +208,7 @@ func TestOverloadDropsAndLivelock(t *testing.T) {
 	if r := st.CaptureRate(); r > 40 {
 		t.Fatalf("capture rate %.2f%% under zlib-9 overload, want heavy loss", r)
 	}
-	total := st.NICDrops + st.QueueDrops
-	for _, d := range st.AppDrops {
-		total += d
-	}
-	if total == 0 {
+	if total, _ := st.Ledger.Total(); total == 0 {
 		t.Fatal("no drops recorded despite overload")
 	}
 	if got := st.CaptureRate(); math.IsNaN(got) {
@@ -406,8 +405,13 @@ func TestNICRingOverflow(t *testing.T) {
 	cfg.Costs.DriverRxNS = 100_000 // 100µs per packet
 	sys := NewSystem(cfg)
 	st := sys.Run(newGen(5000, 950, 1))
-	if st.NICDrops == 0 {
+	nic := st.Ledger.NICPackets()
+	if nic == 0 {
 		t.Fatal("no NIC drops despite a 100µs interrupt path")
+	}
+	if nic+sys.NIC.Delivered != st.Generated {
+		t.Fatalf("NIC conservation: drops %d + delivered %d != generated %d",
+			nic, sys.NIC.Delivered, st.Generated)
 	}
 }
 

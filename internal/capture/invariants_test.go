@@ -74,20 +74,19 @@ func runMatrix(t *testing.T, cfg Config) matrixResult {
 	// Conservation and drained-buffer invariants.
 	switch stk := sys.stack.(type) {
 	case *linuxStack:
-		var enq, drops uint64
+		var enq uint64
 		for _, sk := range stk.socks {
 			enq += sk.Enqueued
-			drops += sk.Drops
-			if sk.bytes < 0 {
-				t.Fatalf("negative rcvbuf accounting: %d", sk.bytes)
+			if sk.used < 0 {
+				t.Fatalf("negative rcvbuf accounting: %d", sk.used)
 			}
 			if len(sk.queue) != 0 {
 				t.Fatalf("socket not drained: %d packets", len(sk.queue))
 			}
 		}
 		napps := uint64(len(stk.socks))
-		delivered := (sys.NIC.Delivered - st.QueueDrops) * napps
-		if enq+drops != delivered {
+		delivered := (sys.NIC.Delivered - st.Ledger.Drops[CauseBacklog].Packets) * napps
+		if drops := st.Ledger.Drops[CauseRcvbuf].Packets; enq+drops != delivered {
 			t.Fatalf("conservation: enq %d + drops %d != delivered %d", enq, drops, delivered)
 		}
 		var captured uint64
@@ -98,15 +97,15 @@ func runMatrix(t *testing.T, cfg Config) matrixResult {
 			t.Fatalf("captured %d != enqueued %d after drain", captured, enq)
 		}
 	case *bsdStack:
-		var stored, drops, captured uint64
+		var stored, captured uint64
 		for i, att := range stk.atts {
 			stored += att.Stored
-			drops += att.Drops
 			captured += st.AppCaptured[i]
 			if att.store.bytes != 0 || att.ready {
 				t.Fatalf("attachment %d not drained", i)
 			}
 		}
+		drops := st.Ledger.Drops[CauseBPFBuf].Packets
 		if stored+drops != sys.NIC.Delivered*uint64(len(stk.atts)) {
 			t.Fatalf("conservation: stored %d + drops %d != delivered %d × %d apps",
 				stored, drops, sys.NIC.Delivered, len(stk.atts))
@@ -115,8 +114,8 @@ func runMatrix(t *testing.T, cfg Config) matrixResult {
 			t.Fatalf("captured %d != stored %d after drain", captured, stored)
 		}
 	}
-	if st.NICDrops+sys.NIC.Delivered != st.Generated {
-		t.Fatalf("NIC conservation: %d + %d != %d", st.NICDrops, sys.NIC.Delivered, st.Generated)
+	if nic := st.Ledger.NICPackets(); nic+sys.NIC.Delivered != st.Generated {
+		t.Fatalf("NIC conservation: %d + %d != %d", nic, sys.NIC.Delivered, st.Generated)
 	}
 
 	var capturedSum uint64
@@ -142,7 +141,7 @@ func TestBufferBoundNeverExceeded(t *testing.T) {
 			switch stk := sys.stack.(type) {
 			case *linuxStack:
 				for _, sk := range stk.socks {
-					if sk.bytes < 0 || sk.bytes > cfg.BufferBytes+2048 {
+					if sk.used < 0 || sk.used > cfg.BufferBytes+2048 {
 						violations++
 					}
 				}
@@ -203,8 +202,8 @@ func TestBSDReadTimeoutDeliversAtLowRate(t *testing.T) {
 	// The hold buffer can never have filled: 200 × ~660 B ≪ 4 MB, so the
 	// only way the app got them is rotation-on-read/timeout.
 	bs := sys.stack.(*bsdStack)
-	if bs.atts[0].Drops != 0 {
-		t.Fatalf("drops at trickle rate: %d", bs.atts[0].Drops)
+	if d := st.Ledger.Drops[CauseBPFBuf].Packets; d != 0 || bs.atts[0].Stored != 200 {
+		t.Fatalf("trickle rate: %d drops, %d of 200 stored", d, bs.atts[0].Stored)
 	}
 }
 

@@ -251,6 +251,15 @@ func (l Ledger) SharedPackets() uint64 {
 	return n
 }
 
+// NICPackets returns the packets the NIC dropped before any stack saw
+// them: legacy and RSS ring overflows (moderation and poll budget
+// included) and the PCIe FIFO.
+func (l Ledger) NICPackets() uint64 {
+	return l.Drops[CauseNICRing].Packets + l.Drops[CauseModeration].Packets +
+		l.Drops[CauseRSSRing].Packets + l.Drops[CausePollBudget].Packets +
+		l.Drops[CausePCIe].Packets
+}
+
 // ShedCauses lists the deliberate-shedding causes in declaration order.
 var ShedCauses = []Cause{CauseShedUniform, CauseShedFlow, CauseShedAdaptive}
 

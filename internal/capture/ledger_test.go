@@ -19,7 +19,7 @@ import (
 // TestLedgerConservationMatrix checks, for every system under test crossed
 // with the thesis's load shapes, that the drop-cause ledger balances the
 // books: napps × Generated == Σ Captured + per-app drops + napps × shared
-// drops, and that the ledger agrees with the legacy aggregate counters.
+// drops.
 func TestLedgerConservationMatrix(t *testing.T) {
 	loads := []struct {
 		name string
@@ -81,7 +81,8 @@ func TestFilterRejectionLedger(t *testing.T) {
 
 // TestModerationDropCause pins that ring overflows during an interrupt-
 // moderation window are attributed to moderation, distinct from plain ring
-// overflow, and that together they equal the legacy NICDrops counter.
+// overflow, and that together with the packets the NIC delivered they
+// account for the whole train.
 func TestModerationDropCause(t *testing.T) {
 	cfg := scaled(moorhenCfg(), 8000)
 	cfg.Costs.ModerationDelayNS = 2e6 // 2 ms windows ≫ 256-slot ring @ 900 Mbit/s
@@ -92,8 +93,9 @@ func TestModerationDropCause(t *testing.T) {
 	if mod == 0 {
 		t.Fatal("no moderation-window drops despite a 2ms coalescing delay")
 	}
-	if mod+ring != st.NICDrops {
-		t.Fatalf("moderation %d + nic-ring %d != NICDrops %d", mod, ring, st.NICDrops)
+	if mod+ring+sys.NIC.Delivered != st.Generated {
+		t.Fatalf("moderation %d + nic-ring %d + delivered %d != generated %d",
+			mod, ring, sys.NIC.Delivered, st.Generated)
 	}
 	var nicGauge *GaugeStat
 	for i := range st.Gauges {

@@ -1,7 +1,5 @@
 package capture
 
-import "repro/internal/sim"
-
 // linuxStack models the Linux 2.6 capturing stack (§2.1.2): the interrupt
 // handler allocates an skb and appends a pointer to the per-CPU input
 // queue; a NET_RX softirq later walks the queue and hands each packet to
@@ -11,54 +9,40 @@ import "repro/internal/sim"
 type linuxStack struct {
 	sys *System
 
-	backlog      []kpkt
-	backlogDrops uint64
-	softirqOn    bool
-	inflight     []kpkt // the batch a scheduled softirq pass is processing
-	gBacklog     *Gauge
+	backlog   []kpkt
+	softirqOn bool
+	inflight  []kpkt // the batch a scheduled softirq pass is processing
+	gBacklog  *Gauge
+	next      func() // what follows a softirq pass, bound once
 
-	socks []*lsock
-}
-
-// lsock is one PF_PACKET socket with its receive-buffer accounting.
-type lsock struct {
-	app      *App
-	queue    []kpkt
-	bytes    int
-	gauge    *Gauge
-	Drops    uint64
-	Enqueued uint64
+	socks []*sock
 }
 
 func newLinuxStack(s *System) *linuxStack {
 	st := &linuxStack{sys: s}
 	st.gBacklog = s.newGauge("backlog", -1, s.Costs.BacklogLen)
-	for i, a := range s.apps {
-		st.socks = append(st.socks, &lsock{app: a, gauge: s.newGauge("rcvbuf", i, s.BufferBytes)})
+	st.socks = s.newSocks("rcvbuf", s.BufferBytes, false)
+	st.next = func() {
+		if len(st.backlog) > 0 {
+			st.scheduleSoftirq()
+		} else {
+			st.softirqOn = false
+		}
 	}
 	return st
 }
 
 func (st *linuxStack) reset() {
 	st.backlog = st.backlog[:0]
-	st.backlogDrops = 0
 	st.softirqOn = false
 	st.inflight = nil
-	for _, sk := range st.socks {
-		sk.queue = sk.queue[:0]
-		sk.bytes = 0
-		sk.Drops, sk.Enqueued = 0, 0
-	}
+	resetSocks(st.socks)
 }
 
 func (st *linuxStack) remnants() (shared []kpkt, perApp [][]kpkt) {
 	shared = append(shared, st.backlog...)
 	shared = append(shared, st.inflight...)
-	perApp = make([][]kpkt, len(st.socks))
-	for i, sk := range st.socks {
-		perApp[i] = sk.queue
-	}
-	return shared, perApp
+	return shared, sockRemnants(st.socks)
 }
 
 // irqCost: driver top half — allocate the skb and enqueue the pointer.
@@ -75,7 +59,6 @@ func (st *linuxStack) irqCost(data []byte) (float64, float64, any) {
 
 func (st *linuxStack) irqDone(data []byte, _ any) {
 	if len(st.backlog) >= st.sys.Costs.BacklogLen {
-		st.backlogDrops++
 		st.sys.recordDrop(CauseBacklog, len(data))
 		st.gBacklog.overflow()
 		return
@@ -88,181 +71,35 @@ func (st *linuxStack) irqDone(data []byte, _ any) {
 	}
 }
 
-// delivery is one (socket, packet) pair accepted by a filter.
-type delivery struct {
-	sk *lsock
-	p  kpkt
-}
-
 // scheduleSoftirq drains up to the quota from the input queue in one
 // softirq pass on CPU 0 (softirqs run on the CPU that took the interrupt).
+// With PACKET_MMAP or the ring stack the kernel copies each accepted frame
+// into the shared ring here, in softirq context.
 func (st *linuxStack) scheduleSoftirq() {
 	c := &st.sys.Costs
-	n := len(st.backlog)
-	if n > c.SoftirqQuota {
-		n = c.SoftirqQuota
+	batch := popFront(&st.backlog, min(len(st.backlog), c.SoftirqQuota))
+	perPkt, enq := c.SoftirqPerPktNS, c.SockEnqNS
+	if st.sys.PFRing {
+		// The ring stack bypasses most of netif_receive_skb and the
+		// socket queueing.
+		perPkt, enq = c.RingInsertNS, c.RingInsertNS
 	}
-	batch := make([]kpkt, n)
-	copy(batch, st.backlog[:n])
-	copy(st.backlog, st.backlog[n:])
-	st.backlog = st.backlog[:len(st.backlog)-n]
-	st.inflight = batch
-
-	ring := st.sys.MmapPatch || st.sys.PFRing
-	var fixed, mem float64
-	var delivers []delivery
-	rejects := 0
-	var rejectBytes uint64
-	for _, p := range batch {
-		perPkt := c.SoftirqPerPktNS
-		if st.sys.PFRing {
-			// The ring stack bypasses most of netif_receive_skb.
-			perPkt = c.RingInsertNS
-		}
-		fixed += perPkt
-		for _, sk := range st.socks {
-			caplen, fcost := st.sys.runFilter(p.data)
-			fixed += fcost
-			if caplen == 0 {
-				rejects++
-				rejectBytes += uint64(len(p.data))
-				continue
-			}
-			if st.sys.PFRing {
-				fixed += c.RingInsertNS
-			} else {
-				fixed += c.SockEnqNS
-			}
-			if sk.app.state == stIdle {
-				fixed += c.WakeupNS
-			}
-			if ring {
-				// The kernel copies the frame into the shared ring here,
-				// in softirq context.
-				mem += float64(caplen)
-			}
-			delivers = append(delivers, delivery{sk, kpkt{data: p.data, caplen: caplen}})
-		}
-	}
-	st.sys.cpu0().Submit(&sim.Task{
-		Name:         "net-rx-softirq",
-		Prio:         sim.PrioSoftIRQ,
-		FixedNS:      st.sys.kfixed(fixed),
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.kmemNs(),
-		OnDone: func() {
-			// The pass has run: the batch packets are now either rejected,
-			// dropped at a socket, or queued — no longer in flight.
-			st.inflight = nil
-			st.sys.ledger.RecordN(CauseFilter, rejects, rejectBytes,
-				st.sys.Sim.Now()-st.sys.runStart)
-			for _, dv := range delivers {
-				overhead := dv.p.caplen + st.sys.Costs.SkbOverhead
-				if dv.sk.bytes+overhead > st.sys.BufferBytes {
-					dv.sk.Drops++
-					st.sys.recordDrop(CauseRcvbuf, dv.p.caplen)
-					dv.sk.gauge.overflow()
-					continue
-				}
-				dv.sk.queue = append(dv.sk.queue, dv.p)
-				dv.sk.bytes += overhead
-				dv.sk.gauge.observe(dv.sk.bytes)
-				dv.sk.Enqueued++
-				if dv.sk.app.state == stIdle {
-					st.appStart(dv.sk.app)
-				}
-			}
-			if len(st.backlog) > 0 {
-				st.scheduleSoftirq()
-			} else {
-				st.softirqOn = false
-			}
-		},
-	})
+	st.sys.kernelPass(st.sys.cpu0(), "net-rx-softirq", batch, &st.inflight, st.socks,
+		perPkt, enq, st.sys.MmapPatch || st.sys.PFRing, st.next)
 }
 
 // appStart runs one read burst of the application's loop: up to AppBatch
 // packets, each paying the recvfrom syscall and the copy to user space
 // (or the cheap PACKET_MMAP hand-off), plus the configured load.
 func (st *linuxStack) appStart(a *App) {
-	if a.state == stRunning || a.state == stBlockedDisk ||
-		a.state == stBlockedPipe || a.state == stBlockedWorkers {
-		return
-	}
-	sk := st.socks[a.idx]
-	if len(sk.queue) == 0 {
-		a.state = stIdle
-		return
-	}
-	if a.blockedOnBackpressure() {
-		return
-	}
-	a.state = stRunning
-
 	c := &st.sys.Costs
-	n := len(sk.queue)
-	if n > c.AppBatch {
-		n = c.AppBatch
+	if st.sys.MmapPatch || st.sys.PFRing {
+		a.readSock(st.socks[a.idx], "recv", 0, st.sys.ufixed(c.MmapPerPktNS), false)
+		return
 	}
-	batch := make([]kpkt, n)
-	copy(batch, sk.queue[:n])
-	copy(sk.queue, sk.queue[n:])
-	sk.queue = sk.queue[:len(sk.queue)-n]
-
-	// Occupancy is observed before the batch is drained: the controller
-	// sees the rcvbuf as the wakeup found it.
-	occ := a.occupancy(float64(sk.bytes) / float64(st.sys.BufferBytes))
-
-	ring := st.sys.MmapPatch || st.sys.PFRing
-	var fixed, mem float64
-	for _, p := range batch {
-		sk.bytes -= p.caplen + c.SkbOverhead
-		if ring {
-			fixed += st.sys.ufixed(c.MmapPerPktNS)
-		} else {
-			fixed += st.sys.ufixed(c.RecvSyscallNS)
-			mem += float64(p.caplen)
-		}
-		a.inflightBytes += uint64(p.caplen)
-	}
-	a.inflightPkts = n
-	adm := a.admitBatch(batch, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, 1.0)
-	fixed += loadFixed
-	mem += loadMem
-	est := fixed + mem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "recv",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.readSock(st.socks[a.idx], "recv", 0, st.sys.ufixed(c.RecvSyscallNS), true)
 }
 
 func (st *linuxStack) pending() bool {
-	if len(st.backlog) > 0 || st.softirqOn {
-		return true
-	}
-	for _, sk := range st.socks {
-		if len(sk.queue) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (st *linuxStack) dropStats() ([]uint64, uint64) {
-	per := make([]uint64, len(st.socks))
-	for i, sk := range st.socks {
-		per[i] = sk.Drops
-	}
-	return per, st.backlogDrops
+	return len(st.backlog) > 0 || st.softirqOn || socksPending(st.socks)
 }

@@ -18,270 +18,115 @@ import "repro/internal/sim"
 //     copying; frames return to the pool via the completion ring when the
 //     read finishes.
 //
-// All three implement the same `stack` seam as the legacy stacks, so
-// applications, policies, chaos, the journal and the monitor compose
-// unchanged. Per-application overflows are booked under CauseRcvbuf
-// (whatever the ring flavor, it is the application's receive buffer), so
-// the conservation cross-check against Stats.AppDrops holds for every
-// stack generation.
-
-// msock is one modern per-application receive queue: the PF_PACKET
-// socket, poll-mode app ring, or XSK ring feeding application a.
-type msock struct {
-	app   *App
-	queue []kpkt
-	bytes int // rssStack only: rcvbuf byte accounting
-	// frames parallels queue for the zero-copy stack: the UMEM frame
-	// backing each queued descriptor.
-	frames    []*xframe
-	sinceWake int // xdp: packets enqueued since the last wakeup
-	gauge     *Gauge
-	Drops     uint64
-	Enqueued  uint64
-}
-
-// mdelivery is one (socket, packet) pair accepted by a filter.
-type mdelivery struct {
-	sk *msock
-	p  kpkt
-}
+// All three implement the same `stack` seam as the legacy stacks and
+// hand packets to the same sockets (sock.go), so applications, policies,
+// chaos, the journal and the monitor compose unchanged. Per-application
+// overflows are booked under CauseRcvbuf whatever the ring flavor: it is
+// the application's receive buffer.
 
 // ringCPU maps RSS ring r onto its servicing CPU.
 func (s *System) ringCPU(r int) *sim.CPU {
 	return s.Machine.CPUs[r%len(s.Machine.CPUs)]
 }
 
-// ---------------------------------------------------------------------------
-// RSS + NAPI
-
-type rssStack struct {
-	sys      *System
-	napiOn   []bool   // per ring: IRQ taken or polled passes scheduled
-	inflight [][]kpkt // per ring: the batch inside a scheduled pass
-	socks    []*msock
+// ringSet is the per-ring service state the three modern stacks share,
+// and the per-application sockets they deliver into.
+type ringSet struct {
+	sys   *System
+	rings []ringState
+	socks []*sock
 }
 
-func newRSSStack(s *System, nrings int) *rssStack {
-	st := &rssStack{
-		sys:      s,
-		napiOn:   make([]bool, nrings),
-		inflight: make([][]kpkt, nrings),
-	}
-	for i, a := range s.apps {
-		st.socks = append(st.socks, &msock{app: a, gauge: s.newGauge("rcvbuf", i, s.BufferBytes)})
-	}
-	return st
+// ringState is one RSS ring's service state.
+type ringState struct {
+	napiOn   bool   // IRQ taken or polled passes scheduled
+	inflight []kpkt // the batch inside a scheduled pass
+	service  func() // the ring's service pass, bound once by the stack
 }
 
-func (st *rssStack) reset() {
-	for i := range st.napiOn {
-		st.napiOn[i] = false
-		st.inflight[i] = nil
-	}
-	resetSocks(st.socks)
-}
-
-func resetSocks(socks []*msock) {
-	for _, sk := range socks {
-		sk.queue = sk.queue[:0]
-		sk.frames = sk.frames[:0]
-		sk.bytes = 0
-		sk.sinceWake = 0
-		sk.Drops, sk.Enqueued = 0, 0
-	}
+func newRingSet(s *System, n int, socks []*sock) ringSet {
+	return ringSet{sys: s, rings: make([]ringState, n), socks: socks}
 }
 
 // ringKick: the NIC raised the IRQ for ring r. The handler only acks and
-// schedules NAPI; all per-packet work happens in the polled passes.
-func (st *rssStack) ringKick(r int) {
-	if st.napiOn[r] {
-		return // NAPI already polling this ring: no further interrupts
+// schedules the ring's service; all per-packet work happens in the passes.
+func (q *ringSet) ringKick(r int) {
+	ring := &q.rings[r]
+	if ring.napiOn {
+		return // already polling this ring: no further interrupts
 	}
-	st.napiOn[r] = true
-	st.sys.ringCPU(r).Submit(&sim.Task{
+	ring.napiOn = true
+	q.sys.ringCPU(r).Submit(&sim.Task{
 		Name:    "rx-irq",
 		Prio:    sim.PrioHardIRQ,
-		FixedNS: st.sys.kfixed(st.sys.Costs.IRQEntryNS),
-		OnDone:  func() { st.servicePass(r) },
+		FixedNS: q.sys.kfixed(q.sys.Costs.IRQEntryNS),
+		OnDone:  ring.service,
 	})
+}
+
+func (q *ringSet) reset() {
+	for r := range q.rings {
+		q.rings[r].napiOn, q.rings[r].inflight = false, nil
+	}
+	resetSocks(q.socks)
+}
+
+func (q *ringSet) pending() bool {
+	for _, ring := range q.rings {
+		if len(ring.inflight) > 0 || ring.napiOn {
+			return true
+		}
+	}
+	return socksPending(q.socks)
+}
+
+func (q *ringSet) remnants() (shared []kpkt, perApp [][]kpkt) {
+	for _, ring := range q.rings {
+		shared = append(shared, ring.inflight...)
+	}
+	return shared, sockRemnants(q.socks)
+}
+
+// ---------------------------------------------------------------------------
+// RSS + NAPI
+
+type rssStack struct{ ringSet }
+
+func newRSSStack(s *System, nrings int) *rssStack {
+	st := &rssStack{newRingSet(s, nrings, s.newSocks("rcvbuf", s.BufferBytes, false))}
+	for r := range st.rings {
+		st.rings[r].service = func() { st.servicePass(r) }
+	}
+	return st
 }
 
 // servicePass drains up to NapiBudget packets from ring r in one softirq
 // pass on the ring's CPU, delivering into the per-socket buffers.
 func (st *rssStack) servicePass(r int) {
 	c := &st.sys.Costs
+	ring := &st.rings[r]
 	batch := st.sys.rss.popBurst(r, c.NapiBudget)
 	if len(batch) == 0 {
-		st.napiOn[r] = false
+		ring.napiOn = false
 		return
 	}
-	st.inflight[r] = batch
-
-	var fixed float64
-	var delivers []mdelivery
-	rejects := 0
-	var rejectBytes uint64
-	for _, p := range batch {
-		fixed += c.DriverRxNS + c.NapiPollNS
-		for _, sk := range st.socks {
-			caplen, fcost := st.sys.runFilter(p.data)
-			fixed += fcost
-			if caplen == 0 {
-				rejects++
-				rejectBytes += uint64(len(p.data))
-				continue
-			}
-			fixed += c.SockEnqNS
-			if sk.app.state == stIdle {
-				fixed += c.WakeupNS
-			}
-			delivers = append(delivers, mdelivery{sk, kpkt{data: p.data, caplen: caplen, arrival: p.arrival}})
-		}
-	}
-	st.sys.ringCPU(r).Submit(&sim.Task{
-		Name:    "napi-poll",
-		Prio:    sim.PrioSoftIRQ,
-		FixedNS: st.sys.kfixed(fixed),
-		OnDone: func() {
-			st.inflight[r] = nil
-			st.sys.ledger.RecordN(CauseFilter, rejects, rejectBytes,
-				st.sys.Sim.Now()-st.sys.runStart)
-			for _, dv := range delivers {
-				overhead := dv.p.caplen + st.sys.Costs.SkbOverhead
-				if dv.sk.bytes+overhead > st.sys.BufferBytes {
-					dv.sk.Drops++
-					st.sys.recordDrop(CauseRcvbuf, dv.p.caplen)
-					dv.sk.gauge.overflow()
-					continue
-				}
-				dv.sk.queue = append(dv.sk.queue, dv.p)
-				dv.sk.bytes += overhead
-				dv.sk.gauge.observe(dv.sk.bytes)
-				dv.sk.Enqueued++
-				if dv.sk.app.state == stIdle {
-					st.appStart(dv.sk.app)
-				}
-			}
-			st.servicePass(r)
-		},
-	})
+	st.sys.kernelPass(st.sys.ringCPU(r), "napi-poll", batch, &ring.inflight, st.socks,
+		c.DriverRxNS+c.NapiPollNS, c.SockEnqNS, false, ring.service)
 }
 
 // appStart: the classic per-packet recvfrom read loop (RSS spreads the
 // kernel side across cores, but the application still pays a syscall and
 // a copy per packet).
 func (st *rssStack) appStart(a *App) {
-	if a.state == stRunning || a.state == stBlockedDisk ||
-		a.state == stBlockedPipe || a.state == stBlockedWorkers {
-		return
-	}
-	sk := st.socks[a.idx]
-	if len(sk.queue) == 0 {
-		a.state = stIdle
-		return
-	}
-	if a.blockedOnBackpressure() {
-		return
-	}
-	a.state = stRunning
-
-	c := &st.sys.Costs
-	n := len(sk.queue)
-	if n > c.AppBatch {
-		n = c.AppBatch
-	}
-	batch := make([]kpkt, n)
-	copy(batch, sk.queue[:n])
-	copy(sk.queue, sk.queue[n:])
-	sk.queue = sk.queue[:len(sk.queue)-n]
-
-	occ := a.occupancy(float64(sk.bytes) / float64(st.sys.BufferBytes))
-
-	var fixed, mem float64
-	for _, p := range batch {
-		sk.bytes -= p.caplen + c.SkbOverhead
-		fixed += st.sys.ufixed(c.RecvSyscallNS)
-		mem += float64(p.caplen)
-		a.inflightBytes += uint64(p.caplen)
-	}
-	a.inflightPkts = n
-	adm := a.admitBatch(batch, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, 1.0)
-	fixed += loadFixed
-	mem += loadMem
-	est := fixed + mem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "recv",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     mem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.readSock(st.socks[a.idx], "recv", 0, st.sys.ufixed(st.sys.Costs.RecvSyscallNS), true)
 }
-
-func (st *rssStack) pending() bool {
-	for r := range st.inflight {
-		if len(st.inflight[r]) > 0 || st.napiOn[r] {
-			return true
-		}
-	}
-	return socksPending(st.socks)
-}
-
-func socksPending(socks []*msock) bool {
-	for _, sk := range socks {
-		if len(sk.queue) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (st *rssStack) dropStats() ([]uint64, uint64) { return sockDrops(st.socks), 0 }
-
-func sockDrops(socks []*msock) []uint64 {
-	per := make([]uint64, len(socks))
-	for i, sk := range socks {
-		per[i] = sk.Drops
-	}
-	return per
-}
-
-func (st *rssStack) remnants() (shared []kpkt, perApp [][]kpkt) {
-	for r := range st.inflight {
-		shared = append(shared, st.inflight[r]...)
-	}
-	return shared, sockRemnants(st.socks)
-}
-
-func sockRemnants(socks []*msock) [][]kpkt {
-	perApp := make([][]kpkt, len(socks))
-	for i, sk := range socks {
-		perApp[i] = sk.queue
-	}
-	return perApp
-}
-
-// The legacy NIC seam is never exercised by the modern stacks (the rssNIC
-// drives them through ringKick/popBurst instead).
-func (st *rssStack) irqCost([]byte) (float64, float64, any) { return 0, 0, nil }
-func (st *rssStack) irqDone([]byte, any)                    {}
 
 // ---------------------------------------------------------------------------
 // Poll mode (DPDK-style PMD)
 
 type pollStack struct {
-	sys      *System
-	pmds     []pmd
-	inflight [][]kpkt
-	socks    []*msock
+	ringSet
+	pmds []pmd
 }
 
 // pmd is one poll-mode driver loop: ring r's dedicated core and its idle
@@ -303,12 +148,10 @@ type pmd struct {
 }
 
 func newPollStack(s *System, nrings int) *pollStack {
-	st := &pollStack{
-		sys:      s,
-		pmds:     make([]pmd, nrings),
-		inflight: make([][]kpkt, nrings),
-	}
+	st := &pollStack{ringSet: newRingSet(s, nrings, s.newSocks("app-ring", s.Costs.AppRingSlots, true)),
+		pmds: make([]pmd, nrings)}
 	for r := range st.pmds {
+		st.rings[r].service = func() { st.poll(r) }
 		p := &st.pmds[r]
 		p.cpu = s.ringCPU(r)
 		// The PMD cores are dedicated: user work must never be placed on a
@@ -320,22 +163,18 @@ func newPollStack(s *System, nrings int) *pollStack {
 			Name:    "pmd-spin",
 			Prio:    sim.PrioSoftIRQ,
 			FixedNS: s.Costs.PollIdleNS,
-			OnDone:  func() { st.poll(r) },
+			OnDone:  st.rings[r].service,
 		}
 		p.grain = func() { st.grain(r) }
-	}
-	for i, a := range s.apps {
-		st.socks = append(st.socks, &msock{app: a, gauge: s.newGauge("app-ring", i, s.Costs.AppRingSlots)})
 	}
 	return st
 }
 
 func (st *pollStack) reset() {
-	for i := range st.inflight {
-		st.inflight[i] = nil
-		st.pmds[i].tailFrom, st.pmds[i].tailGrain = 0, 0
+	st.ringSet.reset()
+	for r := range st.pmds {
+		st.pmds[r].tailFrom, st.pmds[r].tailGrain = 0, 0
 	}
-	resetSocks(st.socks)
 }
 
 // start launches the PMD loops, one per ring on its own core. Called by
@@ -390,54 +229,9 @@ func (st *pollStack) poll(r int) {
 		st.arm(r)
 		return
 	}
-	st.inflight[r] = batch
-
-	var fixed float64
-	var delivers []mdelivery
-	rejects := 0
-	var rejectBytes uint64
-	for _, p := range batch {
-		fixed += c.PollPerPktNS
-		for _, sk := range st.socks {
-			caplen, fcost := st.sys.runFilter(p.data)
-			fixed += fcost
-			if caplen == 0 {
-				rejects++
-				rejectBytes += uint64(len(p.data))
-				continue
-			}
-			fixed += c.RingInsertNS
-			if sk.app.state == stIdle {
-				fixed += c.WakeupNS
-			}
-			delivers = append(delivers, mdelivery{sk, kpkt{data: p.data, caplen: caplen, arrival: p.arrival}})
-		}
-	}
-	st.pmds[r].cpu.Submit(&sim.Task{
-		Name:    "pmd-burst",
-		Prio:    sim.PrioSoftIRQ,
-		FixedNS: st.sys.kfixed(fixed),
-		OnDone: func() {
-			st.inflight[r] = nil
-			st.sys.ledger.RecordN(CauseFilter, rejects, rejectBytes,
-				st.sys.Sim.Now()-st.sys.runStart)
-			for _, dv := range delivers {
-				if len(dv.sk.queue) >= st.sys.Costs.AppRingSlots {
-					dv.sk.Drops++
-					st.sys.recordDrop(CauseRcvbuf, dv.p.caplen)
-					dv.sk.gauge.overflow()
-					continue
-				}
-				dv.sk.queue = append(dv.sk.queue, dv.p)
-				dv.sk.gauge.observe(len(dv.sk.queue))
-				dv.sk.Enqueued++
-				if dv.sk.app.state == stIdle {
-					st.appStart(dv.sk.app)
-				}
-			}
-			st.poll(r)
-		},
-	})
+	ring := &st.rings[r]
+	st.sys.kernelPass(st.pmds[r].cpu, "pmd-burst", batch, &ring.inflight, st.socks,
+		c.PollPerPktNS, c.RingInsertNS, false, ring.service)
 }
 
 // grain is one spin-grain boundary on ring r, where the loop polls the
@@ -468,138 +262,47 @@ func (st *pollStack) arm(r int) {
 // appStart: the reader maps the ring frames in place — no syscall, no
 // copy; only the cheap per-frame hand-off plus the configured load.
 func (st *pollStack) appStart(a *App) {
-	if a.state == stRunning || a.state == stBlockedDisk ||
-		a.state == stBlockedPipe || a.state == stBlockedWorkers {
-		return
-	}
-	sk := st.socks[a.idx]
-	if len(sk.queue) == 0 {
-		a.state = stIdle
-		return
-	}
-	if a.blockedOnBackpressure() {
-		return
-	}
-	a.state = stRunning
-
-	c := &st.sys.Costs
-	n := len(sk.queue)
-	if n > c.AppBatch {
-		n = c.AppBatch
-	}
-	batch := make([]kpkt, n)
-	copy(batch, sk.queue[:n])
-	copy(sk.queue, sk.queue[n:])
-	sk.queue = sk.queue[:len(sk.queue)-n]
-
-	occ := a.occupancy(float64(len(sk.queue)+n) / float64(c.AppRingSlots))
-
-	var fixed float64
-	for _, p := range batch {
-		fixed += st.sys.ufixed(c.MmapPerPktNS)
-		a.inflightBytes += uint64(p.caplen)
-	}
-	a.inflightPkts = n
-	adm := a.admitBatch(batch, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, 1.0)
-	fixed += loadFixed
-	est := fixed + loadMem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "ring-read",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     loadMem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.readSock(st.socks[a.idx], "ring-read", 0, st.sys.ufixed(st.sys.Costs.MmapPerPktNS), false)
 }
-
-func (st *pollStack) pending() bool {
-	for r := range st.inflight {
-		if len(st.inflight[r]) > 0 {
-			return true
-		}
-	}
-	return socksPending(st.socks)
-}
-
-func (st *pollStack) dropStats() ([]uint64, uint64) { return sockDrops(st.socks), 0 }
-
-func (st *pollStack) remnants() (shared []kpkt, perApp [][]kpkt) {
-	for r := range st.inflight {
-		shared = append(shared, st.inflight[r]...)
-	}
-	return shared, sockRemnants(st.socks)
-}
-
-func (st *pollStack) irqCost([]byte) (float64, float64, any) { return 0, 0, nil }
-func (st *pollStack) irqDone([]byte, any)                    {}
 
 // ---------------------------------------------------------------------------
 // AF_XDP-style zero copy
 
 // xframe is one UMEM frame shared by every socket that accepted the
-// packet; it returns to the free pool when the last reference completes.
-type xframe struct{ refs int }
+// packet; it returns to its pool when the last reference completes.
+type xframe struct {
+	refs int
+	pool *xdpStack
+}
+
+// release returns one socket's reference on the frame, freeing it to the
+// UMEM pool when the last holder is done (the completion ring).
+func (f *xframe) release() {
+	f.refs--
+	if f.refs == 0 {
+		f.pool.umemFree++
+	}
+}
 
 type xdpStack struct {
-	sys      *System
-	napiOn   []bool
-	inflight [][]kpkt
-	socks    []*msock
+	ringSet
 	umemFree int
 	gUmem    *Gauge
 }
 
 func newXDPStack(s *System, nrings int) *xdpStack {
-	st := &xdpStack{
-		sys:      s,
-		napiOn:   make([]bool, nrings),
-		inflight: make([][]kpkt, nrings),
-		umemFree: s.Costs.UmemFrames,
-	}
+	st := &xdpStack{umemFree: s.Costs.UmemFrames}
 	st.gUmem = s.newGauge("umem", -1, s.Costs.UmemFrames)
-	for i, a := range s.apps {
-		st.socks = append(st.socks, &msock{app: a, gauge: s.newGauge("xsk-ring", i, s.Costs.AppRingSlots)})
+	st.ringSet = newRingSet(s, nrings, s.newSocks("xsk-ring", s.Costs.AppRingSlots, true))
+	for r := range st.rings {
+		st.rings[r].service = func() { st.xdpPass(r) }
 	}
 	return st
 }
 
 func (st *xdpStack) reset() {
-	for i := range st.napiOn {
-		st.napiOn[i] = false
-		st.inflight[i] = nil
-	}
+	st.ringSet.reset()
 	st.umemFree = st.sys.Costs.UmemFrames
-	resetSocks(st.socks)
-}
-
-func (st *xdpStack) ringKick(r int) {
-	if st.napiOn[r] {
-		return
-	}
-	st.napiOn[r] = true
-	st.sys.ringCPU(r).Submit(&sim.Task{
-		Name:    "rx-irq",
-		Prio:    sim.PrioHardIRQ,
-		FixedNS: st.sys.kfixed(st.sys.Costs.IRQEntryNS),
-		OnDone:  func() { st.xdpPass(r) },
-	})
-}
-
-// release returns one socket's reference on a frame, freeing it to the
-// UMEM pool when the last holder is done (the completion ring).
-func (st *xdpStack) release(f *xframe) {
-	f.refs--
-	if f.refs == 0 {
-		st.umemFree++
-	}
 }
 
 // xdpPass drains up to NapiBudget packets from ring r: each packet needs
@@ -608,15 +311,18 @@ func (st *xdpStack) release(f *xframe) {
 // in the accepting sockets' XSK rings. Wakeups are batched: an idle
 // application is woken only once WakeupBatch packets have accumulated, or
 // when the driver goes idle (the need_wakeup flush, which also guarantees
-// tails drain and the run terminates).
+// tails drain and the run terminates). Unlike kernelPass, the pass pays
+// the ring insert for every socket, and the pool is checked before the
+// fan-out.
 func (st *xdpStack) xdpPass(r int) {
 	c := &st.sys.Costs
+	ring := &st.rings[r]
 	batch := st.sys.rss.popBurst(r, c.NapiBudget)
 	if len(batch) == 0 {
-		st.napiOn[r] = false
+		ring.napiOn = false
 		return
 	}
-	st.inflight[r] = batch
+	ring.inflight = batch
 
 	var fixed float64
 	for _, p := range batch {
@@ -632,7 +338,7 @@ func (st *xdpStack) xdpPass(r int) {
 		Prio:    sim.PrioSoftIRQ,
 		FixedNS: st.sys.kfixed(fixed),
 		OnDone: func() {
-			st.inflight[r] = nil
+			ring.inflight = nil
 			now := st.sys.Sim.Now() - st.sys.runStart
 			rejects := 0
 			var rejectBytes uint64
@@ -646,7 +352,7 @@ func (st *xdpStack) xdpPass(r int) {
 				}
 				st.umemFree--
 				st.gUmem.observe(st.sys.Costs.UmemFrames - st.umemFree)
-				f := &xframe{}
+				f := &xframe{pool: st}
 				for _, sk := range st.socks {
 					caplen, _ := st.sys.runFilter(p.data)
 					if caplen == 0 {
@@ -654,8 +360,7 @@ func (st *xdpStack) xdpPass(r int) {
 						rejectBytes += uint64(len(p.data))
 						continue
 					}
-					if len(sk.queue) >= st.sys.Costs.AppRingSlots {
-						sk.Drops++
+					if sk.used >= sk.capacity {
 						st.sys.recordDrop(CauseRcvbuf, caplen)
 						sk.gauge.overflow()
 						continue
@@ -663,7 +368,8 @@ func (st *xdpStack) xdpPass(r int) {
 					f.refs++
 					sk.queue = append(sk.queue, kpkt{data: p.data, caplen: caplen, arrival: p.arrival})
 					sk.frames = append(sk.frames, f)
-					sk.gauge.observe(len(sk.queue))
+					sk.used++
+					sk.gauge.observe(sk.used)
 					sk.Enqueued++
 					sk.sinceWake++
 				}
@@ -693,82 +399,6 @@ func (st *xdpStack) xdpPass(r int) {
 // handling — no copy; frames return to the UMEM pool when the read
 // completes.
 func (st *xdpStack) appStart(a *App) {
-	if a.state == stRunning || a.state == stBlockedDisk ||
-		a.state == stBlockedPipe || a.state == stBlockedWorkers {
-		return
-	}
-	sk := st.socks[a.idx]
-	if len(sk.queue) == 0 {
-		a.state = stIdle
-		return
-	}
-	if a.blockedOnBackpressure() {
-		return
-	}
-	a.state = stRunning
-
 	c := &st.sys.Costs
-	n := len(sk.queue)
-	if n > c.AppBatch {
-		n = c.AppBatch
-	}
-	batch := make([]kpkt, n)
-	copy(batch, sk.queue[:n])
-	copy(sk.queue, sk.queue[n:])
-	sk.queue = sk.queue[:len(sk.queue)-n]
-	frames := make([]*xframe, n)
-	copy(frames, sk.frames[:n])
-	copy(sk.frames, sk.frames[n:])
-	sk.frames = sk.frames[:len(sk.frames)-n]
-
-	occ := a.occupancy(float64(len(sk.queue)+n) / float64(c.AppRingSlots))
-
-	fixed := st.sys.ufixed(c.RecvSyscallNS) // one poll()/recvmsg per wakeup
-	for _, p := range batch {
-		fixed += st.sys.ufixed(c.XdpPerPktNS)
-		a.inflightBytes += uint64(p.caplen)
-	}
-	a.inflightPkts = n
-	adm := a.admitBatch(batch, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, 1.0)
-	fixed += loadFixed
-	est := fixed + loadMem*st.sys.umemNs()
-	a.submitWork(&sim.Task{
-		Name:         "xsk-read",
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     loadMem,
-		MemNsPerByte: st.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			for _, f := range frames {
-				st.release(f)
-			}
-			finish()
-			a.state = stIdle
-			st.appStart(a)
-		},
-	}, est)
+	a.readSock(st.socks[a.idx], "xsk-read", st.sys.ufixed(c.RecvSyscallNS), st.sys.ufixed(c.XdpPerPktNS), false)
 }
-
-func (st *xdpStack) pending() bool {
-	for r := range st.inflight {
-		if len(st.inflight[r]) > 0 || st.napiOn[r] {
-			return true
-		}
-	}
-	return socksPending(st.socks)
-}
-
-func (st *xdpStack) dropStats() ([]uint64, uint64) { return sockDrops(st.socks), 0 }
-
-func (st *xdpStack) remnants() (shared []kpkt, perApp [][]kpkt) {
-	for r := range st.inflight {
-		shared = append(shared, st.inflight[r]...)
-	}
-	return shared, sockRemnants(st.socks)
-}
-
-func (st *xdpStack) irqCost([]byte) (float64, float64, any) { return 0, 0, nil }
-func (st *xdpStack) irqDone([]byte, any)                    {}

@@ -70,8 +70,46 @@ func TestModernConservation(t *testing.T) {
 				if st.Generated != 4000 {
 					t.Errorf("%s napps=%d rate=%g: generated %d", name, napps, rateMbit, st.Generated)
 				}
+				checkModernBooks(t, fmt.Sprintf("%s napps=%d rate=%g", name, napps, rateMbit), sys, st)
 			}
 		}
+	}
+}
+
+// checkModernBooks checks a drained modern run against the counters kept
+// outside the ledger: the packets the RSS NIC delivered to the stack, and
+// those each socket enqueued. What the NIC delivered reaches every socket
+// unless the UMEM pool had no frame for it; there it is enqueued, dropped
+// at the full socket, or rejected by the filter, and every enqueued
+// packet is read and then captured or shed.
+func checkModernBooks(t *testing.T, label string, sys *System, st Stats) {
+	t.Helper()
+	l, delivered := st.Ledger, sys.rss.Delivered
+	if l.NICPackets()+delivered != st.Generated {
+		t.Errorf("%s: NIC drops %d + delivered %d != generated %d",
+			label, l.NICPackets(), delivered, st.Generated)
+	}
+	var socks []*sock
+	switch stk := sys.stack.(type) {
+	case *rssStack:
+		socks = stk.socks
+	case *pollStack:
+		socks = stk.socks
+	case *xdpStack:
+		socks = stk.socks
+	}
+	var enq uint64
+	for _, sk := range socks {
+		enq += sk.Enqueued
+	}
+	napps := uint64(len(socks))
+	rcvbuf, filter := l.Drops[CauseRcvbuf].Packets, l.Drops[CauseFilter].Packets
+	if want := (delivered - l.Drops[CauseUmemFill].Packets) * napps; enq+rcvbuf+filter != want {
+		t.Errorf("%s: enqueued %d + rcvbuf %d + filter %d != (delivered %d - umem-fill %d) × %d apps",
+			label, enq, rcvbuf, filter, delivered, l.Drops[CauseUmemFill].Packets, napps)
+	}
+	if got := st.CapturedTotal() + st.ShedTotal(); enq != got {
+		t.Errorf("%s: enqueued %d != captured + shed %d after the drain", label, enq, got)
 	}
 }
 
@@ -89,11 +127,12 @@ func TestModernRunDeterministic(t *testing.T) {
 		freshRings := sysB.RingDelivered()
 
 		if fresh.CapturedTotal() != first.CapturedTotal() ||
-			fresh.NICDrops != first.NICDrops ||
+			sysB.rss.Delivered != sysA.rss.Delivered ||
 			fresh.Ledger != first.Ledger {
-			t.Errorf("%s: fresh run diverged: captured %d/%d nicdrops %d/%d",
+			t.Errorf("%s: fresh run diverged: captured %d/%d delivered %d/%d nicdrops %d/%d",
 				name, fresh.CapturedTotal(), first.CapturedTotal(),
-				fresh.NICDrops, first.NICDrops)
+				sysB.rss.Delivered, sysA.rss.Delivered,
+				fresh.Ledger.NICPackets(), first.Ledger.NICPackets())
 		}
 		if len(firstRings) == 0 {
 			t.Fatalf("%s: no ring delivery counts", name)
@@ -146,11 +185,12 @@ func TestPollModeAlwaysBusy(t *testing.T) {
 // exhaustion when the zero-copy pool is tiny.
 func TestModernOverloadCauses(t *testing.T) {
 	// heron at 100G: the 63 Gbit/s bus ceiling must drop under pcie-bus.
-	st := NewSystem(scaled(modernCfg("heron", StackRSS, 1), 5000)).
-		Run(newModernGen(5000, 100000, 1))
+	sys := NewSystem(scaled(modernCfg("heron", StackRSS, 1), 5000))
+	st := sys.Run(newModernGen(5000, 100000, 1))
 	if err := st.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+	checkModernBooks(t, "heron at 100G", sys, st)
 	if st.Ledger.Drops[CausePCIe].Packets == 0 {
 		t.Errorf("heron at 100G: no pcie-bus drops; ledger: %+v", st.Ledger.Drops)
 	}
@@ -162,26 +202,31 @@ func TestModernOverloadCauses(t *testing.T) {
 	cfg.NumCPUs = 2
 	cfg.RXRings = 2
 	cfg.Costs.RSSRingSlots = 64
-	st = NewSystem(cfg).Run(newModernGen(5000, 100000, 1))
+	sys = NewSystem(cfg)
+	st = sys.Run(newModernGen(5000, 100000, 1))
 	if err := st.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+	checkModernBooks(t, "starved rss rings", sys, st)
 	ring := st.Ledger.Drops[CauseRSSRing].Packets + st.Ledger.Drops[CausePollBudget].Packets
 	if ring == 0 {
 		t.Errorf("starved rss rings: no rss-ring/poll-budget drops; ledger: %+v", st.Ledger.Drops)
 	}
-	if ring+st.Ledger.Drops[CausePCIe].Packets != st.NICDrops {
-		t.Errorf("ring drops %d + pcie %d != NICDrops %d", ring, st.Ledger.Drops[CausePCIe].Packets, st.NICDrops)
+	if pcie := st.Ledger.Drops[CausePCIe].Packets; ring+pcie+sys.rss.Delivered != st.Generated {
+		t.Errorf("ring drops %d + pcie %d + delivered %d != generated %d",
+			ring, pcie, sys.rss.Delivered, st.Generated)
 	}
 
 	// kite with a tiny UMEM: fill-ring exhaustion must book umem-fill as a
 	// shared cause.
 	cfg = scaled(modernCfg("kite", StackZeroCopy, 2), 5000)
 	cfg.Costs.UmemFrames = 32
-	st = NewSystem(cfg).Run(newModernGen(5000, 40000, 1))
+	sys = NewSystem(cfg)
+	st = sys.Run(newModernGen(5000, 40000, 1))
 	if err := st.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+	checkModernBooks(t, "tiny umem", sys, st)
 	if st.Ledger.Drops[CauseUmemFill].Packets == 0 {
 		t.Errorf("tiny umem: no umem-fill drops; ledger: %+v", st.Ledger.Drops)
 	}
@@ -194,10 +239,12 @@ func TestModernWithPolicy(t *testing.T) {
 	for name, kind := range modernKinds() {
 		cfg := scaled(modernCfg(name, kind, 2), 3000)
 		cfg.Policy = PolicySpec{Kind: PolicyUniform, N: 2}
-		st := NewSystem(cfg).Run(newModernGen(3000, 10000, 5))
+		sys := NewSystem(cfg)
+		st := sys.Run(newModernGen(3000, 10000, 5))
 		if err := st.CheckConservation(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		checkModernBooks(t, name, sys, st)
 		if st.ShedTotal() == 0 {
 			t.Errorf("%s: uniform 1-in-2 policy shed nothing", name)
 		}

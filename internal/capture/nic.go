@@ -2,6 +2,17 @@ package capture
 
 import "repro/internal/sim"
 
+// irqStack is the interrupt-context half of the two legacy stacks, which
+// the single-queue NIC drives packet by packet.
+type irqStack interface {
+	// irqCost prices the interrupt-context work for one packet (beyond
+	// the shared driver cost) and may precompute state passed to irqDone.
+	irqCost(data []byte) (fixedNS, memBytes float64, aux any)
+	// irqDone applies the interrupt-context state change when the task
+	// completes (enqueue, copy into buffers, wakeups, drops).
+	irqDone(data []byte, aux any)
+}
+
 // NIC models the Intel 82544EI receive path: a DMA descriptor ring of
 // RingSlots packets and an interrupt per packet, with natural coalescing —
 // while the handler is busy, further arrivals only refill the ring, and the
@@ -12,6 +23,7 @@ import "repro/internal/sim"
 // arrivals, at the price of timestamp accuracy.
 type NIC struct {
 	sys *System
+	irq irqStack // the legacy stack's interrupt-context half
 
 	ring      []kpkt
 	irqActive bool
@@ -19,7 +31,6 @@ type NIC struct {
 	inflight  *kpkt // packet popped from the ring, hardirq task running
 	gauge     *Gauge
 
-	Drops     uint64 // ring overflows
 	Delivered uint64 // packets handed to the stack
 
 	burstStamp sim.Time // timestamp shared by the current handler burst
@@ -29,14 +40,13 @@ type NIC struct {
 func (n *NIC) reset() {
 	n.ring = n.ring[:0]
 	n.irqActive, n.modWait, n.inflight = false, false, nil
-	n.Drops, n.Delivered = 0, 0
+	n.Delivered = 0
 	n.burstStamp, n.lastStamp = 0, 0
 }
 
 // Arrive is called at the simulated instant the frame has fully arrived.
 func (n *NIC) Arrive(data []byte) {
 	if len(n.ring) >= n.sys.Costs.RingSlots {
-		n.Drops++
 		// Attribute the overflow: a ring that filled while the card was
 		// still delaying the first interrupt of a moderation window is the
 		// moderation trade-off at work, not handler overload.
@@ -76,7 +86,7 @@ func (n *NIC) serviceNext(first bool) {
 	n.ring = n.ring[:len(n.ring)-1]
 	n.inflight = &p
 
-	fixed, memBytes, aux := n.sys.stack.irqCost(p.data)
+	fixed, memBytes, aux := n.irq.irqCost(p.data)
 	fixed += n.sys.Costs.DriverRxNS
 	if first {
 		fixed += n.sys.Costs.IRQEntryNS
@@ -91,7 +101,7 @@ func (n *NIC) serviceNext(first bool) {
 			n.Delivered++
 			n.stamp(p)
 			n.inflight = nil // custody passes to the stack
-			n.sys.stack.irqDone(p.data, aux)
+			n.irq.irqDone(p.data, aux)
 			if len(n.ring) > 0 {
 				n.serviceNext(false)
 			} else {

@@ -15,15 +15,14 @@ type ringServicer interface {
 	ringKick(r int)
 }
 
-// rxRing is one RSS receive ring with its own occupancy gauge, drop and
-// delivery counters, and timestamp state (modern NICs stamp per service
-// pass, one timestamp shared by the pass's batch — the same artifact as
-// the legacy burst stamp, per ring).
+// rxRing is one RSS receive ring with its own occupancy gauge, delivery
+// counter and timestamp state (modern NICs stamp per service pass, one
+// timestamp shared by the pass's batch — the same artifact as the legacy
+// burst stamp, per ring).
 type rxRing struct {
 	pkts      []kpkt
 	deferred  bool // the last service pass left packets behind (budget/burst cap)
 	delivered uint64
-	drops     uint64
 	gauge     *Gauge
 	lastStamp sim.Time
 }
@@ -50,7 +49,6 @@ type rssNIC struct {
 	dmaPkts      int
 	dmaBytes     uint64
 
-	Drops     uint64 // FIFO + ring overflows (the NICDrops aggregate)
 	Delivered uint64 // packets handed to the stack
 }
 
@@ -80,12 +78,12 @@ func (n *rssNIC) reset() {
 		r := &n.rings[i]
 		r.pkts = r.pkts[:0]
 		r.deferred = false
-		r.delivered, r.drops = 0, 0
+		r.delivered = 0
 		r.lastStamp = 0
 	}
 	n.fifoBytes, n.dmaPkts, n.dmaBytes = 0, 0, 0
 	n.linkFree = 0
-	n.Drops, n.Delivered = 0, 0
+	n.Delivered = 0
 }
 
 // ringOf steers a frame: RSS hashes the 5-tuple onto a ring; frames
@@ -108,7 +106,6 @@ func (n *rssNIC) Arrive(data []byte) {
 		return
 	}
 	if n.fifoBytes+len(data) > n.fifoCap {
-		n.Drops++
 		n.sys.recordDrop(CausePCIe, len(data))
 		n.fifoGauge.overflow()
 		return
@@ -137,8 +134,6 @@ func (n *rssNIC) land(data []byte, arrival sim.Time) {
 	r := n.ringOf(data)
 	ring := &n.rings[r]
 	if len(ring.pkts) >= n.sys.Costs.RSSRingSlots {
-		ring.drops++
-		n.Drops++
 		// Attribute the overflow: a ring that filled while the servicer
 		// was deliberately leaving packets behind (budget/burst cap hit
 		// with more queued) overflowed because of the batching limit.
@@ -175,10 +170,7 @@ func (n *rssNIC) popBurst(r, max int) []kpkt {
 		ring.deferred = false
 		return nil
 	}
-	batch := make([]kpkt, count)
-	copy(batch, ring.pkts[:count])
-	copy(ring.pkts, ring.pkts[count:])
-	ring.pkts = ring.pkts[:len(ring.pkts)-count]
+	batch := popFront(&ring.pkts, count)
 	ring.deferred = len(ring.pkts) > 0
 	ring.delivered += uint64(count)
 	n.Delivered += uint64(count)

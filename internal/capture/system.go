@@ -19,19 +19,10 @@ type Source interface {
 
 // stack is the OS-specific half of the receive path.
 type stack interface {
-	// irqCost prices the interrupt-context work for one packet (beyond
-	// the shared driver cost) and may precompute state passed to irqDone.
-	irqCost(data []byte) (fixedNS, memBytes float64, aux any)
-	// irqDone applies the interrupt-context state change when the task
-	// completes (enqueue, copy into buffers, wakeups, drops).
-	irqDone(data []byte, aux any)
 	// appStart kicks (or resumes) an application's read loop.
 	appStart(a *App)
 	// pending reports whether the stack still holds undelivered packets.
 	pending() bool
-	// dropStats returns per-application buffer drops and (Linux) input
-	// queue drops.
-	dropStats() (perApp []uint64, queue uint64)
 	// reset clears all per-run state so the System can run another train.
 	reset()
 	// remnants inventories the packets still queued inside the stack when
@@ -192,9 +183,11 @@ func NewSystem(cfg Config) *System {
 		s.stack = st
 		s.rss.kick = st
 	case cfg.OS == Linux:
-		s.stack = newLinuxStack(s)
+		st := newLinuxStack(s)
+		s.stack, s.NIC.irq = st, st
 	case cfg.OS == FreeBSD:
-		s.stack = newBSDStack(s)
+		st := newBSDStack(s)
+		s.stack, s.NIC.irq = st, st
 	default:
 		panic(fmt.Sprintf("capture: unknown OS %d", cfg.OS))
 	}
@@ -284,8 +277,7 @@ func (s *System) quiescent() bool {
 		return false
 	}
 	for _, a := range s.apps {
-		if a.state == stRunning || a.state == stBlockedDisk ||
-			a.state == stBlockedPipe || a.state == stBlockedWorkers {
+		if a.busy() {
 			return false
 		}
 		if a.pipe != nil && (a.pipe.buf > 0 || a.pipe.busy) {
@@ -502,11 +494,7 @@ func (s *System) recordRemnants() {
 }
 
 func (s *System) collectStats(generated uint64) Stats {
-	st := Stats{
-		Generated: generated,
-		NICDrops:  s.nicDrops(),
-		CPUCount:  len(s.Machine.CPUs),
-	}
+	st := Stats{Generated: generated, CPUCount: len(s.Machine.CPUs)}
 	st.WallTime = s.genEnd - s.runStart
 	st.BusyByCPU = append([][sim.NumPrio]sim.Time(nil), s.busyAtGenEnd...)
 	for _, by := range st.BusyByCPU {
@@ -535,7 +523,6 @@ func (s *System) collectStats(generated uint64) Stats {
 			st.AppFlows = append(st.AppFlows, uint64(len(a.flowsKept)))
 		}
 	}
-	st.AppDrops, st.QueueDrops = s.stack.dropStats()
 	st.Stamped, st.TsErrSum, st.TsErrMax, st.TsTies = s.tsStamped, s.tsErrSum, s.tsErrMax, s.tsTies
 	return st
 }
@@ -547,15 +534,6 @@ func (s *System) arrive(data []byte) {
 		return
 	}
 	s.NIC.Arrive(data)
-}
-
-// nicDrops is the aggregate NIC-level drop count of whichever NIC the
-// system has.
-func (s *System) nicDrops() uint64 {
-	if s.rss != nil {
-		return s.rss.Drops
-	}
-	return s.NIC.Drops
 }
 
 // RingDelivered exposes the per-ring delivery counts of the RSS NIC (nil

@@ -16,7 +16,9 @@
 //     backoff — the shape of the cell engine's fault supervision — and a
 //     cell that exhausts its dispatch budget is run locally by the
 //     coordinator, so a campaign always terminates even if every worker
-//     is hostile.
+//     is hostile. Once no worker has called for the straggler window,
+//     every undone cell runs locally too: a campaign whose workers are
+//     all gone terminates as well.
 //   - A lease that lives past the straggler threshold (its worker
 //     heartbeats but never finishes) is speculatively re-dispatched to a
 //     healthy worker; whichever copy finishes first wins.
@@ -149,7 +151,7 @@ type workerState struct {
 	expired     int
 	quarantined bool
 	completed   uint64
-	lastBeat    time.Duration
+	lastCall    time.Duration // coordinator clock of its last Lease, Heartbeat or Complete
 }
 
 // lease is one outstanding grant.
@@ -259,7 +261,35 @@ func (c *Coordinator) straggler() time.Duration {
 	if c.Straggler > 0 {
 		return c.Straggler
 	}
-	return 8 * c.ttl()
+	return stragglerTTLs * c.ttl()
+}
+
+// stragglerTTLs is the default straggler window in lease TTLs. It is also
+// how long the coordinator waits without any worker call before it runs
+// the cells still undone itself.
+const stragglerTTLs = 8
+
+// abandonedLocked returns the undone cells of st once no worker has
+// called for the straggler window, counted from the coordinator's
+// creation (clock zero) before the first call; nil before that. Cells
+// never leased never expire into the retry-budget fallback, so without
+// this a campaign whose workers are all gone would wait forever. Each
+// cell is returned once: runLocal finalizes it. Callers hold c.mu.
+func (c *Coordinator) abandonedLocked(st *activeSet) []int {
+	var last time.Duration
+	for _, ws := range c.workers {
+		last = max(last, ws.lastCall)
+	}
+	if st.remaining == 0 || c.now()-last < stragglerTTLs*c.ttl() {
+		return nil
+	}
+	var idxs []int
+	for i, done := range st.done {
+		if !done {
+			idxs = append(idxs, i)
+		}
+	}
+	return idxs
 }
 
 func (c *Coordinator) backoff() time.Duration {
@@ -491,13 +521,18 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 	for {
 		c.mu.Lock()
 		c.sweepLocked()
-		locals := st.exhausted
+		locals, why := st.exhausted, "retry budget exhausted"
 		st.exhausted = nil
+		if len(locals) == 0 {
+			if locals = c.abandonedLocked(st); locals != nil {
+				why = fmt.Sprintf("no worker call for %s", stragglerTTLs*c.ttl())
+			}
+		}
 		rem := st.remaining
 		c.mu.Unlock()
 
 		if len(locals) > 0 {
-			c.runLocal(ctx, st, locals)
+			c.runLocal(ctx, st, locals, why)
 			continue
 		}
 		if rem == 0 {
@@ -610,6 +645,7 @@ func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease,
 	if ws.quarantined {
 		return nil, &quarantinedError{worker: worker}
 	}
+	ws.lastCall = c.now()
 	st := c.cur
 	if st == nil {
 		return nil, nil
@@ -676,7 +712,7 @@ func (c *Coordinator) Heartbeat(worker string) {
 			l.deadline = now + c.ttl()
 		}
 	}
-	c.workerLocked(worker).lastBeat = now
+	c.workerLocked(worker).lastCall = now
 }
 
 // Complete ingests a worker's outcomes for a lease. The first
@@ -711,6 +747,7 @@ func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs 
 		l = nil
 	}
 	ws := c.workerLocked(worker)
+	ws.lastCall = c.now()
 	if st != nil {
 		for _, r := range recs {
 			if !r.Out.OK {
@@ -783,10 +820,11 @@ func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs 
 	return err
 }
 
-// runLocal measures budget-exhausted cells on the coordinator itself:
-// the guarantee that a campaign terminates even if every worker keeps
-// losing leases.
-func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
+// runLocal measures cells on the coordinator itself — those past their
+// retry budget, or every undone cell once no worker calls any more (why
+// names which): the guarantee that a campaign terminates even if every
+// worker keeps losing leases or is gone.
+func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int, why string) {
 	cells := make([]core.Cell, len(idxs))
 	ids := make([]core.CellID, len(idxs))
 	keys := make([]core.CellKey, len(idxs))
@@ -798,7 +836,7 @@ func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int) {
 	c.stats.LocalCells += uint64(len(idxs))
 	c.mu.Unlock()
 	c.observe(core.Event{Kind: core.EventRetry, Experiment: st.experiment, Worker: "coordinator",
-		Detail: fmt.Sprintf("retry budget exhausted: running %d cells locally", len(idxs))})
+		Detail: fmt.Sprintf("%s: running %d cells locally", why, len(idxs))})
 	outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: c.LocalWorkers, Feeds: st.feeds})
 	for bi, i := range idxs {
 		c.mu.Lock()

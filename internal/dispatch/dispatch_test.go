@@ -399,6 +399,68 @@ func TestRetryBudgetExhaustedRunsLocally(t *testing.T) {
 	}
 }
 
+// TestNoWorkerRunsCellsLocally pins the fallback for a campaign whose
+// workers are all gone (or never came): cells that were never leased
+// never expire, so once no worker has called for the straggler window the
+// coordinator measures every undone cell itself.
+func TestNoWorkerRunsCellsLocally(t *testing.T) {
+	clk := &fakeClock{}
+	c := newTestCoordinator(t, clk)
+	cells, ids := testCells(3)
+	col := newCollector()
+	wait := execute(t, c, cells, ids, col)
+
+	clk.advance(stragglerTTLs * c.LeaseTTL)
+	for i, err := range wait() {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	for i := range cells {
+		if col.workers[i] != "coordinator" || col.counts[i] != 1 {
+			t.Fatalf("cell %d: worker=%q counts=%d, want coordinator/1", i, col.workers[i], col.counts[i])
+		}
+	}
+	if st := c.Stats(); st.LocalCells != uint64(len(cells)) {
+		t.Fatalf("local cells = %d, want %d", st.LocalCells, len(cells))
+	}
+}
+
+// TestHeartbeatKeepsCellsRemote: a worker that heartbeats a live lease
+// past the idle window is still there, so its cells stay remote.
+func TestHeartbeatKeepsCellsRemote(t *testing.T) {
+	clk := &fakeClock{}
+	c := newTestCoordinator(t, clk)
+	cells, ids := testCells(2)
+	col := newCollector()
+	wait := execute(t, c, cells, ids, col)
+
+	l := mustLease(t, c, "slow", 8)
+	if l == nil || len(l.Keys) != 2 {
+		t.Fatalf("lease = %+v, want both cells", l)
+	}
+	for i := 0; i < 2*stragglerTTLs+2; i++ {
+		clk.advance(c.LeaseTTL / 2)
+		c.Heartbeat("slow")
+	}
+	c.mu.Lock()
+	abandoned := c.abandonedLocked(c.cur)
+	c.mu.Unlock()
+	if abandoned != nil {
+		t.Fatalf("cells %v taken for a local run while the worker heartbeats", abandoned)
+	}
+	completeAll(t, c, "slow", l)
+	wait()
+	for i := range cells {
+		if col.workers[i] != "slow" {
+			t.Fatalf("cell %d finalized by %q, want the worker", i, col.workers[i])
+		}
+	}
+	if st := c.Stats(); st.LocalCells != 0 {
+		t.Fatalf("local cells = %d, want 0", st.LocalCells)
+	}
+}
+
 func TestQuarantineAfterRepeatedExpiry(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)

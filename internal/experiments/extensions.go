@@ -320,7 +320,7 @@ func modernExpt() Experiment {
 		func(out *strings.Builder, x float64, system string, st capture.Stats) {
 			nicPct := 0.0
 			if st.Generated > 0 {
-				nicPct = float64(st.NICDrops) / float64(st.Generated) * 100
+				nicPct = float64(st.Ledger.NICPackets()) / float64(st.Generated) * 100
 			}
 			fmt.Fprintf(out, "%s\t%s\t%6.2f\t%6.2f\t%6.2f\n",
 				core.FormatRate(x), system, st.CaptureRate(), st.CPUUsage(), nicPct)

@@ -160,11 +160,11 @@ func TestCounterDeltaSingleWrap(t *testing.T) {
 	cases := []struct {
 		before, after, want uint64
 	}{
-		{wrap - 1, 0, 1},           // lands exactly on the wrap
-		{wrap - 1, wrap - 1, 0},    // no movement at the edge
-		{wrap - 100, 50, 150},      // crosses it mid-delta
-		{0, wrap - 1, wrap - 1},    // full range, no wrap
-		{123, 456, 333},            // plain case
+		{wrap - 1, 0, 1},        // lands exactly on the wrap
+		{wrap - 1, wrap - 1, 0}, // no movement at the edge
+		{wrap - 100, 50, 150},   // crosses it mid-delta
+		{0, wrap - 1, wrap - 1}, // full range, no wrap
+		{123, 456, 333},         // plain case
 	}
 	for _, c := range cases {
 		if got := CounterDelta(c.after%wrap, c.before%wrap); got != c.want {
