@@ -208,8 +208,12 @@ func TestOverloadDropsAndLivelock(t *testing.T) {
 	if r := st.CaptureRate(); r > 40 {
 		t.Fatalf("capture rate %.2f%% under zlib-9 overload, want heavy loss", r)
 	}
-	if total, _ := st.Ledger.Total(); total == 0 {
-		t.Fatal("no drops recorded despite overload")
+	// Overload loss must be booked as NIC or buffer drops, not as, say,
+	// abandoned remnants.
+	l := st.Ledger
+	if l.NICPackets()+l.Drops[CauseBacklog].Packets+l.Drops[CauseRcvbuf].Packets+
+		l.Drops[CauseBPFBuf].Packets == 0 {
+		t.Fatal("no NIC or buffer drops recorded despite overload")
 	}
 	if got := st.CaptureRate(); math.IsNaN(got) {
 		t.Fatal("NaN capture rate")

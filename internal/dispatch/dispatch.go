@@ -128,7 +128,7 @@ type Stats struct {
 	Expired      uint64 // leases expired (missed heartbeats / dead worker)
 	Redispatched uint64 // straggler leases speculatively re-dispatched
 	Duplicates   uint64 // duplicate cell completions (resolved last-write-wins)
-	LocalCells   uint64 // cells run locally after the retry budget
+	LocalCells   uint64 // cells run locally: past the retry budget, or with no worker left
 	Completed    uint64 // cells finalized (first completion wins)
 }
 
@@ -274,7 +274,9 @@ const stragglerTTLs = 8
 // creation (clock zero) before the first call; nil before that. Cells
 // never leased never expire into the retry-budget fallback, so without
 // this a campaign whose workers are all gone would wait forever. Each
-// cell is returned once: runLocal finalizes it. Callers hold c.mu.
+// cell is returned once: runLocal finalizes it, and the dispatch queue is
+// emptied so that a worker coming back during that run cannot lease it
+// again. Callers hold c.mu.
 func (c *Coordinator) abandonedLocked(st *activeSet) []int {
 	var last time.Duration
 	for _, ws := range c.workers {
@@ -289,6 +291,7 @@ func (c *Coordinator) abandonedLocked(st *activeSet) []int {
 			idxs = append(idxs, i)
 		}
 	}
+	st.pending = st.pending[:0]
 	return idxs
 }
 

@@ -426,6 +426,40 @@ func TestNoWorkerRunsCellsLocally(t *testing.T) {
 	}
 }
 
+// TestReturningWorkerGetsNoLocalCells: cells handed to the coordinator's
+// own run leave the dispatch queue, so a worker that comes back while that
+// run is under way cannot lease and measure them a second time.
+func TestReturningWorkerGetsNoLocalCells(t *testing.T) {
+	clk := &fakeClock{}
+	c := newTestCoordinator(t, clk)
+	cells, ids := testCells(3)
+	var (
+		once    sync.Once
+		late    *GrantedLease
+		lateErr error
+	)
+	done := func(i int, st *capture.Stats, worker string) error {
+		once.Do(func() { late, lateErr = c.Lease("late", c.Fingerprint, 8) })
+		return nil
+	}
+	ch := make(chan []error, 1)
+	go func() { ch <- c.ExecuteCells(context.Background(), "exp", cells, ids, done) }()
+	waitActive(t, c)
+
+	clk.advance(stragglerTTLs * c.LeaseTTL)
+	for i, err := range <-ch {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	if lateErr != nil || late != nil {
+		t.Fatalf("returning worker leased %+v (err %v) during the local run", late, lateErr)
+	}
+	if st := c.Stats(); st.Granted != 0 || st.Duplicates != 0 || st.LocalCells != uint64(len(cells)) {
+		t.Fatalf("stats = %+v, want no grants or duplicates and %d local cells", st, len(cells))
+	}
+}
+
 // TestHeartbeatKeepsCellsRemote: a worker that heartbeats a live lease
 // past the idle window is still there, so its cells stay remote.
 func TestHeartbeatKeepsCellsRemote(t *testing.T) {
