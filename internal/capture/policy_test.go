@@ -38,6 +38,41 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParsePolicy: ParsePolicy never panics, and an accepted spec's
+// String() is canonical — it re-parses to a spec that renders the same
+// string and agrees on Enabled(). The campaign fingerprint hashes that
+// canonical form, so two spellings of one policy must not diverge. An
+// enabled spec must also name a shed cause and build a sampler.
+func FuzzParsePolicy(f *testing.F) {
+	for _, seed := range []string{"none", "uniform:4", "flow:16", "adaptive", "adaptive:0.7",
+		"adaptive:nan", "uniform:0", "none:", "adaptive:0x1p-2", " flow:7 "} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParsePolicy(in)
+		if err != nil {
+			return
+		}
+		canon := spec.String()
+		again, err := ParsePolicy(canon)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q) = %+v renders %q, which does not re-parse: %v", in, spec, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("ParsePolicy(%q): canonical form %q re-renders as %q", in, canon, got)
+		}
+		if again.Enabled() != spec.Enabled() {
+			t.Fatalf("ParsePolicy(%q): Enabled %v, re-parsed %v", in, spec.Enabled(), again.Enabled())
+		}
+		if spec.Enabled() {
+			_ = spec.Cause() // panics on a policy without a shed cause
+			if spec.newSampler() == nil {
+				t.Fatalf("ParsePolicy(%q) = %+v is enabled but builds no sampler", in, spec)
+			}
+		}
+	})
+}
+
 // TestPolicyCauses: each enabled policy books under its own distinct shed
 // cause; the causes are per-application (not shared), render their wire
 // names, and report Shed() — the property the conservation check and the

@@ -120,6 +120,14 @@ type Workload struct {
 	GenCostNS float64
 }
 
+// Rep returns the workload of repetition rep of a point: the thesis
+// repeats each point with distinct packet trains, so successive
+// repetitions' seeds are spaced apart by a fixed stride.
+func (w Workload) Rep(rep int) Workload {
+	w.Seed += uint64(rep) * 7919
+	return w
+}
+
 // scale is the time-compression factor of a run relative to the thesis's
 // 1M-packet runs. Buffer capacities and OS time constants scale linearly
 // with run length so that a 50k-packet run reproduces the drop dynamics of

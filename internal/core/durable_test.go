@@ -306,6 +306,28 @@ func TestRunChaosCancelLeavesUnresolved(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestRunChaosPreCancelledMeasuresNothing: a supervised campaign whose
+// context is cancelled before it starts spends no attempt, quarantines
+// nothing and records nothing — every cell stays unresolved, carrying the
+// cancellation.
+func TestRunChaosPreCancelledMeasuresNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := Workload{Packets: 800, Seed: 3}
+	cells := []Cell{{Cfg: Swan(), W: w}, {Cfg: Moorhen(), W: w}}
+	j := newMemJournal()
+	outs, errs := Run(ctx, cells, cellIDs(len(cells)),
+		Options{Experiment: "rates", Journal: j, Chaos: faults.DefaultPlan(1)})
+	for i, o := range outs {
+		if o.OK || o.Quarantined || o.Attempts != 0 || !IsCancel(errs[i]) {
+			t.Fatalf("cell %d of a pre-cancelled campaign: %+v (error %v)", i, o, errs[i])
+		}
+	}
+	if len(j.m) != 0 {
+		t.Fatalf("journal holds %d records after a pre-cancelled campaign", len(j.m))
+	}
+}
+
 // serialExecutor is a CellExecutor that runs every cell it receives in
 // order and counts its calls.
 type serialExecutor struct{ calls [][]CellID }

@@ -48,9 +48,10 @@ const (
 	// EventQuarantine: a cell exhausted its retry budget without a valid
 	// run — its final outcome (Outcome set, Quarantined) is as recorded.
 	EventQuarantine
-	// EventSnifferDead: the fault model declared a sniffer dead for an
-	// attempt (fault supervision), or the testbed supervisor struck a
-	// persistently silent sniffer from the expected set.
+	// EventSnifferDead: the fault model drew a dead sniffer for a cell
+	// attempt (fault supervision). A dead sniffer stays dead for the whole
+	// point, so every attempt of its cells emits one and the cells end
+	// quarantined.
 	EventSnifferDead
 	// EventCheckpoint: the campaign journal durably recorded a cell.
 	EventCheckpoint

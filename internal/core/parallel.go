@@ -27,10 +27,6 @@ import (
 	"repro/internal/faults"
 )
 
-// repSeedStride separates the seeds of successive repetitions of one point
-// (the thesis repeats each point with distinct packet trains).
-const repSeedStride = 7919
-
 // Cell is one independent measurement: one system fed one workload.
 type Cell struct {
 	Cfg capture.Config
@@ -419,9 +415,8 @@ func sweepCells(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int
 	ids := make([]CellID, 0, len(ratesMbit)*reps*len(cfgs))
 	for _, r := range ratesMbit {
 		for rep := 0; rep < reps; rep++ {
-			wl := w
+			wl := w.Rep(rep)
 			wl.TargetRate = r * 1e6
-			wl.Seed = w.Seed + uint64(rep)*repSeedStride
 			for _, cfg := range cfgs {
 				cells = append(cells, Cell{Cfg: cfg, W: wl})
 				ids = append(ids, CellID{Point: pointKey(r), Rep: rep})

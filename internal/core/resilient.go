@@ -290,19 +290,3 @@ func FormatChaos(series []Series) string {
 	}
 	return out.String()
 }
-
-// ChaosTotals sums the supervisor bookkeeping over a set of series — the
-// one-line summary the CLI prints after a chaos run.
-func ChaosTotals(series []Series) (attempts, quarantined, rejected, degraded int) {
-	for _, s := range series {
-		for _, p := range s.Points {
-			attempts += p.Attempts
-			quarantined += p.Quarantined
-			rejected += p.Rejected
-			if p.Degraded {
-				degraded++
-			}
-		}
-	}
-	return
-}

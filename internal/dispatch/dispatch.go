@@ -85,13 +85,17 @@ type Record struct {
 	Out core.CellOutcome `json:"out"`
 }
 
+// alignHint names the flags that enter the campaign fingerprint
+// (experiments.Fingerprint), for both sides' mismatch refusals.
+const alignHint = "align -packets/-reps/-seed/-rates/-policy/-rings"
+
 // FingerprintError is the coordinator-side refusal of a worker whose
 // options hash to a different campaign fingerprint.
 type FingerprintError struct{ Want, Got string }
 
 func (e *FingerprintError) Error() string {
-	return fmt.Sprintf("dispatch: campaign fingerprint mismatch: coordinator has %.12s…, worker offered %.12s… (align -packets/-reps/-seed/-rates/-policy)",
-		e.Want, e.Got)
+	return fmt.Sprintf("dispatch: campaign fingerprint mismatch: coordinator has %.12s…, worker offered %.12s… (%s)",
+		e.Want, e.Got, alignHint)
 }
 
 // ErrQuarantined refuses a worker that lost too many leases.

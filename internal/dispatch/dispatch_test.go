@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -672,6 +673,38 @@ func TestWorkerFingerprintMismatchHTTP(t *testing.T) {
 	}
 	if got := c.Stats().Granted; got != 0 {
 		t.Fatalf("mismatched worker was granted %d leases, want 0", got)
+	}
+}
+
+// TestFingerprintRefusalNamesRings: a worker whose options differ from
+// the coordinator's only in Rings is refused on both sides of the
+// protocol with a hint that names -rings.
+func TestFingerprintRefusalNamesRings(t *testing.T) {
+	coordOpts := experiments.Options{Packets: 123, Reps: 1, Seed: 9}
+	workerOpts := coordOpts
+	workerOpts.Rings = []int{2}
+	coordFP, err := experiments.Fingerprint(coordOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerFP, err := experiments.Fingerprint(workerOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coordFP == workerFP {
+		t.Fatal("Rings does not enter the campaign fingerprint")
+	}
+
+	c := New("e2e", coordFP)
+	if _, err := c.Lease("w1", workerFP, 8); err == nil || !strings.Contains(err.Error(), "-rings") {
+		t.Errorf("coordinator refusal %v does not name -rings", err)
+	}
+	srv := httptest.NewServer(newMux(c))
+	defer srv.Close()
+	w := &Worker{ID: "tw", BaseURL: srv.URL, Options: workerOpts}
+	err = w.Run(context.Background())
+	if _, ok := err.(*FingerprintMismatchError); !ok || !strings.Contains(err.Error(), "-rings") {
+		t.Errorf("worker refusal %v does not name -rings", err)
 	}
 }
 

@@ -70,8 +70,8 @@ var defaultWorkerClient = &http.Client{Timeout: DefaultClientTimeout}
 type FingerprintMismatchError struct{ Mine, Theirs string }
 
 func (e *FingerprintMismatchError) Error() string {
-	return fmt.Sprintf("dispatch: refusing lease: coordinator campaign fingerprint %.12s… does not match this worker's options (%.12s…) — align -packets/-reps/-seed/-rates/-policy with the coordinator",
-		e.Theirs, e.Mine)
+	return fmt.Sprintf("dispatch: refusing lease: coordinator campaign fingerprint %.12s… does not match this worker's options (%.12s…) — %s with the coordinator",
+		e.Theirs, e.Mine, alignHint)
 }
 
 // Worker runs the lease-measure-complete loop against a coordinator.

@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -211,10 +210,3 @@ func (c *Campaign) Len() int {
 
 // Close flushes and closes the underlying journal file.
 func (c *Campaign) Close() error { return c.j.Close() }
-
-// Run executes one experiment under the campaign: a convenience for
-// drivers that resolve ctx and journal into the options in one place.
-func (c *Campaign) Run(ctx context.Context, e Experiment, o Options) string {
-	o.Ctx, o.Journal = ctx, c
-	return e.Run(o)
-}

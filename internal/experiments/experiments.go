@@ -18,7 +18,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/pktgen"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -741,15 +740,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// Spread reports the fairness criterion of §6.3.3 for a finished multi-app
-// run: the thesis's "deviation of about five percent under FreeBSD".
-// A run that generated nothing yields all-zero rates, not NaN from 0/0.
-func Spread(st capture.Stats) stats.Summary {
-	rates := make([]float64, len(st.AppCaptured))
-	for i, c := range st.AppCaptured {
-		rates[i] = stats.Percent(float64(c), float64(st.Generated))
-	}
-	return stats.Summarize(rates)
 }

@@ -2,59 +2,73 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/pktgen"
 	"repro/internal/sim"
 )
 
+// cellDraws is every draw of one cell attempt at one point across the
+// four thesis sniffers.
+type cellDraws struct {
+	stale bool
+	frac  float64
+	stall bool
+	sniff [4]SnifferFaults
+}
+
+func drawCells(p *Plan, point uint64, rep, attempt int) cellDraws {
+	d := cellDraws{stale: p.Stale(point, rep, attempt)}
+	d.frac, d.stall = p.Gen(point, rep, attempt)
+	for i, name := range []string{"swan", "snipe", "moorhen", "flamingo"} {
+		d.sniff[i] = p.Sniffer(name, point, rep, attempt)
+	}
+	return d
+}
+
 func TestFaultDrawsAreDeterministic(t *testing.T) {
 	p1 := DefaultPlan(42)
 	p2 := DefaultPlan(42)
-	sniffers := []string{"swan", "snipe", "moorhen", "flamingo"}
 	for rep := 0; rep < 20; rep++ {
 		for attempt := 0; attempt < 3; attempt++ {
-			a := p1.Cycle(7, rep, attempt, sniffers)
-			b := p2.Cycle(7, rep, attempt, sniffers)
-			if len(a.Events) != len(b.Events) {
-				t.Fatalf("rep %d attempt %d: %v vs %v", rep, attempt, a.Events, b.Events)
+			if a, b := drawCells(p1, 7, rep, attempt), drawCells(p2, 7, rep, attempt); a != b {
+				t.Fatalf("rep %d attempt %d: %+v vs %+v", rep, attempt, a, b)
 			}
-			for i := range a.Events {
-				if a.Events[i] != b.Events[i] {
-					t.Fatalf("event %d differs: %v vs %v", i, a.Events[i], b.Events[i])
-				}
-			}
+		}
+		if a, b := p1.LegSeed("swan", 7, rep), p2.LegSeed("swan", 7, rep); a != b {
+			t.Fatalf("rep %d: leg seeds %#x vs %#x", rep, a, b)
 		}
 	}
 }
 
 func TestFaultSeedChangesDraws(t *testing.T) {
-	sniffers := []string{"swan", "snipe", "moorhen", "flamingo"}
-	countEvents := func(seed uint64) int {
+	draws := func(seed uint64) (all []cellDraws, faulted int) {
 		p := DefaultPlan(seed)
-		n := 0
 		for rep := 0; rep < 50; rep++ {
-			n += len(p.Cycle(1, rep, 0, sniffers).Events)
+			d := drawCells(p, 1, rep, 0)
+			if d != (cellDraws{}) {
+				faulted++
+			}
+			all = append(all, d)
 		}
-		return n
+		return all, faulted
 	}
-	if countEvents(1) == 0 {
+	first, faulted := draws(1)
+	if faulted == 0 {
 		t.Fatal("default plan injected nothing over 50 cycles")
 	}
-	same := true
 	for seed := uint64(2); seed < 6; seed++ {
-		if countEvents(seed) != countEvents(1) {
-			same = false
+		if other, _ := draws(seed); !reflect.DeepEqual(other, first) {
+			return
 		}
 	}
-	if same {
-		t.Fatal("fault draws identical across 5 seeds")
-	}
+	t.Fatal("fault draws identical across 5 seeds")
 }
 
 func TestFaultPersistenceClasses(t *testing.T) {
 	p := DefaultPlan(0)
-	p.PHang, p.PCrash, p.PDead, p.PStale, p.PUnderrun, p.PStall, p.PTruncUsage = 0, 0, 0, 0, 0, 0, 0
+	p.PHang, p.PCrash, p.PDead, p.PStale, p.PUnderrun, p.PStall = 0, 0, 0, 0, 0, 0
 	p.PLegLoss = 1 // every (sniffer, point, rep) leg degraded
 	a0 := p.Sniffer("swan", 3, 2, 0)
 	a1 := p.Sniffer("swan", 3, 2, 1)
@@ -89,12 +103,8 @@ func TestFaultPersistenceClasses(t *testing.T) {
 
 func TestFaultNilPlanInjectsNothing(t *testing.T) {
 	var p *Plan
-	cf := p.Cycle(1, 0, 0, []string{"swan"})
-	if cf.Any() || cf.Sniffers != nil {
-		t.Fatalf("nil plan produced faults: %+v", cf)
-	}
-	if sf := p.Sniffer("swan", 1, 0, 0); sf != (SnifferFaults{}) {
-		t.Fatalf("nil plan produced sniffer faults: %+v", sf)
+	if d := drawCells(p, 1, 0, 0); d != (cellDraws{}) || p.LegSeed("swan", 1, 0) != 0 {
+		t.Fatalf("nil plan produced faults: %+v", d)
 	}
 }
 

@@ -1,68 +1,13 @@
-// Package stats provides the small aggregation helpers the measurement
-// harness uses: summaries over repetitions (the thesis repeats every
-// point seven times "to avoid outliers or unwanted influences") and
-// percentage utilities.
+// Package stats provides the robust statistics the measurement harness
+// applies across repetitions (the thesis repeats every point seven times
+// "to avoid outliers or unwanted influences"): the median, the median
+// absolute deviation, and the MAD outlier rejection built on them.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary describes a set of repeated measurements.
-type Summary struct {
-	N            int
-	Min, Max     float64
-	Mean         float64
-	Median       float64
-	StdDev       float64 // sample standard deviation
-	RelSpreadPct float64 // (max-min)/mean·100; the thesis's ±5 % fairness criterion
-}
-
-// Summarize computes a Summary over xs. An empty slice yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var sq float64
-		for _, x := range xs {
-			d := x - s.Mean
-			sq += d * d
-		}
-		s.StdDev = math.Sqrt(sq / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	if s.Mean != 0 {
-		s.RelSpreadPct = (s.Max - s.Min) / s.Mean * 100
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.2f avg=%.2f max=%.2f sd=%.2f", s.N, s.Min, s.Mean, s.Max, s.StdDev)
-}
 
 // Median returns the median of xs (0 for an empty slice). xs is not
 // modified.
@@ -117,20 +62,4 @@ func MADOutliers(xs []float64, k, floor float64) []bool {
 		}
 	}
 	return out
-}
-
-// Percent returns 100·part/total, or 0 when total is 0.
-func Percent(part, total float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return part / total * 100
-}
-
-// MbitPerSec converts bytes transferred in a duration (seconds) to Mbit/s.
-func MbitPerSec(bytes uint64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / seconds / 1e6
 }

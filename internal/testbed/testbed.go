@@ -28,7 +28,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/cpuprof"
-	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -91,8 +90,8 @@ func (sw *Switch) Count(frameLen int) {
 	sw.counters.OutOctets = (sw.counters.OutOctets + uint64(frameLen)) % counterWrap
 }
 
-// Preload sets the counters to a given state — the fault injector uses it
-// to start a cycle just below the 32-bit wrap.
+// Preload sets the counters to a given state, e.g. just below the 32-bit
+// wrap so the next cycle's deltas must cross it.
 func (sw *Switch) Preload(c SNMPCounters) { sw.counters = c }
 
 // ReadSNMP returns a snapshot of the counters (an SNMP GET of the ifTable
@@ -105,13 +104,6 @@ type SnifferResult struct {
 	Stats    capture.Stats
 	Usage    []cpuprof.Sample // the cpusage log of the run
 	UsageAvg cpuprof.Sample   // trimusage average over the busy window
-	// UsageShort marks a truncated cpusage log (the profiling run was cut
-	// before the busy window ended — a fault the supervisor retries).
-	UsageShort bool
-	// Degraded marks a run on a lossy splitter leg: the withheld frames
-	// are booked under fault-splitter in Stats.Ledger so the statistics
-	// balance, but the capturing rate reflects the impairment.
-	Degraded bool
 }
 
 // RunResult is one complete measurement cycle iteration.
@@ -125,10 +117,6 @@ type RunResult struct {
 	// cross-check in Verify.
 	GeneratedOctets uint64
 	Sniffers        []SnifferResult
-	// Expected lists the sniffers that were supposed to report. Empty
-	// means "whoever reported" — the legacy behaviour, kept so existing
-	// callers that build RunResult by hand verify unchanged.
-	Expected []string
 }
 
 // GeneratedBySwitch returns the ground-truth packet count for the run,
@@ -168,8 +156,7 @@ func (e *OctetMismatchError) Error() string {
 }
 
 // ShortfallError: a sniffer was offered fewer packets than the switch
-// forwarded — a degraded splitter leg (unless the loss is booked back
-// into the sniffer's ledger, which normalizes its Generated count).
+// forwarded.
 type ShortfallError struct {
 	Name          string
 	Offered, Want uint64
@@ -180,22 +167,11 @@ func (e *ShortfallError) Error() string {
 		e.Name, e.Offered, e.Want)
 }
 
-// MissingSnifferError: an expected sniffer reported no statistics at all
-// (hung or crashed capture process, dead host).
-type MissingSnifferError struct {
-	Name string
-}
-
-func (e *MissingSnifferError) Error() string {
-	return fmt.Sprintf("testbed: sniffer %s reported no statistics", e.Name)
-}
-
 // Verify checks the §3.2 requirement that "all generated packets are
 // indeed sent over the fiber": gen's statistics must agree with the
-// switch counters, every expected sniffer must have reported, and every
-// sniffer must have been offered that many packets. Failures come back as
-// typed errors (*CountMismatchError, *MissingSnifferError,
-// *ShortfallError) so the supervisor can tell fault classes apart.
+// switch counters, and every sniffer must have been offered that many
+// packets. Failures come back as typed errors (*CountMismatchError,
+// *OctetMismatchError, *ShortfallError).
 func (r RunResult) Verify() error {
 	if got := r.GeneratedBySwitch(); got != r.GeneratedFrames {
 		return &CountMismatchError{Switch: got, Gen: r.GeneratedFrames}
@@ -203,18 +179,6 @@ func (r RunResult) Verify() error {
 	if r.GeneratedOctets != 0 {
 		if got := r.OctetsBySwitch(); got != r.GeneratedOctets {
 			return &OctetMismatchError{Switch: got, Gen: r.GeneratedOctets}
-		}
-	}
-	for _, want := range r.Expected {
-		found := false
-		for _, s := range r.Sniffers {
-			if s.Name == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return &MissingSnifferError{Name: want}
 		}
 	}
 	for _, s := range r.Sniffers {
@@ -243,93 +207,32 @@ func New(w core.Workload) *Testbed {
 
 // RunCycle executes the measurement cycle once (one repetition, one data
 // rate): counters before, generation into all sniffers, counters after,
-// collection. The packet train is drawn once through the switch and
-// replayed identically into each sniffer — the splitter.
+// collection, verification. The packet train is drawn once through the
+// switch and replayed identically into each sniffer — the splitter.
 func (tb *Testbed) RunCycle(rep int) (RunResult, error) {
-	res := tb.RunCycleFaults(rep, faults.CycleFaults{})
-	if err := res.Verify(); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// RunCycleFaults executes one measurement-cycle attempt under an injected
-// fault assignment: counter preloads and stale reads on the switch,
-// underruns and stalls on gen, hangs/crashes/dead hosts, degraded
-// splitter legs and truncated cpusage logs on the sniffers. It does not
-// verify — a faulted cycle is expected to fail validation; the supervisor
-// calls Verify (plus its own usage checks) and decides between retry,
-// quarantine and degraded acceptance. A zero CycleFaults value runs the
-// clean cycle.
-func (tb *Testbed) RunCycleFaults(rep int, cf faults.CycleFaults) RunResult {
-	w := tb.Workload
-	w.Seed = tb.Workload.Seed + uint64(rep)*7919
-
-	if cf.WrapPreload {
-		// Park the port counters just below the Counter32 wrap so the
-		// delta computation is exercised across it — the octet counters
-		// too, which at high rates cross the wrap far sooner than the
-		// packet counters.
-		pre := tb.Switch.ReadSNMP()
-		pre.OutUcastPkts = counterWrap - uint64(w.Packets)/2 - 1
-		pre.InUcastPkts = pre.OutUcastPkts
-		pre.OutOctets = counterWrap - uint64(w.Packets) - 1
-		pre.InOctets = pre.OutOctets
-		tb.Switch.Preload(pre)
-	}
-
+	w := tb.Workload.Rep(rep)
 	res := RunResult{Rep: rep, CountersBefore: tb.Switch.ReadSNMP()}
-
 	// The switch port sees the train once, regardless of how many sniffers
-	// hang off the splitter. An underrunning (or mid-train stalling)
-	// generator puts only a fraction of the train on the fiber — but its
-	// own statistics still claim the full train; that lie is what the
-	// switch's ground truth exposes.
-	counter := w.Generator()
-	wire := capture.Source(counter)
-	if cf.Underrun > 0 && cf.Underrun < 1 {
-		wire = faults.NewTruncatedSource(wire, int(float64(w.Packets)*cf.Underrun))
-	}
-	sent := uint64(0)
-	var octets uint64
+	// hang off the splitter.
+	gen := w.Generator()
 	for {
-		p, ok := wire.Next()
+		p, ok := gen.Next()
 		if !ok {
 			break
 		}
-		sent++
-		octets += uint64(len(p.Data))
+		res.GeneratedOctets += uint64(len(p.Data))
 		tb.Switch.Count(len(p.Data))
 	}
-	res.GeneratedFrames = uint64(w.Packets)
-	if cf.Underrun <= 0 || cf.Underrun >= 1 {
-		res.GeneratedFrames = counter.Sent
-	}
-	// gen's byte statistics come from the frames it actually put on the
-	// wire; an underrunning generator's octet claim shrinks with the train
-	// (the frame-count lie above is what the switch exposes).
-	res.GeneratedOctets = octets
+	res.GeneratedFrames = gen.Sent
 	res.CountersAfter = tb.Switch.ReadSNMP()
-	if cf.StaleSNMP {
-		// The post-run SNMP GET returns the pre-run snapshot (agent-side
-		// caching): the delta reads zero.
-		res.CountersAfter = res.CountersBefore
-	}
-
 	for _, cfg := range tb.Sniffers {
-		sf := cf.Sniffers[cfg.Name]
-		if sf.Failed() {
-			// Hung, crashed or dead: stop.sh collects nothing.
-			continue
-		}
-		res.Sniffers = append(res.Sniffers, tb.runSniffer(cfg, w, cf, sf))
+		res.Sniffers = append(res.Sniffers, tb.runSniffer(cfg, w))
 	}
-	return res
+	return res, res.Verify()
 }
 
-func (tb *Testbed) runSniffer(cfg capture.Config, w core.Workload, cf faults.CycleFaults, sf faults.SnifferFaults) SnifferResult {
-	prepared := core.Prepare(cfg, w)
-	sys := capture.NewSystem(prepared)
+func (tb *Testbed) runSniffer(cfg capture.Config, w core.Workload) SnifferResult {
+	sys := capture.NewSystem(core.Prepare(cfg, w))
 	var sampler *cpuprof.Sampler
 	if tb.ProfileInterval > 0 {
 		scale := float64(w.Packets) / 1_000_000
@@ -343,36 +246,11 @@ func (tb *Testbed) runSniffer(cfg capture.Config, w core.Workload, cf faults.Cyc
 		sampler = cpuprof.Attach(sys, interval)
 	}
 	// Each sniffer replays the identical train: a fresh generator with the
-	// same seed is the splitter's second output leg. Generator faults hit
-	// every leg identically; a degraded leg additionally drops frames on
-	// this sniffer's fiber only.
-	src := capture.Source(w.Generator())
-	if cf.Underrun > 0 && cf.Underrun < 1 {
-		src = faults.NewTruncatedSource(src, int(float64(w.Packets)*cf.Underrun))
-	}
-	var lossy *faults.LossySource
-	if sf.LegLoss > 0 {
-		lossy = faults.NewLossySource(src, sf.LegSeed, sf.LegLoss)
-		src = lossy
-	}
-	st := sys.RunSource(src)
-	sr := SnifferResult{Name: cfg.Name, Stats: st}
-	if lossy != nil && lossy.Lost > 0 {
-		// Book the leg's loss so the sniffer's accounting balances against
-		// the switch; the capturing rate keeps the impairment.
-		sr.Stats.BookFaultLoss(capture.CauseFaultSplitter, lossy.Lost, lossy.LostBytes, lossy.LastAt)
-		sr.Degraded = true
-	}
+	// same seed is the splitter's second output leg.
+	sr := SnifferResult{Name: cfg.Name, Stats: sys.RunSource(w.Generator())}
 	if sampler != nil {
-		samples := sampler.Samples
-		if sf.TruncateUsage && len(samples) > 0 {
-			// The cpusage log was cut mid-run (full disk, killed logger):
-			// only the first half survives.
-			samples = samples[:(len(samples)+1)/2]
-			sr.UsageShort = true
-		}
-		sr.Usage = samples
-		sr.UsageAvg = cpuprof.Summarize(cpuprof.Trim(samples, 95)).Avg
+		sr.Usage = sampler.Samples
+		sr.UsageAvg = cpuprof.Summarize(cpuprof.Trim(sampler.Samples, 95)).Avg
 	}
 	return sr
 }

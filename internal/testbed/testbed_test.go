@@ -1,11 +1,14 @@
 package testbed
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -13,10 +16,14 @@ func small() core.Workload {
 	return core.Workload{Packets: 4000, TargetRate: 600e6, Seed: 1}
 }
 
-// wrapOnly injects only the SNMP counter preload: the switch starts the
-// cycle just below the 32-bit wrap.
-func wrapOnly() faults.CycleFaults {
-	return faults.CycleFaults{WrapPreload: true}
+// nearWrap parks the switch's port counters just below the Counter32
+// wrap, so the next cycle's packet and octet deltas both cross it.
+func nearWrap(tb *Testbed) {
+	n := uint64(tb.Workload.Packets)
+	pkts, octets := counterWrap-n/2-1, counterWrap-n-1
+	tb.Switch.Preload(SNMPCounters{
+		InUcastPkts: pkts, OutUcastPkts: pkts, InOctets: octets, OutOctets: octets,
+	})
 }
 
 func TestRunCycleVerifies(t *testing.T) {
@@ -144,6 +151,94 @@ func TestReportAndRates(t *testing.T) {
 	}
 }
 
+// TestFaultCounterWrapDelta is the regression test for the uint64
+// underflow in GeneratedBySwitch: with the switch's Counter32 entries
+// wrapping between the two SNMP reads, the naive subtraction returned
+// ~1.8×10¹⁹ instead of the true delta.
+func TestFaultCounterWrapDelta(t *testing.T) {
+	if d := CounterDelta(100, (uint64(1)<<32)-50); d != 150 {
+		t.Fatalf("wrapped delta = %d, want 150", d)
+	}
+	if d := CounterDelta(500, 200); d != 300 {
+		t.Fatalf("plain delta = %d, want 300", d)
+	}
+	var r RunResult
+	r.CountersBefore.OutUcastPkts = (uint64(1) << 32) - 1000
+	r.CountersAfter.OutUcastPkts = 3000
+	if got := r.GeneratedBySwitch(); got != 4000 {
+		t.Fatalf("GeneratedBySwitch across the wrap = %d, want 4000", got)
+	}
+
+	// End to end: preload the switch just below the wrap, run a full
+	// cycle, and the verification must still hold.
+	tb := New(small())
+	tb.Switch.Preload(SNMPCounters{
+		InUcastPkts: (uint64(1) << 32) - 2000, OutUcastPkts: (uint64(1) << 32) - 2000,
+	})
+	res, err := tb.RunCycle(0)
+	if err != nil {
+		t.Fatalf("wrapped cycle failed verification: %v", err)
+	}
+	if res.GeneratedBySwitch() != 4000 {
+		t.Fatalf("wrapped cycle counted %d", res.GeneratedBySwitch())
+	}
+	if res.CountersAfter.OutUcastPkts >= uint64(1)<<32 {
+		t.Fatalf("switch counter exceeded Counter32: %d", res.CountersAfter.OutUcastPkts)
+	}
+}
+
+// TestFaultVerifyErrorPaths covers the typed validation failures.
+func TestFaultVerifyErrorPaths(t *testing.T) {
+	// Switch/gen mismatch.
+	r := RunResult{GeneratedFrames: 10}
+	r.CountersAfter.OutUcastPkts = 9
+	var cm *CountMismatchError
+	if err := r.Verify(); !errors.As(err, &cm) || cm.Switch != 9 || cm.Gen != 10 {
+		t.Fatalf("count mismatch: %v", err)
+	}
+
+	// Sniffer offered fewer packets than the switch forwarded.
+	r = RunResult{GeneratedFrames: 10}
+	r.CountersAfter.OutUcastPkts = 10
+	sr := SnifferResult{Name: "swan"}
+	sr.Stats.Generated = 7
+	r.Sniffers = []SnifferResult{sr}
+	var sh *ShortfallError
+	if err := r.Verify(); !errors.As(err, &sh) || sh.Name != "swan" || sh.Offered != 7 {
+		t.Fatalf("shortfall: %v", err)
+	}
+
+	// Every sniffer offered the full train: the run verifies.
+	r.Sniffers[0].Stats.Generated = 10
+	if err := r.Verify(); err != nil {
+		t.Fatalf("consistent run failed verification: %v", err)
+	}
+}
+
+// TestFaultMeasurementAggregationHandlesMissingSniffer: hand-built
+// degraded measurements (one run missing a sniffer) aggregate without
+// panics or phantom entries.
+func TestFaultMeasurementAggregationHandlesMissingSniffer(t *testing.T) {
+	mk := func(name string, rate float64) SnifferResult {
+		sr := SnifferResult{Name: name}
+		sr.Stats.Generated = 100
+		sr.Stats.AppCaptured = []uint64{uint64(rate)}
+		return sr
+	}
+	m := Measurement{Runs: []RunResult{
+		{Rep: 0, Sniffers: []SnifferResult{mk("swan", 90), mk("moorhen", 95)}},
+		{Rep: 1, Sniffers: []SnifferResult{mk("swan", 91)}}, // moorhen missing
+	}}
+	rates := m.CaptureRates()
+	if len(rates["swan"]) != 2 || len(rates["moorhen"]) != 1 {
+		t.Fatalf("rates = %v", rates)
+	}
+	rep := m.Report()
+	if strings.Count(rep, "swan") != 2 || strings.Count(rep, "moorhen") != 1 {
+		t.Fatalf("report rows wrong:\n%s", rep)
+	}
+}
+
 func TestVerifyCatchesMismatch(t *testing.T) {
 	r := RunResult{GeneratedFrames: 10}
 	r.CountersAfter.OutUcastPkts = 9
@@ -208,12 +303,17 @@ func TestCounterDeltaNearMultiWrap(t *testing.T) {
 // the boundary and Verify must still pass.
 func TestOctetVerifyAcrossWrap(t *testing.T) {
 	tb := New(small())
-	res := tb.RunCycleFaults(0, wrapOnly())
+	nearWrap(tb)
+	res, err := tb.RunCycle(0)
+	if err != nil {
+		t.Fatalf("wrap-crossing cycle failed verification: %v", err)
+	}
 	if res.GeneratedOctets == 0 {
 		t.Fatal("cycle did not record gen's octet count")
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("wrap-crossing cycle failed verification: %v", err)
+	if res.CountersAfter.OutUcastPkts >= res.CountersBefore.OutUcastPkts ||
+		res.CountersAfter.OutOctets >= res.CountersBefore.OutOctets {
+		t.Fatalf("counters did not wrap: %+v → %+v", res.CountersBefore, res.CountersAfter)
 	}
 	if res.OctetsBySwitch() != res.GeneratedOctets {
 		t.Fatalf("octet ground truth %d != gen %d", res.OctetsBySwitch(), res.GeneratedOctets)
@@ -224,9 +324,13 @@ func TestOctetVerifyAcrossWrap(t *testing.T) {
 // typed OctetMismatchError once frames happen to agree.
 func TestOctetVerifyCatchesLoss(t *testing.T) {
 	tb := New(small())
-	res := tb.RunCycleFaults(0, wrapOnly())
+	nearWrap(tb)
+	res, err := tb.RunCycle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res.GeneratedOctets += 1000 // gen claims more bytes than the switch saw
-	err := res.Verify()
+	err = res.Verify()
 	if err == nil {
 		t.Fatal("octet mismatch accepted")
 	}
@@ -237,5 +341,37 @@ func TestOctetVerifyCatchesLoss(t *testing.T) {
 	res.GeneratedOctets = 0
 	if err := res.Verify(); err != nil {
 		t.Fatalf("octet check not gated on GeneratedOctets: %v", err)
+	}
+}
+
+// TestCycleGolden pins the clean measurement cycle end to end: the
+// per-run report and every sniffer's trimmed cpusage average over two
+// profiled repetitions. Set UPDATE_GOLDEN=1 to rewrite the file.
+func TestCycleGolden(t *testing.T) {
+	tb := New(small())
+	tb.ProfileInterval = 500 * sim.Millisecond
+	m, err := tb.RunMeasurement(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(m.Report())
+	for _, run := range m.Runs {
+		for _, s := range run.Sniffers {
+			fmt.Fprintf(&b, "%d\t%s\t%+v\n", run.Rep, s.Name, s.UsageAvg)
+		}
+	}
+	golden := filepath.Join("testdata", "cycle.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("cycle drifted:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
 	}
 }
