@@ -86,7 +86,7 @@ func decodeFuzz(stack, apps, cpus uint8, ht bool, rings, buf, ring uint8,
 // generated configs and trains: the drop ledger balances and accounts for
 // the whole train, Stats round-trips through JSON exactly (the campaign
 // journal replays cells through it), and two fresh Systems fed the same
-// input agree exactly.
+// input agree exactly, as does a second run on one of them.
 func FuzzCaptureConservation(f *testing.F) {
 	type seedIn struct {
 		stack, apps, cpus uint8
@@ -143,10 +143,14 @@ func FuzzCaptureConservation(f *testing.F) {
 		if !reflect.DeepEqual(st, back) {
 			t.Fatalf("Stats changed across a JSON round trip:\n%+v\nvs\n%+v", st, back)
 		}
-		// A second fresh System: a reused one accepts only relative
-		// arrivals (RunWithArrivals).
-		if again := NewSystem(in.cfg).Run(in.gen()); !reflect.DeepEqual(st, again) {
+		// A second fresh System, and one System run twice: every run
+		// must agree exactly with the first.
+		reused := NewSystem(in.cfg)
+		if again := reused.Run(in.gen()); !reflect.DeepEqual(st, again) {
 			t.Fatalf("two fresh Systems diverged on one input:\n%+v\nvs\n%+v", st, again)
+		}
+		if second := reused.Run(in.gen()); !reflect.DeepEqual(st, second) {
+			t.Fatalf("a reused System diverged from a fresh one:\n%+v\nvs\n%+v", second, st)
 		}
 	})
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/pktgen"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestLedgerConservationMatrix checks, for every system under test crossed
@@ -176,10 +175,11 @@ func TestFaultLossConservation(t *testing.T) {
 }
 
 // TestSystemReuseIdentical is the regression test for stale per-run state
-// (accumulated busy counters, the RunWithArrivals gap index, user-task
-// placement weighing the previous run's kernel load, and the poll-mode
-// spins): a reused System fed the identical train must report identical
-// Stats, on the legacy stacks and the modern ones.
+// (accumulated busy counters, arrivals scheduled against the simulator's
+// absolute clock instead of the run start, user-task placement weighing
+// the previous run's kernel load, and the poll-mode spins): a reused
+// System fed the identical train must report identical Stats, on the
+// legacy stacks and the modern ones.
 func TestSystemReuseIdentical(t *testing.T) {
 	modern := func() *pktgen.Generator { return newModernGen(3000, 10000, 7) }
 	cases := []struct {
@@ -187,23 +187,21 @@ func TestSystemReuseIdentical(t *testing.T) {
 		cfg     Config
 		gen     func() *pktgen.Generator
 		packets int
-		meanGap float64
 	}{
-		{"swan", swanCfg(), func() *pktgen.Generator { return newGen(5000, 800, 7) }, 5000, 6000},
-		{"heron", modernCfg("heron", StackRSS, 1), modern, 3000, 600},
-		{"osprey", modernCfg("osprey", StackPoll, 1), modern, 3000, 600},
-		{"kite", modernCfg("kite", StackZeroCopy, 1), modern, 3000, 600},
+		{"swan", swanCfg(), func() *pktgen.Generator { return newGen(5000, 800, 7) }, 5000},
+		{"heron", modernCfg("heron", StackRSS, 1), modern, 3000},
+		{"osprey", modernCfg("osprey", StackPoll, 1), modern, 3000},
+		{"kite", modernCfg("kite", StackZeroCopy, 1), modern, 3000},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := scaled(c.cfg, c.packets)
-			gaps := trace.SelfSimilarArrivals(c.packets, c.meanGap, 16, 1.5, 9)
 
-			want := NewSystem(cfg).RunWithArrivals(c.gen(), gaps)
+			want := NewSystem(cfg).Run(c.gen())
 
 			reused := NewSystem(cfg)
-			first := reused.RunWithArrivals(c.gen(), gaps)
-			second := reused.RunWithArrivals(c.gen(), gaps)
+			first := reused.Run(c.gen())
+			second := reused.Run(c.gen())
 
 			if !reflect.DeepEqual(want, first) {
 				t.Fatalf("first run on reused system differs from fresh system:\n%+v\nvs\n%+v", first, want)

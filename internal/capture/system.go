@@ -11,7 +11,8 @@ import (
 // the canonical implementation; core.Feed replays a train recorded once —
 // the splitter semantics of Figure 3.1, where every sniffer sees the
 // byte-identical input. Reset rewinds the source to the start of its
-// train; Next returns packets in arrival order.
+// train; Next returns packets in arrival order, each stamped (At) with its
+// arrival time relative to the start of the run.
 type Source interface {
 	Reset()
 	Next() (pktgen.Packet, bool)
@@ -287,13 +288,6 @@ func (s *System) quiescent() bool {
 	return true
 }
 
-// RunWithArrivals is Run with the generator's pacing replaced by explicit
-// inter-arrival gaps (nanoseconds): packet i arrives at the cumulative sum
-// of gaps[:i+1]. Used for the self-similar-arrivals extension experiment.
-func (s *System) RunWithArrivals(gen *pktgen.Generator, gapsNS []int64) Stats {
-	return s.run(gen, gapsNS)
-}
-
 // Run feeds the generator's packet train into the NIC, lets the system
 // drain completely (the thesis stops the capturing applications only after
 // generation has finished and everything buffered has been read), and
@@ -302,10 +296,13 @@ func (s *System) Run(gen *pktgen.Generator) Stats {
 	return s.RunSource(gen)
 }
 
-// RunSource is Run for any packet source, e.g. a recorded splitter feed
-// replayed into several systems.
+// RunSource is Run for any packet source: a recorded splitter feed
+// replayed into several systems, or a source that re-times that feed
+// (self-similar arrivals). Each packet arrives at its At offset from the
+// start of the run, so a reused System replays any train exactly as a
+// fresh one does.
 func (s *System) RunSource(src Source) Stats {
-	return s.run(src, nil)
+	return s.run(src)
 }
 
 // resetRun clears every per-run counter and state machine so that a System
@@ -347,29 +344,10 @@ func (s *System) resetRun() {
 	}
 }
 
-// run executes one measurement. gapsNS, when non-nil, replaces the train's
-// own pacing with explicit inter-arrival gaps; the gap index is local to
-// this call, so a reused System starts its gap sequence from the beginning.
-func (s *System) run(src Source, gapsNS []int64) Stats {
+// run executes one measurement of the train src.
+func (s *System) run(src Source) Stats {
 	src.Reset()
 	s.resetRun()
-	gi := 0
-	arrivalAt := func(p pktgen.Packet) sim.Time {
-		if gapsNS == nil {
-			return p.At
-		}
-		var at sim.Time
-		if gi < len(gapsNS) {
-			at = s.Sim.Now() + sim.Time(gapsNS[gi])
-		} else {
-			at = p.At
-		}
-		gi++
-		if at <= s.Sim.Now() {
-			at = s.Sim.Now() + 1
-		}
-		return at
-	}
 	s.running = true
 	s.startHousekeeping()
 	// The applications open their capture sessions and enter their first
@@ -401,7 +379,7 @@ func (s *System) run(src Source, gapsNS []int64) Stats {
 			return
 		}
 		sent++
-		s.Sim.At(arrivalAt(p), func() {
+		s.Sim.At(s.runStart+p.At, func() {
 			s.arrive(p.Data)
 			feed()
 		})
@@ -548,6 +526,3 @@ func (s *System) RingDelivered() []uint64 {
 // Done reports whether the generation phase of the current run has ended
 // (profiling tools stop sampling at this point).
 func (s *System) Done() bool { return s.genDone }
-
-// Apps exposes the applications (read-only use in tests and experiments).
-func (s *System) Apps() []*App { return s.apps }

@@ -31,10 +31,11 @@ import (
 type Cell struct {
 	Cfg capture.Config
 	W   Workload
-	// Wrap, when non-nil, wraps the replayed feed before the run — the
-	// hook the fault-injection supervisor uses for degraded splitter legs
-	// and truncated generator trains (and tests use for failure hooks).
-	// The recorded feed itself stays shared and pristine.
+	// Wrap, when non-nil, wraps the replayed feed before the run: selfsim
+	// re-times its bursty cells' trains with self-similar gaps, the
+	// fault-injection supervisor adds degraded splitter legs and truncated
+	// generator trains on top, and tests use it for failure hooks. The
+	// recorded feed itself stays shared and pristine.
 	Wrap func(capture.Source) capture.Source
 }
 

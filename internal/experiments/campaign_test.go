@@ -37,50 +37,54 @@ func crashResume(t *testing.T, dir string, o Options) *Campaign {
 // TestCampaignResumeByteIdentical is the tentpole acceptance check at the
 // experiments layer: a campaign that crashed mid-run (torn journal tail)
 // and was resumed renders output byte-identical to an uninterrupted,
-// unjournaled run.
+// unjournaled run — for a rate sweep, and for selfsim, whose bursty cells
+// re-time the replayed train through Cell.Wrap under journal replay and
+// chaos supervision alike.
 func TestCampaignResumeByteIdentical(t *testing.T) {
-	e, err := Find("fig6.2-smp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chaos := range []uint64{0, 7} {
-		o := campaignOpts()
-		o.Chaos = chaos
-		clean := e.Run(o)
-
-		dir := t.TempDir()
-		c, err := CreateCampaign(dir, o)
+	for _, id := range []string{"fig6.2-smp", "selfsim"} {
+		e, err := Find(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oj := o
-		oj.Journal = c
-		if got := e.Run(oj); got != clean {
-			t.Fatalf("chaos=%d: journaled run differs from plain run", chaos)
-		}
-		recorded := c.Len()
-		if recorded == 0 {
-			t.Fatal("journaled run recorded no cells")
-		}
-		c.Close()
+		for _, chaos := range []uint64{0, 7} {
+			o := campaignOpts()
+			o.Chaos = chaos
+			clean := e.Run(o)
 
-		rc := crashResume(t, dir, o)
-		if !rc.Torn {
-			t.Fatal("half-truncated journal not reported torn")
+			dir := t.TempDir()
+			c, err := CreateCampaign(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oj := o
+			oj.Journal = c
+			if got := e.Run(oj); got != clean {
+				t.Fatalf("%s chaos=%d: journaled run differs from plain run", id, chaos)
+			}
+			recorded := c.Len()
+			if recorded == 0 {
+				t.Fatalf("%s: journaled run recorded no cells", id)
+			}
+			c.Close()
+
+			rc := crashResume(t, dir, o)
+			if !rc.Torn {
+				t.Fatalf("%s: half-truncated journal not reported torn", id)
+			}
+			if rc.Replayed == 0 || rc.Replayed >= recorded {
+				t.Fatalf("%s: crash recovery replayed %d of %d cells", id, rc.Replayed, recorded)
+			}
+			or := o
+			or.Journal = rc
+			if got := e.Run(or); got != clean {
+				t.Fatalf("%s chaos=%d: resumed run not byte-identical to uninterrupted run", id, chaos)
+			}
+			// The resumed run must have re-recorded the lost cells.
+			if rc.Len() != recorded {
+				t.Fatalf("%s: resumed campaign holds %d cells, want %d", id, rc.Len(), recorded)
+			}
+			rc.Close()
 		}
-		if rc.Replayed == 0 || rc.Replayed >= recorded {
-			t.Fatalf("crash recovery replayed %d of %d cells", rc.Replayed, recorded)
-		}
-		or := o
-		or.Journal = rc
-		if got := e.Run(or); got != clean {
-			t.Fatalf("chaos=%d: resumed run not byte-identical to uninterrupted run", chaos)
-		}
-		// The resumed run must have re-recorded the lost cells.
-		if rc.Len() != recorded {
-			t.Fatalf("resumed campaign holds %d cells, want %d", rc.Len(), recorded)
-		}
-		rc.Close()
 	}
 }
 

@@ -1,11 +1,12 @@
 // Cell enumeration: computing an experiment's measurement-cell space
 // without measuring anything. The dispatch protocol leases cells by
 // their durable CellKey only — a capture.Config carries closures (BPF
-// filters, fault wraps) and is deliberately not wire-safe — so both
-// sides re-derive the key → cell mapping locally. The derivation is the
-// experiment code itself: it is run with a capturing executor that
-// records the cells core.Run would have dispatched and returns without
-// running any. Cell layout is a pure function of the semantic Options
+// filters) and a Cell may carry a source wrap (selfsim's re-timed
+// trains), neither of which is wire-safe — so both sides re-derive the
+// key → cell mapping locally. The derivation is the experiment code
+// itself: its series form is run with a capturing executor that records
+// the cells core.Run would have dispatched and returns without running
+// any. Cell layout is a pure function of the semantic Options
 // fields, which is exactly what the campaign fingerprint hashes, so a
 // fingerprint match guarantees the coordinator and every worker
 // enumerate identical cells.
@@ -39,9 +40,10 @@ func (s *CellSet) Find(k core.CellKey) (int, bool) {
 func (s *CellSet) Len() int { return len(s.Cells) }
 
 // EnumerateCells computes the cell space of experiment id under o
-// without running a single measurement. Experiments that bypass the cell
-// engines (distribution plots, RunOnce-based extensions) yield an empty
-// set — they always run locally and are never leased. Chaos campaigns
+// without running a single measurement. Experiments without a series
+// form measure no capture cells (the distribution plots and the
+// generator and disk benchmarks): they yield an empty set without
+// running, always run locally and are never leased. Chaos campaigns
 // cannot be enumerated: their fault hooks are process-local closures.
 func EnumerateCells(id string, o Options) (*CellSet, error) {
 	e, err := Find(id)
@@ -61,14 +63,15 @@ func EnumerateCells(id string, o Options) (*CellSet, error) {
 	// cancellation, and certainly not a real executor.
 	o.Ctx, o.Journal, o.Observer = nil, nil, nil
 	o.Executor = cap
-	o.Why = false
-	e.Run(o)
+	if e.Series != nil {
+		e.Series(o)
+	}
 	return cap.set, nil
 }
 
 // capturingExecutor records the cells core.Run hands it and completes
-// none of them: the engine's aggregation sees zero statistics (its
-// rendered output is discarded) and its journal hook never fires.
+// none of them: the engine's aggregation sees zero statistics (the series
+// it returns are discarded) and its journal hook never fires.
 type capturingExecutor struct{ set *CellSet }
 
 func (c *capturingExecutor) ExecuteCells(ctx context.Context, experiment string, cells []core.Cell, ids []core.CellID, done func(int, *capture.Stats, string) error) []error {

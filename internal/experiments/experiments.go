@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/pktgen"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -217,7 +218,7 @@ func thesisExperiments() []Experiment {
 		sweepExpt("fig6.15-smp", "Figure 6.15b (19)", "memory-mapped libpcap on Linux, dual CPU", "mmap'd libpcap vs stock on Linux", mmapConfigs(dual)),
 		sweepExpt("fig6.16", "Figure 6.16 (42)", "Hyperthreading on the Intel systems", "Hyperthreading on vs off (Intel Xeon systems)", htConfigs),
 		sweepExpt("figB.1", "Figure B.1", "FreeBSD 5.2.1 vs 5.4", "FreeBSD 5.4 vs 5.2.1", osVersionConfigs),
-		expt("selfsim", "§2.5 (extension)", "self-similar vs paced arrivals: buffer absorption", runSelfSimilar),
+		selfSimExpt(),
 	}
 }
 
@@ -429,35 +430,56 @@ func systems(mods ...modifier) []capture.Config {
 }
 
 // cellSweep is the layout of a per-cell sweep — one cell per plotted
-// point, laid out x-major, system-minor — with the plotted x and the
-// point fingerprint (for the fault model and the campaign journal) of
-// each cell.
+// point, laid out x-major — with the plotted x and the point fingerprint
+// (for the fault model and the campaign journal) of each cell.
 type cellSweep struct {
 	cells []core.Cell
 	x     func(i int) float64
 	point func(i int) uint64
 }
 
+// axisCells lays a per-cell sweep out x-major: at(x) returns the cells
+// plotted at x (equally many for every x), and key fingerprints x.
+func axisCells(xs []float64, key func(x float64) uint64, at func(x float64) []core.Cell) cellSweep {
+	var cells []core.Cell
+	n := 0 // cells per x
+	for _, x := range xs {
+		col := at(x)
+		cells, n = append(cells, col...), len(col)
+	}
+	return cellSweep{cells: cells,
+		x:     func(i int) float64 { return xs[i/n] },
+		point: func(i int) uint64 { return key(xs[i/n]) }}
+}
+
+// milli fingerprints a point by its x value in thousandths.
+func milli(x float64) uint64 { return uint64(x * 1e3) }
+
+// column feeds every base the workload w: the cells of one plotted x.
+func column(bases []capture.Config, w core.Workload) []core.Cell {
+	cells := make([]core.Cell, len(bases))
+	for i, cfg := range bases {
+		cells[i] = core.Cell{Cfg: cfg, W: w}
+	}
+	return cells
+}
+
 // rateCells lays a per-cell data-rate sweep out rate-major over bases,
 // feeding each rate's column the workload w at that rate.
 func rateCells(rates []float64, w core.Workload, bases []capture.Config) cellSweep {
-	var cells []core.Cell
-	for _, r := range rates {
+	return axisCells(rates, milli, func(r float64) []core.Cell {
 		w.TargetRate = r * 1e6
-		for _, cfg := range bases {
-			cells = append(cells, core.Cell{Cfg: cfg, W: w})
-		}
-	}
-	nsys := len(bases)
-	return cellSweep{cells: cells,
-		x:     func(i int) float64 { return rates[i/nsys] },
-		point: func(i int) uint64 { return uint64(rates[i/nsys] * 1e3) }}
+		return column(bases, w)
+	})
 }
 
 // cellExpt builds a per-cell sweep experiment: layout lays out its cells
 // under the (defaulted) options, and the rendered table is header
-// followed by one row per cell, then the companion tables.
-func cellExpt(id, paper, title, header string, layout func(o Options) cellSweep, row func(out *strings.Builder, x float64, system string, st capture.Stats)) Experiment {
+// followed by one row per width consecutive cells, then the companion
+// tables. row renders a row from the statistics of its cells; x is the
+// row's plotted value and system the name of its first cell.
+func cellExpt(id, paper, title, header string, layout func(o Options) cellSweep, width int,
+	row func(out *strings.Builder, x float64, system string, sts []capture.Stats)) Experiment {
 	measure := func(o Options) (Options, cellSweep, []core.CellOutcome) {
 		o = o.withDefaults()
 		l := layout(o)
@@ -471,8 +493,12 @@ func cellExpt(id, paper, title, header string, layout func(o Options) cellSweep,
 		o, l, outs := measure(o)
 		var out strings.Builder
 		out.WriteString(header)
-		for i, c := range outs {
-			row(&out, l.x(i), l.cells[i].Cfg.Name, c.Stats)
+		sts := make([]capture.Stats, len(outs))
+		for i := range outs {
+			sts[i] = outs[i].Stats
+		}
+		for i := 0; i < len(sts); i += width {
+			row(&out, l.x(i), l.cells[i].Cfg.Name, sts[i:i+width])
 		}
 		if o.Why || o.Chaos != 0 {
 			out.WriteString(o.companions(cellSeries(l.cells, outs, l.x, o.Chaos != 0)))
@@ -489,28 +515,26 @@ func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
 	layout := func(o Options) cellSweep {
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 980e6}
 		bases := o.applyPolicy(systems(cpuMod))
-		var kbs []int
-		var cells []core.Cell
+		var kbs []float64
 		for kb := 128; kb <= 262144; kb *= 2 {
-			kbs = append(kbs, kb)
-			for _, cfg := range bases {
-				if cfg.OS == capture.Linux {
-					cfg.BufferBytes = kb << 10
-				} else {
-					cfg.BufferBytes = kb << 10 / 2
-				}
-				cells = append(cells, core.Cell{Cfg: cfg, W: w})
-			}
+			kbs = append(kbs, float64(kb))
 		}
-		nsys := len(bases)
-		return cellSweep{cells: cells,
-			x:     func(i int) float64 { return float64(kbs[i/nsys]) },
-			point: func(i int) uint64 { return uint64(kbs[i/nsys]) }}
+		kbKey := func(kb float64) uint64 { return uint64(kb) }
+		return axisCells(kbs, kbKey, func(kb float64) []core.Cell {
+			cells := column(bases, w)
+			for i := range cells {
+				cells[i].Cfg.BufferBytes = int(kb) << 10
+				if cells[i].Cfg.OS != capture.Linux {
+					cells[i].Cfg.BufferBytes /= 2
+				}
+			}
+			return cells
+		})
 	}
 	return cellExpt(id, paper, title,
 		"# capturing rate and CPU usage vs buffer size [kByte] at top rate\n# kB\tsystem\trate%\tcpu%\n",
-		layout, func(out *strings.Builder, x float64, system string, st capture.Stats) {
-			fmt.Fprintf(out, "%d\t%s\t%6.2f\t%6.2f\n", int(x), system, st.CaptureRate(), st.CPUUsage())
+		layout, 1, func(out *strings.Builder, x float64, system string, sts []capture.Stats) {
+			fmt.Fprintf(out, "%d\t%s\t%6.2f\t%6.2f\n", int(x), system, sts[0].CaptureRate(), sts[0].CPUUsage())
 		})
 }
 
@@ -526,40 +550,41 @@ func multiAppExpt(id, paper, title string, n int) Experiment {
 	}
 	return cellExpt(id, paper, title,
 		fmt.Sprintf("# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n# rate\tsystem\tworst%%\tavg%%\tbest%%\tcpu%%\n", n),
-		layout, func(out *strings.Builder, x float64, system string, st capture.Stats) {
-			wo, av, be := st.AppRates()
-			fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n", x, system, wo, av, be, st.CPUUsage())
+		layout, 1, func(out *strings.Builder, x float64, system string, sts []capture.Stats) {
+			wo, av, be := sts[0].AppRates()
+			fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\t%6.2f\t%6.2f\n", x, system, wo, av, be, sts[0].CPUUsage())
 		})
 }
+
+// variants returns each base followed by a copy named base+suffix with
+// vary applied: the paired columns of a with/without comparison.
+func variants(suffix string, vary modifier, bases ...capture.Config) []capture.Config {
+	var cfgs []capture.Config
+	for _, base := range bases {
+		v := vary(base)
+		v.Name += suffix
+		cfgs = append(cfgs, base, v)
+	}
+	return cfgs
+}
+
+func mmapPatch(cfg capture.Config) capture.Config { cfg.MmapPatch = true; return cfg }
 
 // mmapConfigs builds Figure 6.15's systems: the two Linux machines with
 // and without the memory-mapped libpcap.
 func mmapConfigs(cpuMod modifier) func() []capture.Config {
 	return func() []capture.Config {
-		var cfgs []capture.Config
-		for _, mk := range []func() capture.Config{core.Swan, core.Snipe} {
-			stock := bigBuffers(cpuMod(mk()))
-			patched := stock
-			patched.Name += "-mmap"
-			patched.MmapPatch = true
-			cfgs = append(cfgs, stock, patched)
-		}
-		return cfgs
+		return variants("-mmap", mmapPatch, bigBuffers(cpuMod(core.Swan())), bigBuffers(cpuMod(core.Snipe())))
 	}
 }
 
 // htConfigs builds Figure 6.16's systems: the Intel machines, SMP, HT on
 // and off.
 func htConfigs() []capture.Config {
-	var cfgs []capture.Config
-	for _, mk := range []func() capture.Config{core.Snipe, core.Flamingo} {
-		off := bigBuffers(dual(mk()))
-		on := off
-		on.Name += "-HT"
-		on.Hyperthreading = true
-		cfgs = append(cfgs, off, on)
-	}
-	return cfgs
+	return variants("-HT", func(cfg capture.Config) capture.Config {
+		cfg.Hyperthreading = true
+		return cfg
+	}, bigBuffers(dual(core.Snipe())), bigBuffers(dual(core.Flamingo())))
 }
 
 // osVersionConfigs builds Figure B.1's systems: FreeBSD 5.2.1 vs 5.4. The
@@ -567,18 +592,13 @@ func htConfigs() []capture.Config {
 // factor.
 func osVersionConfigs() []capture.Config {
 	const giantFactor = 1.35
-	var cfgs []capture.Config
-	for _, mk := range []func() capture.Config{core.Moorhen, core.Flamingo} {
-		v54 := bigBuffers(dual(mk()))
-		v521 := v54
-		v521.Name += "-5.2.1"
-		if v521.KernelCostFactor == 0 {
-			v521.KernelCostFactor = 1
+	return variants("-5.2.1", func(cfg capture.Config) capture.Config {
+		if cfg.KernelCostFactor == 0 {
+			cfg.KernelCostFactor = 1
 		}
-		v521.KernelCostFactor *= giantFactor
-		cfgs = append(cfgs, v54, v521)
-	}
-	return cfgs
+		cfg.KernelCostFactor *= giantFactor
+		return cfg
+	}, bigBuffers(dual(core.Moorhen())), bigBuffers(dual(core.Flamingo())))
 }
 
 // --- chapter 4 experiments ----------------------------------------------
@@ -685,54 +705,66 @@ func runBonnie(o Options) string {
 	return out.String()
 }
 
-// runSelfSimilar is the extension experiment motivated by §2.5: with the
+// selfSimExpt is the extension experiment motivated by §2.5: with the
 // same average rate, self-similar (bursty) arrivals overflow a buffer that
-// paced arrivals never touch.
-func runSelfSimilar(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# paced vs self-similar arrivals at equal average rate (swan, default buffers, 1 CPU)")
-	fmt.Fprintln(&out, "# rate\tpaced-rate%\tbursty-rate%")
-	for _, r := range []float64{200, 400, 600} {
-		paced := runArrival(o, r, false)
-		bursty := runArrival(o, r, true)
-		fmt.Fprintf(&out, "%.0f\t%6.2f\t%6.2f\n", r, paced, bursty)
-	}
-	return out.String()
-}
-
-func runArrival(o Options, rateMbit float64, bursty bool) float64 {
-	cfg := core.Prepare(single(core.Swan()), core.Workload{Packets: o.Packets})
-	sys := capture.NewSystem(cfg)
-	g := pktgen.New(o.Seed)
-	g.LoadDistribution(mwnDist())
-	g.Config.Count = o.Packets
-	g.Config.TargetRate = rateMbit * 1e6
-	if !bursty {
-		return sys.Run(g).CaptureRate()
-	}
-	// Bursty: reshape the paced train with self-similar gaps of the same
-	// mean.
-	meanGap := 645.0 * 8 / (rateMbit * 1e6) * 1e9
-	gaps := trace.SelfSimilarArrivals(o.Packets, meanGap, 16, 1.5, o.Seed)
-	st := sys.RunWithArrivals(g, gaps)
-	return st.CaptureRate()
-}
-
-var (
-	mwnOnce   sync.Once
-	mwnCached *dist.Distribution
-)
-
-func mwnDist() *dist.Distribution {
-	mwnOnce.Do(func() {
-		d, err := dist.Build(trace.MWNCounts(1_000_000), dist.DefaultParams())
-		if err != nil {
-			panic(err)
+// paced arrivals never touch. Both columns replay one paced train; the
+// bursty one re-times it.
+func selfSimExpt() Experiment {
+	layout := func(o Options) cellSweep {
+		paced := single(core.Swan())
+		bursty := paced
+		bursty.Name += "-bursty"
+		l := rateCells([]float64{200, 400, 600}, core.Workload{Packets: o.Packets, Seed: o.Seed},
+			[]capture.Config{paced, bursty})
+		for i := 1; i < len(l.cells); i += 2 {
+			// Self-similar gaps of the paced train's mean, seeded like the
+			// train: the superposition of 16 Pareto on/off sources with
+			// shape 1.5.
+			w := l.cells[i].W
+			l.cells[i].Wrap = func(src capture.Source) capture.Source {
+				meanGap := 645.0 * 8 / w.TargetRate * 1e9
+				return &retimed{src: src, gaps: trace.SelfSimilarArrivals(w.Packets, meanGap, 16, 1.5, w.Seed)}
+			}
 		}
-		mwnCached = d
-	})
-	return mwnCached
+		return l
+	}
+	return cellExpt("selfsim", "§2.5 (extension)", "self-similar vs paced arrivals: buffer absorption",
+		"# paced vs self-similar arrivals at equal average rate (swan, default buffers, 1 CPU)\n# rate\tpaced-rate%\tbursty-rate%\n",
+		layout, 2, func(out *strings.Builder, x float64, _ string, sts []capture.Stats) {
+			fmt.Fprintf(out, "%.0f\t%6.2f\t%6.2f\n", x, sts[0].CaptureRate(), sts[1].CaptureRate())
+		})
+}
+
+// retimed replays a train with its own pacing replaced by explicit
+// inter-arrival gaps (nanoseconds): the first packet arrives gaps[0] after
+// the run start and each later one its gap after the previous arrival,
+// never at or before it. Packets beyond the gaps keep their own time.
+type retimed struct {
+	src  capture.Source
+	gaps []int64
+	i    int
+	last sim.Time
+}
+
+func (r *retimed) Reset() {
+	r.src.Reset()
+	r.i, r.last = 0, 0
+}
+
+func (r *retimed) Next() (pktgen.Packet, bool) {
+	p, ok := r.src.Next()
+	if !ok {
+		return p, false
+	}
+	if r.i < len(r.gaps) {
+		p.At = r.last + sim.Time(r.gaps[r.i])
+		r.i++
+	}
+	if p.At <= r.last {
+		p.At = r.last + 1
+	}
+	r.last = p.At
+	return p, true
 }
 
 func abs(x float64) float64 {

@@ -18,13 +18,13 @@ func extensions() []Experiment {
 			"stock vs PACKET_MMAP vs ring stack (Linux, single CPU)", pfRingConfigs),
 		sweepExpt("ext-bsdmmap", "§7.2", "memory-mapped (zero-copy read) libpcap for FreeBSD",
 			"FreeBSD stock vs memory-mapped read (single CPU)", bsdMmapConfigs),
-		expt("ext-workers", "§7.2 / [DV04]", "multithreaded packet analysis on multiprocessors", runWorkers),
-		expt("ext-10gbe", "§7.2", "outlook: the same systems against 10 Gigabit Ethernet", run10GbE),
-		expt("ext-production", "§2.3/§4.1.4", "a production day on the MWN uplink (filter + flows + header traces)", runProduction),
-		expt("ext-moderation", "§2.2.1", "interrupt moderation: CPU relief vs timestamp accuracy", runModeration),
+		workersExpt(),
+		tenGbEExpt(),
+		productionExpt(),
+		moderationExpt(),
 		shedExpt(),
-		expt("abl-housekeeping", "model ablation", "default-buffer drop onset with and without OS housekeeping stalls", runAblHousekeeping),
-		expt("abl-contention", "model ablation", "Xeon front-side-bus contention on vs off under copy load", runAblContention),
+		housekeepingExpt(),
+		contentionExpt(),
 		modernExpt(),
 	}
 }
@@ -51,135 +51,119 @@ func pfRingConfigs() []capture.Config {
 // proposes: "since FreeBSD seems to perform better than Linux in general,
 // this could boost the capturing rates and reduce the CPU load" (§7.2).
 func bsdMmapConfigs() []capture.Config {
-	var cfgs []capture.Config
-	for _, mk := range []func() capture.Config{core.Moorhen, core.Flamingo} {
-		stock := bigBuffers(single(mk()))
-		mm := stock
-		mm.Name += "-mmap"
-		mm.MmapPatch = true
-		cfgs = append(cfgs, stock, mm)
-	}
-	return cfgs
+	return variants("-mmap", mmapPatch, bigBuffers(single(core.Moorhen())), bigBuffers(single(core.Flamingo())))
 }
 
-// runWorkers runs the heavy zlib-3 analysis load inline vs on two worker
+// pairRow renders a with/without row: x, the base system, and the
+// capturing rates of the base and its variant.
+func pairRow(out *strings.Builder, x float64, system string, sts []capture.Stats) {
+	fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\n", x, system, sts[0].CaptureRate(), sts[1].CaptureRate())
+}
+
+// workersExpt runs the heavy zlib-3 analysis load inline vs on two worker
 // threads — the [DV04] approach of spreading analysis across processors.
-func runWorkers(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# zlib-3 analysis: inline reader vs 2 worker threads, dual CPU")
-	fmt.Fprintln(&out, "# rate\tsystem\tinline%\tworkers%")
-	for _, r := range o.Rates {
-		for _, mk := range []func() capture.Config{core.Swan, core.Moorhen} {
-			base := bigBuffers(dual(mk()))
-			base.Load.ZlibLevel = 3
-			w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}
-			inline := core.RunOnce(base, w)
-			mt := base
-			mt.Load.Workers = 2
-			threaded := core.RunOnce(mt, w)
-			fmt.Fprintf(&out, "%.0f\t%s\t%6.2f\t%6.2f\n",
-				r, base.Name, inline.CaptureRate(), threaded.CaptureRate())
-		}
+func workersExpt() Experiment {
+	layout := func(o Options) cellSweep {
+		bases := variants("-workers", func(cfg capture.Config) capture.Config {
+			cfg.Load.Workers = 2
+			return cfg
+		}, gzwrite(3)(dual(core.Swan())), gzwrite(3)(dual(core.Moorhen())))
+		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
 	}
-	return out.String()
+	return cellExpt("ext-workers", "§7.2 / [DV04]", "multithreaded packet analysis on multiprocessors",
+		"# zlib-3 analysis: inline reader vs 2 worker threads, dual CPU\n# rate\tsystem\tinline%\tworkers%\n",
+		layout, 2, pairRow)
 }
 
-// run10GbE scales the link to 10 Gbit/s (and assumes a modern generator
+// tenGbEExpt scales the link to 10 Gbit/s (and assumes a modern generator
 // host): "the most commonly interest would be the evaluation of 10 Gigabit
 // Ethernet" (§7.2). The 2005 systems drown — the question is how fast.
-func run10GbE(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# 10GbE outlook: capture rate at multi-gigabit rates, dual CPU, big buffers")
-	fmt.Fprintln(&out, "# rate-Mbit\tsystem\trate%\tcpu%")
-	for _, r := range []float64{1000, 2000, 4000, 8000} {
-		for _, base := range systems(bigBuffers, dual) {
-			cfg := base
-			w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}
-			sys := capture.NewSystem(core.Prepare(cfg, w))
-			g := w.Generator()
-			g.Config.LineRate = 10e9
-			g.Config.PerPacketCostNS = 120 // a generator host of the 10GbE era
-			st := sys.Run(g)
-			fmt.Fprintf(&out, "%.0f\t%s\t%6.2f\t%6.2f\n", r, cfg.Name, st.CaptureRate(), st.CPUUsage())
-		}
+func tenGbEExpt() Experiment {
+	layout := func(o Options) cellSweep {
+		// GenCostNS: a generator host of the 10GbE era.
+		w := core.Workload{Packets: o.Packets, Seed: o.Seed, LineRate: 10e9, GenCostNS: 120}
+		return rateCells([]float64{1000, 2000, 4000, 8000}, w, systems(bigBuffers, dual))
 	}
-	return out.String()
+	return cellExpt("ext-10gbe", "§7.2", "outlook: the same systems against 10 Gigabit Ethernet",
+		"# 10GbE outlook: capture rate at multi-gigabit rates, dual CPU, big buffers\n# rate-Mbit\tsystem\trate%\tcpu%\n",
+		layout, 1, func(out *strings.Builder, x float64, system string, sts []capture.Stats) {
+			fmt.Fprintf(out, "%.0f\t%s\t%6.2f\t%6.2f\n", x, system, sts[0].CaptureRate(), sts[0].CPUUsage())
+		})
 }
 
-// runAblHousekeeping removes the periodic OS housekeeping stalls: the
+// housekeepingExpt removes the periodic OS housekeeping stalls: the
 // default-buffer drop onset (Figure 6.2) should move far to the right,
 // demonstrating which mechanism produces it in the model.
-func runAblHousekeeping(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# swan, default buffers, single CPU: with vs without housekeeping stalls")
-	fmt.Fprintln(&out, "# rate\twith%\twithout%")
-	for _, r := range o.Rates {
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}
-		withHK := core.RunOnce(single(core.Swan()), w)
-		cfg := single(core.Swan())
-		cfg.Costs = capture.DefaultCosts()
-		cfg.Costs.HousekeepNS = 0
-		noHK := core.RunOnce(cfg, w)
-		fmt.Fprintf(&out, "%.0f\t%6.2f\t%6.2f\n", r, withHK.CaptureRate(), noHK.CaptureRate())
+func housekeepingExpt() Experiment {
+	layout := func(o Options) cellSweep {
+		bases := variants("-no-housekeeping", func(cfg capture.Config) capture.Config {
+			cfg.Costs = capture.DefaultCosts()
+			cfg.Costs.HousekeepNS = 0
+			return cfg
+		}, single(core.Swan()))
+		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
 	}
-	return out.String()
+	return cellExpt("abl-housekeeping", "model ablation", "default-buffer drop onset with and without OS housekeeping stalls",
+		"# swan, default buffers, single CPU: with vs without housekeeping stalls\n# rate\twith%\twithout%\n",
+		layout, 2, func(out *strings.Builder, x float64, _ string, sts []capture.Stats) {
+			fmt.Fprintf(out, "%.0f\t%6.2f\t%6.2f\n", x, sts[0].CaptureRate(), sts[1].CaptureRate())
+		})
 }
 
-// runAblContention disables the Xeon's shared-FSB contention: under
-// memcpy load the dual-CPU Xeon systems should visibly improve,
-// quantifying what the §2.4 architecture difference costs.
-func runAblContention(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# snipe + flamingo, memcpy-50, dual CPU: FSB contention on vs off")
-	fmt.Fprintln(&out, "# rate\tsystem\tcontended%\tuncontended%")
-	for _, r := range o.Rates {
-		for _, mk := range []func() capture.Config{core.Snipe, core.Flamingo} {
-			base := memcpy(50)(dual(mk()))
-			w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: r * 1e6}
-			on := core.RunOnce(base, w)
-			off := base
-			off.Arch.MemContention = 1.0
-			offSt := core.RunOnce(off, w)
-			fmt.Fprintf(&out, "%.0f\t%s\t%6.2f\t%6.2f\n",
-				r, base.Name, on.CaptureRate(), offSt.CaptureRate())
-		}
+// contentionExpt disables the Xeon's shared-FSB contention: under memcpy
+// load the dual-CPU Xeon systems should visibly improve, quantifying what
+// the §2.4 architecture difference costs.
+func contentionExpt() Experiment {
+	layout := func(o Options) cellSweep {
+		bases := variants("-uncontended", func(cfg capture.Config) capture.Config {
+			cfg.Arch.MemContention = 1.0
+			return cfg
+		}, memcpy(50)(dual(core.Snipe())), memcpy(50)(dual(core.Flamingo())))
+		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
 	}
-	return out.String()
+	return cellExpt("abl-contention", "model ablation", "Xeon front-side-bus contention on vs off under copy load",
+		"# snipe + flamingo, memcpy-50, dual CPU: FSB contention on vs off\n# rate\tsystem\tcontended%\tuncontended%\n",
+		layout, 2, pairRow)
 }
 
-// runProduction models the systems' day job (§2.3/§4.1.4): capturing the
+// productionRate is the offered rate at hour of the documented diurnal
+// curve (220 Mbit/s at night to 1200 Mbit/s at the afternoon peak),
+// clamped to the GigE monitoring link, in bits/s.
+func productionRate(hour float64) float64 {
+	rate := trace.DiurnalRate(hour)
+	if rate > 1000e6 {
+		rate = 1000e6 // the monitoring port is a single GigE fiber
+	}
+	return rate
+}
+
+// productionExpt models the systems' day job (§2.3/§4.1.4): capturing the
 // MWN uplink around the clock with an NIDS-like consumer — the Figure 6.5
 // filter, per-flow accounting, and 76-byte header traces to disk — while
-// the offered rate follows the documented diurnal curve (220 Mbit/s at
-// night to 1200 Mbit/s at the afternoon peak, clamped to the GigE
-// monitoring link).
-func runProduction(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# production day: NIDS filter + flow tracking + header traces, dual CPU, big buffers")
-	fmt.Fprintln(&out, "# hour\trate-Mbit\tswan%\tsnipe%\tmoorhen%\tflamingo%")
-	for hour := 0.0; hour < 24; hour += 3 {
-		rate := trace.DiurnalRate(hour)
-		if rate > 1000e6 {
-			rate = 1000e6 // the monitoring port is a single GigE fiber
-		}
-		fmt.Fprintf(&out, "%02.0f\t%.0f", hour, rate/1e6)
-		for _, base := range systems(bigBuffers, dual) {
-			cfg := base
+// the offered rate follows the diurnal curve. The x axis is the hour, so
+// the two clamped afternoon hours stay distinct points.
+func productionExpt() Experiment {
+	layout := func(o Options) cellSweep {
+		bases := systems(bigBuffers, dual, func(cfg capture.Config) capture.Config {
 			cfg.Filter = filter.MustCompile(filter.ReferenceFilterExpr, 1515)
 			cfg.Load.FlowTrack = true
 			cfg.Load.WriteSnapLen = 76
-			w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: rate}
-			st := core.RunOnce(cfg, w)
-			fmt.Fprintf(&out, "\t%6.2f", st.CaptureRate())
-		}
-		fmt.Fprintln(&out)
+			return cfg
+		})
+		hours := []float64{0, 3, 6, 9, 12, 15, 18, 21}
+		return axisCells(hours, milli, func(hour float64) []core.Cell {
+			return column(bases, core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: productionRate(hour)})
+		})
 	}
-	return out.String()
+	return cellExpt("ext-production", "§2.3/§4.1.4", "a production day on the MWN uplink (filter + flows + header traces)",
+		"# production day: NIDS filter + flow tracking + header traces, dual CPU, big buffers\n# hour\trate-Mbit\tswan%\tsnipe%\tmoorhen%\tflamingo%\n",
+		layout, 4, func(out *strings.Builder, hour float64, _ string, sts []capture.Stats) {
+			fmt.Fprintf(out, "%02.0f\t%.0f", hour, productionRate(hour)/1e6)
+			for _, st := range sts {
+				fmt.Fprintf(out, "\t%6.2f", st.CaptureRate())
+			}
+			out.WriteByte('\n')
+		})
 }
 
 // shedFlows is the flow diversity of the shedding experiment's train: the
@@ -238,8 +222,9 @@ func shedExpt() Experiment {
 		fmt.Sprintf("# swan + moorhen, dual CPU, big buffers, %d flows per train; shed != lost (see -why)\n", shedFlows) +
 		"# rate\tsystem\tpkt%\tflow%\tshed%\tfair\n"
 	return cellExpt("ext-shedding", "§7.2 / [BDSW10]",
-		"adaptive load-aware sampling and load shedding under overload", header, layout,
-		func(out *strings.Builder, x float64, system string, st capture.Stats) {
+		"adaptive load-aware sampling and load shedding under overload", header, layout, 1,
+		func(out *strings.Builder, x float64, system string, sts []capture.Stats) {
+			st := sts[0]
 			napps := len(st.AppCaptured)
 			var flowPct float64
 			for _, f := range st.AppFlows {
@@ -316,8 +301,9 @@ func modernExpt() Experiment {
 		fmt.Sprintf("# 8-core hosts, rN = RX rings, aN = capturing apps, %d flows per train\n", modernFlows) +
 		"# rate\tsystem\trate%\tcpu%\tnicdrop%\n"
 	return cellExpt("ext-modern", "§7.2 outlook",
-		"modern capture stacks: RSS multi-queue, poll mode, zero copy at 10/40/100G", header, layout,
-		func(out *strings.Builder, x float64, system string, st capture.Stats) {
+		"modern capture stacks: RSS multi-queue, poll mode, zero copy at 10/40/100G", header, layout, 1,
+		func(out *strings.Builder, x float64, system string, sts []capture.Stats) {
+			st := sts[0]
 			nicPct := 0.0
 			if st.Generated > 0 {
 				nicPct = float64(st.Ledger.NICPackets()) / float64(st.Generated) * 100
@@ -327,32 +313,34 @@ func modernExpt() Experiment {
 		})
 }
 
-// runModeration quantifies the §2.2.1 trade-off: interrupt moderation
+// moderationExpt quantifies the §2.2.1 trade-off: interrupt moderation
 // lowers the interrupt CPU share but degrades packet timestamps — "the
 // timestamps of most packets and along with this the inter-packet gaps are
 // not correct", with whole batches sharing one stamp.
-func runModeration(o Options) string {
-	o = o.withDefaults()
-	var out strings.Builder
-	fmt.Fprintln(&out, "# interrupt moderation on moorhen at 700 Mbit/s, dual CPU")
-	fmt.Fprintln(&out, "# delay-us\trate%\tintr-cpu%\tts-err-mean-us\tts-ties%")
-	for _, delayUS := range []float64{0, 20, 50, 100, 250} {
-		cfg := bigBuffers(dual(core.Moorhen()))
+func moderationExpt() Experiment {
+	layout := func(o Options) cellSweep {
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 700e6}
-		prepared := core.Prepare(cfg, w)
-		prepared.Costs.ModerationDelayNS = delayUS * 1e3
-		sys := capture.NewSystem(prepared)
-		st := sys.Run(w.Generator())
-		intrPct := 0.0
-		if st.WallTime > 0 {
-			intrPct = float64(st.BusyByCls[0]) / float64(st.WallTime) / float64(st.CPUCount) * 100
-		}
-		ties := 0.0
-		if st.Stamped > 0 {
-			ties = float64(st.TsTies) / float64(st.Stamped) * 100
-		}
-		fmt.Fprintf(&out, "%.0f\t%6.2f\t%6.2f\t%8.2f\t%6.2f\n",
-			delayUS, st.CaptureRate(), intrPct, st.TsErrMeanUS(), ties)
+		delaysUS := []float64{0, 20, 50, 100, 250}
+		return axisCells(delaysUS, milli, func(delayUS float64) []core.Cell {
+			cfg := bigBuffers(dual(core.Moorhen()))
+			cfg.Costs = capture.DefaultCosts()
+			cfg.Costs.ModerationDelayNS = delayUS * 1e3
+			return []core.Cell{{Cfg: cfg, W: w}}
+		})
 	}
-	return out.String()
+	return cellExpt("ext-moderation", "§2.2.1", "interrupt moderation: CPU relief vs timestamp accuracy",
+		"# interrupt moderation on moorhen at 700 Mbit/s, dual CPU\n# delay-us\trate%\tintr-cpu%\tts-err-mean-us\tts-ties%\n",
+		layout, 1, func(out *strings.Builder, delayUS float64, _ string, sts []capture.Stats) {
+			st := sts[0]
+			intrPct := 0.0
+			if st.WallTime > 0 {
+				intrPct = float64(st.BusyByCls[0]) / float64(st.WallTime) / float64(st.CPUCount) * 100
+			}
+			ties := 0.0
+			if st.Stamped > 0 {
+				ties = float64(st.TsTies) / float64(st.Stamped) * 100
+			}
+			fmt.Fprintf(out, "%.0f\t%6.2f\t%6.2f\t%8.2f\t%6.2f\n",
+				delayUS, st.CaptureRate(), intrPct, st.TsErrMeanUS(), ties)
+		})
 }

@@ -61,8 +61,9 @@ func PointRecord(experiment string, p core.Point) Record {
 }
 
 // Records flattens an experiment's series into JSON-ready rows. It returns
-// nil for experiments without a structured series form (distribution
-// plots, histograms); `experiment -json` skips those.
+// nil for experiments without a structured series form — the distribution
+// plots and the generator and disk benchmarks, which measure no capture
+// cells; `experiment -json` skips those.
 func Records(e Experiment, o Options) []Record {
 	if e.Series == nil {
 		return nil
