@@ -5,7 +5,8 @@
 // Subcommands:
 //
 //	benchsnap run -out BENCH_0007.json [-count 3] [-notes "..."]
-//	    Runs the tier-1 benchmarks (sim microbenchmarks + end-to-end
+//	    Runs the tier-1 benchmarks (sim, BPF, filter and generator
+//	    microbenchmarks, one packet-path run per capture stack, end-to-end
 //	    sweeps) count times each, keeps the minimum ns/op per benchmark
 //	    (the least-noise estimator on a shared machine), and writes a
 //	    normalized JSON snapshot with environment metadata.
@@ -46,10 +47,16 @@ import (
 )
 
 // tier1 lists the benchmarks the regression gate enforces. Everything else
-// that happens to match the bench regexes is recorded but not gated.
+// that happens to match the bench regexes is recorded but not gated. The
+// CaptureRun pair per capture stack replays the packet-path trains on a
+// warm System, whose steady state allocates nothing per packet: against a
+// baseline from other hardware the gate compares allocs/op, so a stack
+// whose packet path starts allocating again fails it.
 var tier1 = []string{
 	"EventQueue", "Schedule", "Cancel", "RunDense", "RunSparse",
 	"SweepSerial", "SweepParallel", "SimulatedCaptureRun", "PollModeCaptureRun",
+	"CaptureRun/swan", "CaptureRun/moorhen", "CaptureRun/heron", "CaptureRun/osprey", "CaptureRun/kite",
+	"BPFRunReferenceFilter", "FilterCompile", "PktgenNext",
 }
 
 // benchSet is one `go test -bench` invocation: which package, which
@@ -68,7 +75,8 @@ type benchSet struct {
 
 var benchSets = []benchSet{
 	{pkg: "./internal/sim/", bench: "^(BenchmarkEventQueue|BenchmarkSchedule|BenchmarkCancel|BenchmarkRunDense|BenchmarkRunSparse)$", time: "0.5s"},
-	{pkg: ".", bench: "^(BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSimulatedCaptureRun|BenchmarkPollModeCaptureRun)$", time: "3x"},
+	{pkg: ".", bench: "^(BenchmarkBPFRunReferenceFilter|BenchmarkFilterCompile|BenchmarkPktgenNext)$", time: "0.5s"},
+	{pkg: ".", bench: "^(BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSimulatedCaptureRun|BenchmarkPollModeCaptureRun|BenchmarkCaptureRun)$", time: "3x"},
 }
 
 type metrics struct {

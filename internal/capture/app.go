@@ -45,13 +45,24 @@ type App struct {
 	sampler   policySampler
 	Shed      uint64
 	flowsKept map[uint64]struct{}
+
+	// The read in flight, at most one: its task, bound once, and the
+	// buffers its batch, UMEM frames (zero copy), admission and load land
+	// in. The FreeBSD stack trades batch with the HOLD buffer instead.
+	readTask sim.Task
+	batch    []kpkt
+	frames   []*xframe
+	adm      admission
+	load     readLoad
 }
 
 func newApp(s *System, idx int) *App {
 	a := &App{sys: s, idx: idx}
+	a.readTask = sim.Task{Prio: sim.PrioUser, OnDone: a.readDone}
 	if s.Load.PipeGzip > 0 {
 		a.pipe = &pipe{sys: s, app: a, level: s.Load.PipeGzip,
 			gauge: s.newGauge("pipe", idx, s.Costs.PipeBufBytes)}
+		a.pipe.task = sim.Task{Name: "gzip", Prio: sim.PrioUser, OnDone: a.pipe.consumed}
 	}
 	if s.Load.Workers > 0 {
 		a.gWorker = s.newGauge("worker-queue", idx, s.Costs.WorkerQueueBytes)
@@ -75,9 +86,7 @@ func (a *App) reset() {
 	if a.sampler != nil {
 		a.sampler.reset()
 	}
-	if a.flowsKept != nil {
-		a.flowsKept = make(map[uint64]struct{})
-	}
+	clear(a.flowsKept)
 	if a.pipe != nil {
 		p := a.pipe
 		p.buf, p.busy, p.producerBlocked = 0, false, false
@@ -98,33 +107,35 @@ type admission struct {
 	policyNS  float64 // decision cost folded into the read task
 }
 
-// admitBatch applies the application's sampling policy to one read batch.
-// occ is the queue occupancy in [0,1] observed when the read started (the
-// adaptive controller's feedback signal). Every packet of the batch has
-// already been read from the OS buffers — shedding skips the per-packet
-// analysis load, not the kernel or syscall cost. Without a policy the
-// batch is admitted wholesale at zero cost.
-func (a *App) admitBatch(batch []kpkt, occ float64) admission {
-	adm := admission{caplens: make([]int, 0, len(batch))}
+// admitBatch applies the application's sampling policy to the read batch,
+// into a.adm. occ is the queue occupancy in [0,1] observed when the read
+// started (the adaptive controller's feedback signal). Every packet of the
+// batch has already been read from the OS buffers — shedding skips the
+// per-packet analysis load, not the kernel or syscall cost. Without a
+// policy the batch is admitted wholesale at zero cost.
+func (a *App) admitBatch(occ float64) {
+	adm := &a.adm
+	adm.caplens, adm.flowKeys = adm.caplens[:0], adm.flowKeys[:0]
+	adm.shed, adm.shedBytes, adm.policyNS = 0, 0, 0
 	if a.sampler == nil {
 		if a.flowsKept == nil {
 			// The measurement fast path: no policy, no flow accounting.
 			// Kept free of per-packet calls — this loop runs for every
 			// packet of every unpoliced benchmark and golden run.
-			for _, p := range batch {
+			for _, p := range a.batch {
 				adm.caplens = append(adm.caplens, p.caplen)
 			}
-			return adm
+			return
 		}
-		for _, p := range batch {
+		for _, p := range a.batch {
 			adm.caplens = append(adm.caplens, p.caplen)
 			adm.noteFlow(a, p.data)
 		}
-		return adm
+		return
 	}
 	a.sampler.observe(occ)
-	adm.policyNS = a.sys.ufixed(a.sys.Costs.PolicyPerPktNS) * float64(len(batch))
-	for _, p := range batch {
+	adm.policyNS = a.sys.ufixed(a.sys.Costs.PolicyPerPktNS) * float64(len(a.batch))
+	for _, p := range a.batch {
 		if !a.sampler.admit(p.data) {
 			adm.shed++
 			adm.shedBytes += uint64(p.caplen)
@@ -133,7 +144,6 @@ func (a *App) admitBatch(batch []kpkt, occ float64) admission {
 		adm.caplens = append(adm.caplens, p.caplen)
 		adm.noteFlow(a, p.data)
 	}
-	return adm
 }
 
 // noteFlow records one admitted packet's flow hash for flow-coverage
@@ -161,7 +171,7 @@ func (a *App) readSock(sk *sock, name string, syscallNS, perPktNS float64, copyO
 	if a.busy() {
 		return
 	}
-	if len(sk.queue) == 0 {
+	if sk.queue.len() == 0 {
 		a.state = stIdle
 		return
 	}
@@ -172,62 +182,61 @@ func (a *App) readSock(sk *sock, name string, syscallNS, perPktNS float64, copyO
 	// Occupancy is observed before the batch is drained: the controller
 	// sees the socket as the wakeup found it.
 	occ := a.occupancy(float64(sk.used) / float64(sk.capacity))
-	n := min(len(sk.queue), a.sys.Costs.AppBatch)
-	batch := popFront(&sk.queue, n)
-	var frames []*xframe
-	if len(sk.frames) > 0 {
-		frames = popFront(&sk.frames, n)
+	n := min(sk.queue.len(), a.sys.Costs.AppBatch)
+	a.batch = sk.queue.popInto(a.batch, n)
+	a.frames = a.frames[:0]
+	if sk.frames.len() > 0 {
+		a.frames = sk.frames.popInto(a.frames, n)
 	}
 	fixed, mem := syscallNS, 0.0
-	for _, p := range batch {
+	for _, p := range a.batch {
 		sk.used -= sk.charge(p.caplen)
 		fixed += perPktNS
 		if copyOut {
 			mem += float64(p.caplen)
 		}
 	}
-	a.read(name, batch, frames, occ, fixed, mem, 1.0)
+	a.read(name, occ, fixed, mem, 1.0)
 }
 
-// read is the one read task of every stack. The stack has taken batch
+// read is the one read task of every stack. The stack has taken a.batch
 // off its buffer and priced the hand-off (fixed, mem: syscalls and
 // copies); the sampling policy picks the packets to process, whose load
 // joins the task (memory-bound part discounted by locality) or goes to
-// the analysis workers. When the task completes the batch counts as
-// captured or shed, its UMEM frames (zero copy) return to the pool, and
-// the loop goes on with the next read.
-func (a *App) read(name string, batch []kpkt, frames []*xframe, occ, fixed, mem, locality float64) {
-	a.inflightPkts = len(batch)
-	for _, p := range batch {
+// the analysis workers. When the task completes (readDone) the batch
+// counts as captured or shed, its UMEM frames (zero copy) return to the
+// pool, and the loop goes on with the next read.
+func (a *App) read(name string, occ, fixed, mem, locality float64) {
+	a.inflightPkts = len(a.batch)
+	for _, p := range a.batch {
 		a.inflightBytes += uint64(p.caplen)
 	}
-	adm := a.admitBatch(batch, occ)
-	fixed += adm.policyNS
-	loadFixed, loadMem, finish := a.batchLoad(adm.caplens, locality)
+	a.admitBatch(occ)
+	fixed += a.adm.policyNS
+	loadFixed, loadMem := a.batchLoad(locality)
 	fixed += loadFixed
 	mem += loadMem
-	a.submitWork(&sim.Task{
-		Name:         name,
-		Prio:         sim.PrioUser,
-		FixedNS:      fixed,
-		MemBytes:     mem,
-		MemNsPerByte: a.sys.umemNs(),
-		OnDone: func() {
-			a.finishRead(adm)
-			for _, f := range frames {
-				f.release()
-			}
-			finish()
-			a.state = stIdle
-			a.sys.stack.appStart(a)
-		},
-	}, fixed+mem*a.sys.umemNs())
+	t := &a.readTask
+	t.Name, t.FixedNS, t.MemBytes, t.MemNsPerByte = name, fixed, mem, a.sys.umemNs()
+	a.submitWork(t, fixed+mem*a.sys.umemNs())
+}
+
+// readDone completes the read in flight.
+func (a *App) readDone() {
+	a.finishRead()
+	for _, f := range a.frames {
+		f.release()
+	}
+	a.finishLoad()
+	a.state = stIdle
+	a.sys.stack.appStart(a)
 }
 
 // finishRead books a completed read batch: admitted packets count as
 // captured (with their flows), shed packets go to the policy's ledger
 // cause at completion time, and the in-flight window closes.
-func (a *App) finishRead(adm admission) {
+func (a *App) finishRead() {
+	adm := &a.adm
 	a.Captured += uint64(len(adm.caplens))
 	for _, h := range adm.flowKeys {
 		a.flowsKept[h] = struct{}{}
@@ -296,80 +305,87 @@ func (a *App) procCost(caplen int) (fixed, memBytes float64, diskBytes, pipeByte
 	return fixed, memBytes, diskBytes, pipeBytes
 }
 
-// batchLoad prices the per-packet load of a whole read batch. locality
-// discounts the memory-bound part (FreeBSD bulk reads leave the chunk
-// cache-warm). Without worker threads the costs are folded into the read
-// task (inline) and finish() applies the disk/pipe side effects; with
-// Load.Workers > 0 the load runs as separate worker tasks that may execute
-// on other CPUs, and finish() dispatches them.
-func (a *App) batchLoad(caplens []int, locality float64) (inlineFixed, inlineMem float64, finish func()) {
-	var fixed, mem float64
-	diskTotal, pipeTotal, loadBytes := 0, 0, 0
-	for _, cl := range caplens {
+// readLoad is the per-packet load of the read in flight: priced when
+// the read starts, applied when it completes.
+type readLoad struct {
+	fixed, mem  float64 // the analysis load
+	disk, pipe  int     // bytes for the disk queue and the gzip pipe
+	bytes, pkts int     // the admitted packets and their bytes
+}
+
+// batchLoad prices the per-packet load of the admitted packets into
+// a.load. locality discounts the memory-bound part (FreeBSD bulk reads
+// leave the chunk cache-warm). Without worker threads the costs are
+// folded into the read task (inline) and finishLoad applies the disk/pipe
+// side effects; with Load.Workers > 0 the load runs as separate worker
+// tasks that may execute on other CPUs, and finishLoad dispatches them.
+func (a *App) batchLoad(locality float64) (inlineFixed, inlineMem float64) {
+	ld := readLoad{pkts: len(a.adm.caplens)}
+	for _, cl := range a.adm.caplens {
 		pf, pm, db, pb := a.procCost(cl)
-		fixed += pf
-		mem += pm * locality
-		diskTotal += db
-		pipeTotal += pb
-		loadBytes += cl
+		ld.fixed += pf
+		ld.mem += pm * locality
+		ld.disk += db
+		ld.pipe += pb
+		ld.bytes += cl
 	}
-	apply := func() {
-		if diskTotal > 0 {
-			a.sys.Disk.Write(diskTotal)
-		}
-		if pipeTotal > 0 {
-			a.pipe.write(pipeTotal)
-		}
+	a.load = ld
+	if a.sys.Load.Workers <= 0 {
+		return ld.fixed, ld.mem
 	}
+	return 0, 0
+}
+
+// applyLoad hands a batch's disk and pipe bytes on.
+func (a *App) applyLoad(disk, pipe int) {
+	if disk > 0 {
+		a.sys.Disk.Write(disk)
+	}
+	if pipe > 0 {
+		a.pipe.write(pipe)
+	}
+}
+
+// finishLoad applies the completed read's load. In worker mode the reader
+// only paid the hand-off: the analysis load is split over up to
+// Load.Workers tasks dispatched to whatever CPUs are free, and the side
+// effects go with the last of them. Backpressure: the reader blocks once
+// too many bytes are in flight (blockedOnBackpressure checks
+// workerOutstanding).
+func (a *App) finishLoad() {
+	ld := a.load
 	workers := a.sys.Load.Workers
-	if workers <= 0 {
-		return fixed, mem, apply
+	if workers <= 0 || ld.pkts == 0 {
+		a.applyLoad(ld.disk, ld.pipe)
+		return
 	}
-	// Worker mode: the reader only pays the hand-off; the analysis load is
-	// split over up to `workers` tasks dispatched to whatever CPUs are
-	// free. Backpressure: the reader blocks once too many bytes are in
-	// flight (blockedOnBackpressure checks workerOutstanding).
-	return 0, 0, func() {
-		n := len(caplens)
-		if n == 0 {
-			apply()
-			return
+	parts := min(workers, ld.pkts)
+	a.workerOutstanding += ld.bytes
+	a.gWorker.observe(a.workerOutstanding)
+	fixedPer := ld.fixed / float64(parts)
+	memPer := ld.mem / float64(parts)
+	bytesPer := ld.bytes / parts
+	for i := 0; i < parts; i++ {
+		w := a.sys.newTask()
+		w.Name, w.Prio, w.FixedNS, w.MemBytes, w.MemNsPerByte = "worker", sim.PrioUser, fixedPer, memPer, a.sys.umemNs()
+		w.app, w.rel, w.disk, w.pipe = a, bytesPer, 0, 0
+		if i == parts-1 {
+			// The side effects go once per batch, with the last part.
+			w.rel, w.disk, w.pipe = ld.bytes-bytesPer*(parts-1), ld.disk, ld.pipe
 		}
-		parts := workers
-		if parts > n {
-			parts = n
-		}
-		a.workerOutstanding += loadBytes
-		a.gWorker.observe(a.workerOutstanding)
-		fixedPer := fixed / float64(parts)
-		memPer := mem / float64(parts)
-		bytesPer := loadBytes / parts
-		for i := 0; i < parts; i++ {
-			last := i == parts-1
-			rel := bytesPer
-			if last {
-				rel = loadBytes - bytesPer*(parts-1)
-			}
-			doApply := last // side effects once per batch, with the last part
-			a.sys.Machine.SubmitUser(&sim.Task{
-				Name:         "worker",
-				Prio:         sim.PrioUser,
-				FixedNS:      fixedPer,
-				MemBytes:     memPer,
-				MemNsPerByte: a.sys.umemNs(),
-				OnDone: func() {
-					a.workerOutstanding -= rel
-					a.gWorker.observe(a.workerOutstanding)
-					if doApply {
-						apply()
-					}
-					if a.state == stBlockedWorkers &&
-						a.workerOutstanding < a.sys.Costs.WorkerQueueBytes/2 {
-						a.resume()
-					}
-				},
-			})
-		}
+		a.sys.Machine.SubmitUser(&w.Task)
+	}
+}
+
+// workerDone completes one worker share of a batch: it releases rel bytes
+// of the worker queue and applies the batch's disk and pipe bytes.
+func (a *App) workerDone(rel, disk, pipe int) {
+	a.workerOutstanding -= rel
+	a.gWorker.observe(a.workerOutstanding)
+	a.applyLoad(disk, pipe)
+	if a.state == stBlockedWorkers &&
+		a.workerOutstanding < a.sys.Costs.WorkerQueueBytes/2 {
+		a.resume()
 	}
 }
 
@@ -449,6 +465,9 @@ type pipe struct {
 	busy            bool
 	producerBlocked bool
 
+	task  sim.Task // the gzip run over chunk, bound once
+	chunk int
+
 	BytesIn  uint64
 	BytesOut uint64
 }
@@ -476,26 +495,25 @@ func (p *pipe) consume() {
 		return
 	}
 	p.busy = true
-	cost := float64(chunk)*p.sys.Arch.ZlibNsPerByte(p.level) + p.sys.ufixed(2000)
-	p.sys.Machine.SubmitUser(&sim.Task{
-		Name:         "gzip",
-		Prio:         sim.PrioUser,
-		FixedNS:      cost,
-		MemBytes:     float64(chunk),
-		MemNsPerByte: p.sys.umemNs(),
-		OnDone: func() {
-			p.buf -= chunk
-			p.BytesOut += uint64(chunk)
-			p.gauge.observe(p.buf)
-			if p.producerBlocked && p.buf < p.sys.Costs.PipeBufBytes/2 {
-				p.producerBlocked = false
-				p.app.resume()
-			}
-			if p.buf > 0 {
-				p.consume()
-			} else {
-				p.busy = false
-			}
-		},
-	})
+	p.chunk = chunk
+	t := &p.task
+	t.FixedNS = float64(chunk)*p.sys.Arch.ZlibNsPerByte(p.level) + p.sys.ufixed(2000)
+	t.MemBytes, t.MemNsPerByte = float64(chunk), p.sys.umemNs()
+	p.sys.Machine.SubmitUser(t)
+}
+
+// consumed completes the gzip run over a chunk.
+func (p *pipe) consumed() {
+	p.buf -= p.chunk
+	p.BytesOut += uint64(p.chunk)
+	p.gauge.observe(p.buf)
+	if p.producerBlocked && p.buf < p.sys.Costs.PipeBufBytes/2 {
+		p.producerBlocked = false
+		p.app.resume()
+	}
+	if p.buf > 0 {
+		p.consume()
+	} else {
+		p.busy = false
+	}
 }

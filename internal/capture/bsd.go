@@ -10,6 +10,9 @@ import "repro/internal/sim"
 type bsdStack struct {
 	sys  *System
 	atts []*batt
+	// accepts is what irqCost decided for the packet in hardirq, one entry
+	// per attachment, for irqDone to apply.
+	accepts []bsdAccept
 }
 
 // batt is one BPF attachment (/dev/bpfN) with its double buffer.
@@ -23,6 +26,7 @@ type batt struct {
 
 	timeoutArmed bool
 	timeout      sim.EventRef
+	onTimeout    func() // the read timeout, bound once
 
 	Stored uint64
 }
@@ -38,7 +42,9 @@ func newBSDStack(s *System) *bsdStack {
 	st := &bsdStack{sys: s}
 	for i, a := range s.apps {
 		// The gauge watches one half (STORE) of the double buffer.
-		st.atts = append(st.atts, &batt{app: a, gauge: s.newGauge("bpf-store", i, s.BufferBytes)})
+		att := &batt{app: a, gauge: s.newGauge("bpf-store", i, s.BufferBytes)}
+		att.onTimeout = func() { st.readTimeout(att) }
+		st.atts = append(st.atts, att)
 	}
 	return st
 }
@@ -85,16 +91,16 @@ type bsdAccept struct {
 // The decision is made here because interrupt tasks execute strictly in
 // order; an application read between decision and execution can only free
 // space, making the decision conservative.
-func (st *bsdStack) irqCost(data []byte) (float64, float64, any) {
+func (st *bsdStack) irqCost(data []byte) (float64, float64) {
 	c := &st.sys.Costs
 	fixed := c.MbufNS
 	var mem float64
-	var accepts []bsdAccept
+	st.accepts = st.accepts[:0]
 	for _, att := range st.atts {
 		caplen, fcost := st.sys.runFilter(data)
 		fixed += fcost
 		if caplen == 0 {
-			accepts = append(accepts, bsdAccept{att: att, reject: true})
+			st.accepts = append(st.accepts, bsdAccept{att: att, reject: true})
 			continue
 		}
 		acc := bsdAccept{att: att, caplen: caplen}
@@ -117,14 +123,13 @@ func (st *bsdStack) irqCost(data []byte) (float64, float64, any) {
 			fixed += c.BpfStoreNS
 			mem += float64(caplen + c.BpfHdrBytes)
 		}
-		accepts = append(accepts, acc)
+		st.accepts = append(st.accepts, acc)
 	}
-	return fixed, mem, accepts
+	return fixed, mem
 }
 
-func (st *bsdStack) irqDone(data []byte, aux any) {
-	accepts, _ := aux.([]bsdAccept)
-	for _, acc := range accepts {
+func (st *bsdStack) irqDone(data []byte) {
+	for _, acc := range st.accepts {
 		att := acc.att
 		if acc.reject {
 			st.sys.recordDrop(CauseFilter, len(data))
@@ -211,30 +216,36 @@ func (st *bsdStack) armTimeout(att *batt) {
 		return
 	}
 	att.timeoutArmed = true
-	att.timeout = st.sys.Sim.After(sim.Time(st.sys.Costs.ReadTimeoutNS), func() {
-		att.timeoutArmed = false
-		if att.app.state != stWaitingRead {
-			return
-		}
-		if att.store.bytes > 0 || att.ready {
-			att.app.state = stIdle
-			st.appStart(att.app)
-			return
-		}
-		if !st.sys.genDone {
-			st.armTimeout(att) // keep the blocking read's timer running
-			return
-		}
-		att.app.state = stIdle // no more data will ever arrive
-	})
+	att.timeout = st.sys.Sim.After(sim.Time(st.sys.Costs.ReadTimeoutNS), att.onTimeout)
+}
+
+// readTimeout fires the read timeout of a reader blocked on att.
+func (st *bsdStack) readTimeout(att *batt) {
+	att.timeoutArmed = false
+	if att.app.state != stWaitingRead {
+		return
+	}
+	if att.store.bytes > 0 || att.ready {
+		att.app.state = stIdle
+		st.appStart(att.app)
+		return
+	}
+	if !st.sys.genDone || st.sys.NIC.holding() {
+		// Keep the blocking read's timer running while a packet can
+		// still reach STORE: generation goes on, or the NIC holds one.
+		st.armTimeout(att)
+		return
+	}
+	att.app.state = stIdle // no more data will ever arrive
 }
 
 // consumeHold reads the whole HOLD buffer in one syscall — FreeBSD's bulk
 // copy to user space — then processes every packet in the chunk.
 func (st *bsdStack) consumeHold(a *App, att *batt) {
-	chunk := att.hold.pkts
+	// The reader takes the HOLD buffer, and its spent buffer from the
+	// last read becomes the empty HOLD.
 	chunkBytes := att.hold.bytes
-	att.hold = bpfBuf{pkts: make([]kpkt, 0, cap(chunk))}
+	a.batch, att.hold = att.hold.pkts, bpfBuf{pkts: a.batch[:0]}
 	att.ready = false
 	a.state = stRunning
 
@@ -255,7 +266,7 @@ func (st *bsdStack) consumeHold(a *App, att *batt) {
 	// the time the HOLD is consumed, store occupancy is the freshest
 	// congestion signal this attachment has.
 	occ := a.occupancy(float64(att.store.bytes) / float64(st.sys.BufferBytes))
-	a.read("bpf-read", chunk, nil, occ, st.sys.ufixed(st.sys.Costs.ReadSyscallNS), copyBytes, locality)
+	a.read("bpf-read", occ, st.sys.ufixed(st.sys.Costs.ReadSyscallNS), copyBytes, locality)
 }
 
 func (st *bsdStack) pending() bool {

@@ -119,8 +119,8 @@ func TestPacketConservationLinux(t *testing.T) {
 	if sk.Enqueued != st.AppCaptured[0] {
 		t.Fatalf("drain incomplete: enqueued %d, captured %d", sk.Enqueued, st.AppCaptured[0])
 	}
-	if len(sk.queue) != 0 || sk.used != 0 {
-		t.Fatalf("socket not drained: %d packets, %d bytes", len(sk.queue), sk.used)
+	if sk.queue.len() != 0 || sk.used != 0 {
+		t.Fatalf("socket not drained: %d packets, %d bytes", sk.queue.len(), sk.used)
 	}
 }
 

@@ -118,6 +118,12 @@ func FuzzCaptureConservation(f *testing.F) {
 		{0, 0, 1, false, 0, 0, 0, true, 2, 0, 400, 600, 18},   // Linux, filter, flow
 		{1, 1, 1, false, 0, 2, 0, false, 1, 0, 600, 600, 19},  // FreeBSD, 2 apps, uniform
 		{4, 2, 5, false, 6, 9, 0, true, 0, 3, 70, 1100, 20},   // zero copy, 3 apps, filter
+		// Once ran to the 600 s cap: the FreeBSD read timeout idled a
+		// reader while the NIC still held a packet, stranding it in STORE.
+		{86, 3, 29, false, 0, 0, 0, true, 1, 0, 66, 300, 10},
+		// Once ran to the 600 s cap: poll mode on 1 CPU queued a
+		// housekeeping task behind the PMD spin every period.
+		{3, 3, 88, false, 0, 0, 0, false, 3, 0, 1, 300, 9},
 	} {
 		f.Add(s.stack, s.apps, s.cpus, s.ht, s.rings, s.buf, s.ring, s.filter,
 			s.policy, s.memcpy, s.rate, s.packets, s.seed)

@@ -80,8 +80,8 @@ func runMatrix(t *testing.T, cfg Config) matrixResult {
 			if sk.used < 0 {
 				t.Fatalf("negative rcvbuf accounting: %d", sk.used)
 			}
-			if len(sk.queue) != 0 {
-				t.Fatalf("socket not drained: %d packets", len(sk.queue))
+			if sk.queue.len() != 0 {
+				t.Fatalf("socket not drained: %d packets", sk.queue.len())
 			}
 		}
 		napps := uint64(len(stk.socks))

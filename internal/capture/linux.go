@@ -9,11 +9,10 @@ package capture
 type linuxStack struct {
 	sys *System
 
-	backlog   []kpkt
+	backlog   fifo[kpkt]
 	softirqOn bool
-	inflight  []kpkt // the batch a scheduled softirq pass is processing
+	softirq   kernelPass // the NET_RX pass; its batch is in flight
 	gBacklog  *Gauge
-	next      func() // what follows a softirq pass, bound once
 
 	socks []*sock
 }
@@ -22,26 +21,30 @@ func newLinuxStack(s *System) *linuxStack {
 	st := &linuxStack{sys: s}
 	st.gBacklog = s.newGauge("backlog", -1, s.Costs.BacklogLen)
 	st.socks = s.newSocks("rcvbuf", s.BufferBytes, false)
-	st.next = func() {
-		if len(st.backlog) > 0 {
-			st.scheduleSoftirq()
-		} else {
-			st.softirqOn = false
-		}
-	}
+	st.softirq.init(s, "net-rx-softirq", st.socks, st.next)
 	return st
 }
 
+// next follows a softirq pass: another pass while the backlog holds
+// packets, else the softirq ends.
+func (st *linuxStack) next() {
+	if st.backlog.len() > 0 {
+		st.scheduleSoftirq()
+	} else {
+		st.softirqOn = false
+	}
+}
+
 func (st *linuxStack) reset() {
-	st.backlog = st.backlog[:0]
+	st.backlog.reset()
 	st.softirqOn = false
-	st.inflight = nil
+	st.softirq.batch = st.softirq.batch[:0]
 	resetSocks(st.socks)
 }
 
 func (st *linuxStack) remnants() (shared []kpkt, perApp [][]kpkt) {
-	shared = append(shared, st.backlog...)
-	shared = append(shared, st.inflight...)
+	shared = append(shared, st.backlog.items()...)
+	shared = append(shared, st.softirq.batch...)
 	return shared, sockRemnants(st.socks)
 }
 
@@ -49,22 +52,22 @@ func (st *linuxStack) remnants() (shared []kpkt, perApp [][]kpkt) {
 // No payload copy happens here (the card DMAed the frame already). The
 // PF_RING-style stack skips the skb allocation: the driver hands the raw
 // buffer straight towards the ring.
-func (st *linuxStack) irqCost(data []byte) (float64, float64, any) {
+func (st *linuxStack) irqCost(data []byte) (float64, float64) {
 	c := &st.sys.Costs
 	if st.sys.PFRing {
-		return c.RingInsertNS + c.BacklogEnqNS, 0, nil
+		return c.RingInsertNS + c.BacklogEnqNS, 0
 	}
-	return c.SkbAllocNS + c.BacklogEnqNS, 0, nil
+	return c.SkbAllocNS + c.BacklogEnqNS, 0
 }
 
-func (st *linuxStack) irqDone(data []byte, _ any) {
-	if len(st.backlog) >= st.sys.Costs.BacklogLen {
+func (st *linuxStack) irqDone(data []byte) {
+	if st.backlog.len() >= st.sys.Costs.BacklogLen {
 		st.sys.recordDrop(CauseBacklog, len(data))
 		st.gBacklog.overflow()
 		return
 	}
-	st.backlog = append(st.backlog, kpkt{data: data})
-	st.gBacklog.observe(len(st.backlog))
+	st.backlog.push(kpkt{data: data})
+	st.gBacklog.observe(st.backlog.len())
 	if !st.softirqOn {
 		st.softirqOn = true
 		st.scheduleSoftirq()
@@ -77,15 +80,15 @@ func (st *linuxStack) irqDone(data []byte, _ any) {
 // into the shared ring here, in softirq context.
 func (st *linuxStack) scheduleSoftirq() {
 	c := &st.sys.Costs
-	batch := popFront(&st.backlog, min(len(st.backlog), c.SoftirqQuota))
+	p := &st.softirq
+	p.batch = st.backlog.popInto(p.batch, min(st.backlog.len(), c.SoftirqQuota))
 	perPkt, enq := c.SoftirqPerPktNS, c.SockEnqNS
 	if st.sys.PFRing {
 		// The ring stack bypasses most of netif_receive_skb and the
 		// socket queueing.
 		perPkt, enq = c.RingInsertNS, c.RingInsertNS
 	}
-	st.sys.kernelPass(st.sys.cpu0(), "net-rx-softirq", batch, &st.inflight, st.socks,
-		perPkt, enq, st.sys.MmapPatch || st.sys.PFRing, st.next)
+	p.run(st.sys.cpu0(), perPkt, enq, st.sys.MmapPatch || st.sys.PFRing)
 }
 
 // appStart runs one read burst of the application's loop: up to AppBatch
@@ -101,5 +104,5 @@ func (st *linuxStack) appStart(a *App) {
 }
 
 func (st *linuxStack) pending() bool {
-	return len(st.backlog) > 0 || st.softirqOn || socksPending(st.socks)
+	return st.backlog.len() > 0 || st.softirqOn || socksPending(st.socks)
 }

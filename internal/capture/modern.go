@@ -37,15 +37,26 @@ type ringSet struct {
 	socks []*sock
 }
 
-// ringState is one RSS ring's service state.
+// ringState is one RSS ring's service state. At most one interrupt or
+// pass is in flight per ring, so the ring owns both tasks.
 type ringState struct {
-	napiOn   bool   // IRQ taken or polled passes scheduled
-	inflight []kpkt // the batch inside a scheduled pass
-	service  func() // the ring's service pass, bound once by the stack
+	napiOn  bool       // IRQ taken or polled passes scheduled
+	service func()     // the ring's service pass, bound once by the stack
+	irq     sim.Task   // the ring's interrupt; its completion is service
+	pass    kernelPass // the ring's pass; its batch is in flight
 }
 
 func newRingSet(s *System, n int, socks []*sock) ringSet {
 	return ringSet{sys: s, rings: make([]ringState, n), socks: socks}
+}
+
+// bind makes service ring r's service pass: the one its interrupt and
+// every pass lead to. name names the pass.
+func (q *ringSet) bind(r int, name string, service func()) {
+	ring := &q.rings[r]
+	ring.service = service
+	ring.irq = sim.Task{Name: "rx-irq", Prio: sim.PrioHardIRQ, OnDone: service}
+	ring.pass.init(q.sys, name, q.socks, service)
 }
 
 // ringKick: the NIC raised the IRQ for ring r. The handler only acks and
@@ -56,24 +67,21 @@ func (q *ringSet) ringKick(r int) {
 		return // already polling this ring: no further interrupts
 	}
 	ring.napiOn = true
-	q.sys.ringCPU(r).Submit(&sim.Task{
-		Name:    "rx-irq",
-		Prio:    sim.PrioHardIRQ,
-		FixedNS: q.sys.kfixed(q.sys.Costs.IRQEntryNS),
-		OnDone:  ring.service,
-	})
+	ring.irq.FixedNS = q.sys.kfixed(q.sys.Costs.IRQEntryNS)
+	q.sys.ringCPU(r).Submit(&ring.irq)
 }
 
 func (q *ringSet) reset() {
 	for r := range q.rings {
-		q.rings[r].napiOn, q.rings[r].inflight = false, nil
+		ring := &q.rings[r]
+		ring.napiOn, ring.pass.batch = false, ring.pass.batch[:0]
 	}
 	resetSocks(q.socks)
 }
 
 func (q *ringSet) pending() bool {
-	for _, ring := range q.rings {
-		if len(ring.inflight) > 0 || ring.napiOn {
+	for r := range q.rings {
+		if ring := &q.rings[r]; len(ring.pass.batch) > 0 || ring.napiOn {
 			return true
 		}
 	}
@@ -81,8 +89,8 @@ func (q *ringSet) pending() bool {
 }
 
 func (q *ringSet) remnants() (shared []kpkt, perApp [][]kpkt) {
-	for _, ring := range q.rings {
-		shared = append(shared, ring.inflight...)
+	for r := range q.rings {
+		shared = append(shared, q.rings[r].pass.batch...)
 	}
 	return shared, sockRemnants(q.socks)
 }
@@ -95,7 +103,7 @@ type rssStack struct{ ringSet }
 func newRSSStack(s *System, nrings int) *rssStack {
 	st := &rssStack{newRingSet(s, nrings, s.newSocks("rcvbuf", s.BufferBytes, false))}
 	for r := range st.rings {
-		st.rings[r].service = func() { st.servicePass(r) }
+		st.bind(r, "napi-poll", func() { st.servicePass(r) })
 	}
 	return st
 }
@@ -104,14 +112,13 @@ func newRSSStack(s *System, nrings int) *rssStack {
 // pass on the ring's CPU, delivering into the per-socket buffers.
 func (st *rssStack) servicePass(r int) {
 	c := &st.sys.Costs
-	ring := &st.rings[r]
-	batch := st.sys.rss.popBurst(r, c.NapiBudget)
-	if len(batch) == 0 {
-		ring.napiOn = false
+	p := &st.rings[r].pass
+	p.batch = st.sys.rss.popBurst(r, c.NapiBudget, p.batch)
+	if len(p.batch) == 0 {
+		st.rings[r].napiOn = false
 		return
 	}
-	st.sys.kernelPass(st.sys.ringCPU(r), "napi-poll", batch, &ring.inflight, st.socks,
-		c.DriverRxNS+c.NapiPollNS, c.SockEnqNS, false, ring.service)
+	p.run(st.sys.ringCPU(r), c.DriverRxNS+c.NapiPollNS, c.SockEnqNS, false)
 }
 
 // appStart: the classic per-packet recvfrom read loop (RSS spreads the
@@ -151,7 +158,7 @@ func newPollStack(s *System, nrings int) *pollStack {
 	st := &pollStack{ringSet: newRingSet(s, nrings, s.newSocks("app-ring", s.Costs.AppRingSlots, true)),
 		pmds: make([]pmd, nrings)}
 	for r := range st.pmds {
-		st.rings[r].service = func() { st.poll(r) }
+		st.bind(r, "pmd-burst", func() { st.poll(r) })
 		p := &st.pmds[r]
 		p.cpu = s.ringCPU(r)
 		// The PMD cores are dedicated: user work must never be placed on a
@@ -222,16 +229,15 @@ func (st *pollStack) poll(r int) {
 		return // run over: the loop winds down
 	}
 	c := &st.sys.Costs
-	batch := st.sys.rss.popBurst(r, c.PollBurst)
-	if len(batch) == 0 {
+	pass := &st.rings[r].pass
+	pass.batch = st.sys.rss.popBurst(r, c.PollBurst, pass.batch)
+	if len(pass.batch) == 0 {
 		p := &st.pmds[r]
 		p.cpu.Spin(&p.spin)
 		st.arm(r)
 		return
 	}
-	ring := &st.rings[r]
-	st.sys.kernelPass(st.pmds[r].cpu, "pmd-burst", batch, &ring.inflight, st.socks,
-		c.PollPerPktNS, c.RingInsertNS, false, ring.service)
+	pass.run(st.pmds[r].cpu, c.PollPerPktNS, c.RingInsertNS, false)
 }
 
 // grain is one spin-grain boundary on ring r, where the loop polls the
@@ -252,7 +258,7 @@ func (st *pollStack) grain(r int) {
 func (st *pollStack) arm(r int) {
 	p := &st.pmds[r]
 	now, grain := st.sys.Sim.Now(), p.cpu.Cost(&p.spin)
-	if st.sys.genDone && st.sys.rss.dmaPkts == 0 {
+	if st.sys.genDone && st.sys.rss.dma.len() == 0 {
 		p.tailFrom, p.tailGrain = now, grain
 		return
 	}
@@ -280,29 +286,47 @@ type xframe struct {
 func (f *xframe) release() {
 	f.refs--
 	if f.refs == 0 {
-		f.pool.umemFree++
+		f.pool.free = append(f.pool.free, f)
 	}
 }
 
 type xdpStack struct {
 	ringSet
-	umemFree int
-	gUmem    *Gauge
+	umem  []xframe  // the UmemFrames frames, made with the System
+	free  []*xframe // the fill ring: frames free for the driver
+	gUmem *Gauge
 }
 
 func newXDPStack(s *System, nrings int) *xdpStack {
-	st := &xdpStack{umemFree: s.Costs.UmemFrames}
+	st := &xdpStack{umem: make([]xframe, max(s.Costs.UmemFrames, 0))}
+	st.free = make([]*xframe, 0, len(st.umem))
+	for i := range st.umem {
+		st.umem[i].pool = st
+	}
+	st.fill()
 	st.gUmem = s.newGauge("umem", -1, s.Costs.UmemFrames)
 	st.ringSet = newRingSet(s, nrings, s.newSocks("xsk-ring", s.Costs.AppRingSlots, true))
 	for r := range st.rings {
-		st.rings[r].service = func() { st.xdpPass(r) }
+		st.bind(r, "xdp-rx", func() { st.xdpPass(r) })
+		// The XDP pass completes through its own delivery, not the
+		// socket pass's.
+		st.rings[r].pass.task.OnDone = func() { st.xdpDone(r) }
 	}
 	return st
 }
 
+// fill puts every UMEM frame on the fill ring.
+func (st *xdpStack) fill() {
+	st.free = st.free[:0]
+	for i := range st.umem {
+		st.umem[i].refs = 0
+		st.free = append(st.free, &st.umem[i])
+	}
+}
+
 func (st *xdpStack) reset() {
 	st.ringSet.reset()
-	st.umemFree = st.sys.Costs.UmemFrames
+	st.fill()
 }
 
 // xdpPass drains up to NapiBudget packets from ring r: each packet needs
@@ -317,15 +341,14 @@ func (st *xdpStack) reset() {
 func (st *xdpStack) xdpPass(r int) {
 	c := &st.sys.Costs
 	ring := &st.rings[r]
-	batch := st.sys.rss.popBurst(r, c.NapiBudget)
-	if len(batch) == 0 {
+	ring.pass.batch = st.sys.rss.popBurst(r, c.NapiBudget, ring.pass.batch)
+	if len(ring.pass.batch) == 0 {
 		ring.napiOn = false
 		return
 	}
-	ring.inflight = batch
 
 	var fixed float64
-	for _, p := range batch {
+	for _, p := range ring.pass.batch {
 		fixed += c.DriverRxNS + c.XdpRxNS
 		for range st.socks {
 			_, fcost := st.sys.runFilter(p.data)
@@ -333,66 +356,68 @@ func (st *xdpStack) xdpPass(r int) {
 			fixed += c.RingInsertNS
 		}
 	}
-	st.sys.ringCPU(r).Submit(&sim.Task{
-		Name:    "xdp-rx",
-		Prio:    sim.PrioSoftIRQ,
-		FixedNS: st.sys.kfixed(fixed),
-		OnDone: func() {
-			ring.inflight = nil
-			now := st.sys.Sim.Now() - st.sys.runStart
-			rejects := 0
-			var rejectBytes uint64
-			for _, p := range batch {
-				if st.umemFree == 0 {
-					// No frame for the DMA'd packet: dropped before the
-					// per-socket fan-out, shared by every application.
-					st.sys.ledger.Record(CauseUmemFill, len(p.data), now)
-					st.gUmem.overflow()
-					continue
-				}
-				st.umemFree--
-				st.gUmem.observe(st.sys.Costs.UmemFrames - st.umemFree)
-				f := &xframe{pool: st}
-				for _, sk := range st.socks {
-					caplen, _ := st.sys.runFilter(p.data)
-					if caplen == 0 {
-						rejects++
-						rejectBytes += uint64(len(p.data))
-						continue
-					}
-					if sk.used >= sk.capacity {
-						st.sys.recordDrop(CauseRcvbuf, caplen)
-						sk.gauge.overflow()
-						continue
-					}
-					f.refs++
-					sk.queue = append(sk.queue, kpkt{data: p.data, caplen: caplen, arrival: p.arrival})
-					sk.frames = append(sk.frames, f)
-					sk.used++
-					sk.gauge.observe(sk.used)
-					sk.Enqueued++
-					sk.sinceWake++
-				}
-				if f.refs == 0 {
-					// Every socket rejected or overflowed: the frame goes
-					// straight back to the pool.
-					st.umemFree++
-				}
+	ring.pass.task.FixedNS = st.sys.kfixed(fixed)
+	st.sys.ringCPU(r).Submit(&ring.pass.task)
+}
+
+// xdpDone completes ring r's XDP pass: the batch lands in the XSK rings,
+// idle readers are woken, and the next pass starts.
+func (st *xdpStack) xdpDone(r int) {
+	ring := &st.rings[r]
+	batch := ring.pass.batch
+	ring.pass.batch = batch[:0] // no longer in flight; read below until the next pass
+	now := st.sys.Sim.Now() - st.sys.runStart
+	rejects := 0
+	var rejectBytes uint64
+	for _, p := range batch {
+		if len(st.free) == 0 {
+			// No frame for the DMA'd packet: dropped before the
+			// per-socket fan-out, shared by every application.
+			st.sys.ledger.Record(CauseUmemFill, len(p.data), now)
+			st.gUmem.overflow()
+			continue
+		}
+		f := st.free[len(st.free)-1]
+		st.free = st.free[:len(st.free)-1]
+		st.gUmem.observe(len(st.umem) - len(st.free))
+		for _, sk := range st.socks {
+			caplen, _ := st.sys.runFilter(p.data)
+			if caplen == 0 {
+				rejects++
+				rejectBytes += uint64(len(p.data))
+				continue
 			}
-			st.sys.ledger.RecordN(CauseFilter, rejects, rejectBytes, now)
-			flush := st.sys.rss.depth(r) == 0
-			for _, sk := range st.socks {
-				if len(sk.queue) == 0 || sk.app.state != stIdle {
-					continue
-				}
-				if sk.sinceWake >= st.sys.Costs.WakeupBatch || flush {
-					sk.sinceWake = 0
-					st.appStart(sk.app)
-				}
+			if sk.used >= sk.capacity {
+				st.sys.recordDrop(CauseRcvbuf, caplen)
+				sk.gauge.overflow()
+				continue
 			}
-			st.xdpPass(r)
-		},
-	})
+			f.refs++
+			sk.queue.push(kpkt{data: p.data, caplen: caplen, arrival: p.arrival})
+			sk.frames.push(f)
+			sk.used++
+			sk.gauge.observe(sk.used)
+			sk.Enqueued++
+			sk.sinceWake++
+		}
+		if f.refs == 0 {
+			// Every socket rejected or overflowed: the frame goes
+			// straight back to the pool.
+			st.free = append(st.free, f)
+		}
+	}
+	st.sys.ledger.RecordN(CauseFilter, rejects, rejectBytes, now)
+	flush := st.sys.rss.depth(r) == 0
+	for _, sk := range st.socks {
+		if sk.queue.len() == 0 || sk.app.state != stIdle {
+			continue
+		}
+		if sk.sinceWake >= st.sys.Costs.WakeupBatch || flush {
+			sk.sinceWake = 0
+			st.appStart(sk.app)
+		}
+	}
+	st.xdpPass(r)
 }
 
 // appStart: one batched wakeup syscall, then per-frame descriptor

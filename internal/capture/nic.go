@@ -3,14 +3,15 @@ package capture
 import "repro/internal/sim"
 
 // irqStack is the interrupt-context half of the two legacy stacks, which
-// the single-queue NIC drives packet by packet.
+// the single-queue NIC drives packet by packet. One hardirq is in flight
+// at a time, so a stack may keep what irqCost decided for irqDone.
 type irqStack interface {
 	// irqCost prices the interrupt-context work for one packet (beyond
-	// the shared driver cost) and may precompute state passed to irqDone.
-	irqCost(data []byte) (fixedNS, memBytes float64, aux any)
+	// the shared driver cost).
+	irqCost(data []byte) (fixedNS, memBytes float64)
 	// irqDone applies the interrupt-context state change when the task
 	// completes (enqueue, copy into buffers, wakeups, drops).
-	irqDone(data []byte, aux any)
+	irqDone(data []byte)
 }
 
 // NIC models the Intel 82544EI receive path: a DMA descriptor ring of
@@ -25,11 +26,15 @@ type NIC struct {
 	sys *System
 	irq irqStack // the legacy stack's interrupt-context half
 
-	ring      []kpkt
+	ring      fifo[kpkt]
 	irqActive bool
-	modWait   bool  // first interrupt delayed by the moderation window
-	inflight  *kpkt // packet popped from the ring, hardirq task running
+	modWait   bool // first interrupt delayed by the moderation window
+	inIRQ     bool // cur is popped from the ring, its hardirq task running
+	cur       kpkt
 	gauge     *Gauge
+
+	hardirq  sim.Task // the handler run for cur, bound once
+	moderate func()   // the end of a moderation window, bound once
 
 	Delivered uint64 // packets handed to the stack
 
@@ -37,16 +42,27 @@ type NIC struct {
 	lastStamp  sim.Time
 }
 
+func newNIC(s *System) *NIC {
+	n := &NIC{sys: s}
+	n.gauge = s.newGauge("nic-ring", -1, s.Costs.RingSlots)
+	n.hardirq = sim.Task{Name: "rx-irq", Prio: sim.PrioHardIRQ, OnDone: n.irqDone}
+	n.moderate = n.moderationEnd
+	return n
+}
+
 func (n *NIC) reset() {
-	n.ring = n.ring[:0]
-	n.irqActive, n.modWait, n.inflight = false, false, nil
+	n.ring.reset()
+	n.irqActive, n.modWait, n.inIRQ = false, false, false
 	n.Delivered = 0
 	n.burstStamp, n.lastStamp = 0, 0
 }
 
+// holding reports whether a packet is in the ring or in the handler.
+func (n *NIC) holding() bool { return n.ring.len() > 0 || n.irqActive }
+
 // Arrive is called at the simulated instant the frame has fully arrived.
 func (n *NIC) Arrive(data []byte) {
-	if len(n.ring) >= n.sys.Costs.RingSlots {
+	if n.ring.len() >= n.sys.Costs.RingSlots {
 		// Attribute the overflow: a ring that filled while the card was
 		// still delaying the first interrupt of a moderation window is the
 		// moderation trade-off at work, not handler overload.
@@ -58,17 +74,13 @@ func (n *NIC) Arrive(data []byte) {
 		n.gauge.overflow()
 		return
 	}
-	n.ring = append(n.ring, kpkt{data: data, arrival: n.sys.Sim.Now()})
-	n.gauge.observe(len(n.ring))
+	n.ring.push(kpkt{data: data, arrival: n.sys.Sim.Now()})
+	n.gauge.observe(n.ring.len())
 	if !n.irqActive {
 		n.irqActive = true
 		if d := n.sys.Costs.ModerationDelayNS; d > 0 {
 			n.modWait = true
-			n.sys.Sim.After(sim.Time(d), func() {
-				n.modWait = false
-				n.burstStamp = n.sys.Sim.Now()
-				n.serviceNext(true)
-			})
+			n.sys.Sim.After(sim.Time(d), n.moderate)
 		} else {
 			n.burstStamp = n.sys.Sim.Now()
 			n.serviceNext(true)
@@ -76,39 +88,43 @@ func (n *NIC) Arrive(data []byte) {
 	}
 }
 
+// moderationEnd raises the interrupt a moderation window delayed.
+func (n *NIC) moderationEnd() {
+	n.modWait = false
+	n.burstStamp = n.sys.Sim.Now()
+	n.serviceNext(true)
+}
+
 // serviceNext submits the hardirq task for the next ring entry. The task
 // cost is the driver per-packet cost plus whatever interrupt-context work
 // the OS stack performs for this packet (FreeBSD: filtering and buffer
 // copies; Linux: skb allocation and backlog enqueue).
 func (n *NIC) serviceNext(first bool) {
-	p := n.ring[0]
-	copy(n.ring, n.ring[1:])
-	n.ring = n.ring[:len(n.ring)-1]
-	n.inflight = &p
+	n.cur = n.ring.pop()
+	n.inIRQ = true
 
-	fixed, memBytes, aux := n.irq.irqCost(p.data)
+	fixed, memBytes := n.irq.irqCost(n.cur.data)
 	fixed += n.sys.Costs.DriverRxNS
 	if first {
 		fixed += n.sys.Costs.IRQEntryNS
 	}
-	n.sys.cpu0().Submit(&sim.Task{
-		Name:         "rx-irq",
-		Prio:         sim.PrioHardIRQ,
-		FixedNS:      n.sys.kfixed(fixed),
-		MemBytes:     memBytes,
-		MemNsPerByte: n.sys.kmemNs(),
-		OnDone: func() {
-			n.Delivered++
-			n.stamp(p)
-			n.inflight = nil // custody passes to the stack
-			n.irq.irqDone(p.data, aux)
-			if len(n.ring) > 0 {
-				n.serviceNext(false)
-			} else {
-				n.irqActive = false
-			}
-		},
-	})
+	t := &n.hardirq
+	t.FixedNS, t.MemBytes, t.MemNsPerByte = n.sys.kfixed(fixed), memBytes, n.sys.kmemNs()
+	n.sys.cpu0().Submit(t)
+}
+
+// irqDone completes the handler run for cur and drains the ring on.
+func (n *NIC) irqDone() {
+	p := n.cur
+	n.Delivered++
+	n.stamp(p)
+	n.inIRQ = false // custody passes to the stack
+	n.irq.irqDone(p.data)
+	if n.ring.len() > 0 {
+		n.serviceNext(false)
+	} else {
+		n.irqActive = false
+	}
 }
 
 // stamp records the packet's kernel timestamp ("usually performed by the

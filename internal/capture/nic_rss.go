@@ -20,7 +20,7 @@ type ringServicer interface {
 // timestamp shared by the pass's batch — the same artifact as the legacy
 // burst stamp, per ring).
 type rxRing struct {
-	pkts      []kpkt
+	pkts      fifo[kpkt]
 	deferred  bool // the last service pass left packets behind (budget/burst cap)
 	delivered uint64
 	gauge     *Gauge
@@ -40,20 +40,30 @@ type rssNIC struct {
 	kick  ringServicer // nil: poll-mode, no interrupts
 
 	// DMA ceiling state (dmaNsPerByte == 0: no ceiling, frames land
-	// immediately like the legacy NIC).
+	// immediately like the legacy NIC). The bus serializes the DMAs, so
+	// they complete in the order they start: dma holds the frames in
+	// flight in that order, and each completion event, bound once, lands
+	// the oldest.
 	dmaNsPerByte float64
 	fifoCap      int
 	fifoBytes    int
 	fifoGauge    *Gauge
 	linkFree     sim.Time
-	dmaPkts      int
-	dmaBytes     uint64
+	dma          fifo[dmaFrame]
+	dmaDone      func()
 
 	Delivered uint64 // packets handed to the stack
 }
 
+// dmaFrame is one frame crossing the bus.
+type dmaFrame struct {
+	data    []byte
+	arrival sim.Time
+}
+
 func newRSSNIC(s *System, nrings int) *rssNIC {
 	n := &rssNIC{sys: s}
+	n.dmaDone = n.landDMA
 	if gbps := s.Arch.PCIeGbps; gbps > 0 {
 		if m := s.Arch.MemBWGbps; m > 0 && m < gbps {
 			gbps = m
@@ -76,12 +86,13 @@ func newRSSNIC(s *System, nrings int) *rssNIC {
 func (n *rssNIC) reset() {
 	for i := range n.rings {
 		r := &n.rings[i]
-		r.pkts = r.pkts[:0]
+		r.pkts.reset()
 		r.deferred = false
 		r.delivered = 0
 		r.lastStamp = 0
 	}
-	n.fifoBytes, n.dmaPkts, n.dmaBytes = 0, 0, 0
+	n.fifoBytes = 0
+	n.dma.reset()
 	n.linkFree = 0
 	n.Delivered = 0
 }
@@ -112,28 +123,29 @@ func (n *rssNIC) Arrive(data []byte) {
 	}
 	n.fifoBytes += len(data)
 	n.fifoGauge.observe(n.fifoBytes)
-	n.dmaPkts++
-	n.dmaBytes += uint64(len(data))
+	n.dma.push(dmaFrame{data: data, arrival: arrival})
 	start := n.linkFree
 	if start < arrival {
 		start = arrival
 	}
 	done := start + sim.Time(float64(len(data))*n.dmaNsPerByte+0.5)
 	n.linkFree = done
-	n.sys.Sim.At(done, func() {
-		n.fifoBytes -= len(data)
-		n.fifoGauge.observe(n.fifoBytes)
-		n.dmaPkts--
-		n.dmaBytes -= uint64(len(data))
-		n.land(data, arrival)
-	})
+	n.sys.Sim.At(done, n.dmaDone)
+}
+
+// landDMA completes the oldest DMA in flight.
+func (n *rssNIC) landDMA() {
+	f := n.dma.pop()
+	n.fifoBytes -= len(f.data)
+	n.fifoGauge.observe(n.fifoBytes)
+	n.land(f.data, f.arrival)
 }
 
 // land places a DMA-complete frame into its RSS ring.
 func (n *rssNIC) land(data []byte, arrival sim.Time) {
 	r := n.ringOf(data)
 	ring := &n.rings[r]
-	if len(ring.pkts) >= n.sys.Costs.RSSRingSlots {
+	if ring.pkts.len() >= n.sys.Costs.RSSRingSlots {
 		// Attribute the overflow: a ring that filled while the servicer
 		// was deliberately leaving packets behind (budget/burst cap hit
 		// with more queued) overflowed because of the batching limit.
@@ -145,33 +157,31 @@ func (n *rssNIC) land(data []byte, arrival sim.Time) {
 		ring.gauge.overflow()
 		return
 	}
-	ring.pkts = append(ring.pkts, kpkt{data: data, arrival: arrival})
-	ring.gauge.observe(len(ring.pkts))
+	ring.pkts.push(kpkt{data: data, arrival: arrival})
+	ring.gauge.observe(ring.pkts.len())
 	if n.kick != nil {
 		n.kick.ringKick(r)
 	}
 }
 
 // depth returns the current occupancy of ring r.
-func (n *rssNIC) depth(r int) int { return len(n.rings[r].pkts) }
+func (n *rssNIC) depth(r int) int { return n.rings[r].pkts.len() }
 
-// popBurst removes up to max packets from ring r and stamps each with the
-// current instant — the service pass's entry time, shared by the whole
-// batch (the per-ring analogue of NIC.stamp: batching still merges
-// inter-packet gaps). It records whether packets were left behind, which
-// attributes subsequent overflows to the batching budget.
-func (n *rssNIC) popBurst(r, max int) []kpkt {
+// popBurst moves up to max packets from ring r into dst (emptied first)
+// and stamps each with the current instant — the service pass's entry
+// time, shared by the whole batch (the per-ring analogue of NIC.stamp:
+// batching still merges inter-packet gaps). It records whether packets
+// were left behind, which attributes subsequent overflows to the batching
+// budget.
+func (n *rssNIC) popBurst(r, max int, dst []kpkt) []kpkt {
 	ring := &n.rings[r]
-	count := len(ring.pkts)
-	if count > max {
-		count = max
-	}
+	count := min(ring.pkts.len(), max)
 	if count == 0 {
 		ring.deferred = false
-		return nil
+		return dst[:0]
 	}
-	batch := popFront(&ring.pkts, count)
-	ring.deferred = len(ring.pkts) > 0
+	batch := ring.pkts.popInto(dst, count)
+	ring.deferred = ring.pkts.len() > 0
 	ring.delivered += uint64(count)
 	n.Delivered += uint64(count)
 
@@ -197,11 +207,11 @@ func (n *rssNIC) popBurst(r, max int) []kpkt {
 // idle reports whether the NIC holds no packets (no DMA in flight, all
 // rings empty).
 func (n *rssNIC) idle() bool {
-	if n.dmaPkts > 0 {
+	if n.dma.len() > 0 {
 		return false
 	}
 	for i := range n.rings {
-		if len(n.rings[i].pkts) > 0 {
+		if n.rings[i].pkts.len() > 0 {
 			return false
 		}
 	}
@@ -211,9 +221,12 @@ func (n *rssNIC) idle() bool {
 // remnants counts the packets still inside the NIC (DMA in flight plus
 // ring contents) for truncation accounting.
 func (n *rssNIC) remnants() (pkts int, bytes uint64) {
-	pkts, bytes = n.dmaPkts, n.dmaBytes
+	for _, f := range n.dma.items() {
+		pkts++
+		bytes += uint64(len(f.data))
+	}
 	for i := range n.rings {
-		for _, p := range n.rings[i].pkts {
+		for _, p := range n.rings[i].pkts.items() {
 			pkts++
 			bytes += uint64(len(p.data))
 		}

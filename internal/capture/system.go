@@ -75,6 +75,16 @@ type System struct {
 	runStart  sim.Time // Sim.Now() when the current run began
 	truncated bool     // the run hit the safety cap with packets in flight
 
+	// The feed: the run's source, the packets it has sent, the frame of
+	// the one scheduled arrival, and that arrival's event, bound once.
+	src      Source
+	sent     uint64
+	nextData []byte
+	arrival  func()
+
+	housekeep []func() // each CPU's housekeeping tick, bound once
+	tasks     []*pooledTask
+
 	// Per-CPU, per-priority busy counters bracketing the generation window
 	// (cpusage semantics, §5): snapshot at run start, delta at genEnd.
 	busyAtStart  [][sim.NumPrio]sim.Time
@@ -149,9 +159,9 @@ func NewSystem(cfg Config) *System {
 	if cfg.Hyperthreading {
 		s.Machine.HTSlowdown = cfg.Arch.HTSlowdown
 	}
+	s.arrival = s.arrive
 	if cfg.Stack == StackLegacy {
-		s.NIC = &NIC{sys: s}
-		s.NIC.gauge = s.newGauge("nic-ring", -1, s.Costs.RingSlots)
+		s.NIC = newNIC(s)
 	} else {
 		// Clamp the ring count to the CPUs that can service them; poll
 		// mode additionally keeps at least one core free of PMD spin
@@ -242,30 +252,80 @@ func (s *System) runFilter(data []byte) (caplen int, costNS float64) {
 	return s.caplen(n), cost
 }
 
-// startHousekeeping arms the periodic kernel-housekeeping tasks.
+// pooledTask is a task of a site that can have several in flight:
+// housekeeping queues one per period even while a livelock keeps it from
+// running, and a read's analysis load runs as several worker shares. It
+// comes from its System's free list and goes back when it completes.
+type pooledTask struct {
+	sim.Task
+	sys *System
+	// A worker share: its application (nil for housekeeping), the worker
+	// queue bytes it releases, and the disk and pipe bytes it writes.
+	app        *App
+	rel        int
+	disk, pipe int
+}
+
+// maxFreeTasks caps the free list, so a livelocked run's pile of queued
+// housekeeping does not stay pinned for the rest of a campaign.
+const maxFreeTasks = 1024
+
+// newTask takes a task off the free list, or makes one.
+func (s *System) newTask() *pooledTask {
+	if n := len(s.tasks); n > 0 {
+		t := s.tasks[n-1]
+		s.tasks = s.tasks[:n-1]
+		return t
+	}
+	t := &pooledTask{sys: s}
+	t.OnDone = t.done
+	return t
+}
+
+func (t *pooledTask) done() {
+	a, rel, disk, pipe := t.app, t.rel, t.disk, t.pipe
+	if s := t.sys; len(s.tasks) < maxFreeTasks {
+		s.tasks = append(s.tasks, t)
+	}
+	if a != nil {
+		a.workerDone(rel, disk, pipe)
+	}
+}
+
+// startHousekeeping arms the periodic kernel-housekeeping tasks on every
+// CPU but those a poll-mode driver spins on: a task queued behind the
+// spin could never run while the run is live, and real deployments
+// isolate PMD cores from such work the same way.
 func (s *System) startHousekeeping() {
 	if s.Costs.HousekeepNS <= 0 || s.Costs.HousekeepPeriodNS <= 0 {
 		return
 	}
-	for i, cpu := range s.Machine.CPUs {
-		cpu := cpu
+	if s.housekeep == nil {
+		s.housekeep = make([]func(), len(s.Machine.CPUs))
+		for i := range s.housekeep {
+			s.housekeep[i] = func() { s.housekeepTick(i) }
+		}
+	}
+	for i := range s.Machine.CPUs {
+		if s.Machine.Reserved(i) {
+			continue
+		}
 		// Stagger across CPUs so both are never stalled at once.
 		offset := sim.Time(s.Costs.HousekeepPeriodNS * float64(i+1) / float64(len(s.Machine.CPUs)+1))
-		var arm func()
-		arm = func() {
-			if !s.running {
-				return
-			}
-			cpu.Submit(&sim.Task{
-				Name:    "housekeeping",
-				Prio:    sim.PrioKernel,
-				FixedNS: s.Costs.HousekeepNS,
-				OnDone:  func() {},
-			})
-			s.Sim.After(sim.Time(s.Costs.HousekeepPeriodNS), arm)
-		}
-		s.Sim.At(s.Sim.Now()+offset, arm)
+		s.Sim.At(s.Sim.Now()+offset, s.housekeep[i])
 	}
+}
+
+// housekeepTick queues one housekeeping task on CPU i and arms the next.
+func (s *System) housekeepTick(i int) {
+	if !s.running {
+		return
+	}
+	t := s.newTask()
+	t.Name, t.Prio, t.FixedNS, t.MemBytes, t.MemNsPerByte = "housekeeping", sim.PrioKernel, s.Costs.HousekeepNS, 0, 0
+	t.app = nil
+	s.Machine.CPUs[i].Submit(&t.Task)
+	s.Sim.After(sim.Time(s.Costs.HousekeepPeriodNS), s.housekeep[i])
 }
 
 // quiescent reports whether all packets in flight have been fully handled.
@@ -274,7 +334,7 @@ func (s *System) quiescent() bool {
 		if !s.rss.idle() || s.stack.pending() {
 			return false
 		}
-	} else if len(s.NIC.ring) > 0 || s.NIC.irqActive || s.stack.pending() {
+	} else if s.NIC.holding() || s.stack.pending() {
 		return false
 	}
 	for _, a := range s.apps {
@@ -361,30 +421,8 @@ func (s *System) run(src Source) Stats {
 		sp.start()
 	}
 
-	var sent uint64
-	var feed func()
-	feed = func() {
-		p, ok := src.Next()
-		if !ok {
-			s.genDone = true
-			s.genEnd = s.Sim.Now()
-			// CPU usage is reported over the generation window, like
-			// cpusage bracketing the measurement (§5): snapshot the busy
-			// counters the moment the last packet has arrived.
-			for i, cpu := range s.Machine.CPUs {
-				for p := sim.Prio(0); p < sim.NumPrio; p++ {
-					s.busyAtGenEnd[i][p] = cpu.Busy(p) - s.busyAtStart[i][p]
-				}
-			}
-			return
-		}
-		sent++
-		s.Sim.At(s.runStart+p.At, func() {
-			s.arrive(p.Data)
-			feed()
-		})
-	}
-	feed()
+	s.src, s.sent = src, 0
+	s.feed()
 
 	// Advance in windows; stop once generation has ended and the system is
 	// quiescent. The safety cap bounds runaway configurations (a fully
@@ -412,9 +450,10 @@ func (s *System) run(src Source) Stats {
 	if sp != nil {
 		sp.stop(limit)
 	}
+	s.src = nil
 	if s.truncated {
 		s.recordRemnants()
-		st := s.collectStats(sent)
+		st := s.collectStats()
 		// Flush the abandoned events after the books are closed, so the
 		// simulator is clean for a potential next run.
 		s.Sim.Run()
@@ -423,7 +462,29 @@ func (s *System) run(src Source) Stats {
 	// Let any residual events (cancelled housekeeping re-arms) run out.
 	s.Sim.Run()
 
-	return s.collectStats(sent)
+	return s.collectStats()
+}
+
+// feed schedules the next packet of the source at its offset from the run
+// start, or ends generation once the source is exhausted.
+func (s *System) feed() {
+	p, ok := s.src.Next()
+	if !ok {
+		s.genDone = true
+		s.genEnd = s.Sim.Now()
+		// CPU usage is reported over the generation window, like
+		// cpusage bracketing the measurement (§5): snapshot the busy
+		// counters the moment the last packet has arrived.
+		for i, cpu := range s.Machine.CPUs {
+			for p := sim.Prio(0); p < sim.NumPrio; p++ {
+				s.busyAtGenEnd[i][p] = cpu.Busy(p) - s.busyAtStart[i][p]
+			}
+		}
+		return
+	}
+	s.sent++
+	s.nextData = p.Data
+	s.Sim.At(s.runStart+p.At, s.arrival)
 }
 
 // recordRemnants books every packet still in flight at truncation time
@@ -446,10 +507,10 @@ func (s *System) recordRemnants() {
 		sharedPkts += p
 		sharedBytes += b
 	} else {
-		if s.NIC.inflight != nil {
-			count(*s.NIC.inflight)
+		if s.NIC.inIRQ {
+			count(s.NIC.cur)
 		}
-		for _, p := range s.NIC.ring {
+		for _, p := range s.NIC.ring.items() {
 			count(p)
 		}
 	}
@@ -471,8 +532,8 @@ func (s *System) recordRemnants() {
 	}
 }
 
-func (s *System) collectStats(generated uint64) Stats {
-	st := Stats{Generated: generated, CPUCount: len(s.Machine.CPUs)}
+func (s *System) collectStats() Stats {
+	st := Stats{Generated: s.sent, CPUCount: len(s.Machine.CPUs)}
 	st.WallTime = s.genEnd - s.runStart
 	st.BusyByCPU = append([][sim.NumPrio]sim.Time(nil), s.busyAtGenEnd...)
 	for _, by := range st.BusyByCPU {
@@ -505,13 +566,15 @@ func (s *System) collectStats(generated uint64) Stats {
 	return st
 }
 
-// arrive hands one wire-complete frame to whichever NIC the system has.
-func (s *System) arrive(data []byte) {
+// arrive hands the scheduled wire-complete frame to whichever NIC the
+// system has, and schedules the next.
+func (s *System) arrive() {
 	if s.rss != nil {
-		s.rss.Arrive(data)
-		return
+		s.rss.Arrive(s.nextData)
+	} else {
+		s.NIC.Arrive(s.nextData)
 	}
-	s.NIC.Arrive(data)
+	s.feed()
 }
 
 // RingDelivered exposes the per-ring delivery counts of the RSS NIC (nil

@@ -44,10 +44,13 @@ type Cell struct {
 // value's bits) and the repetition index. Faults are drawn from (plan
 // seed, point, system, rep, attempt), never from execution order, so
 // chaos runs are exactly reproducible for any worker count — and across
-// an interrupt-and-resume boundary.
+// an interrupt-and-resume boundary. X is the point's plotted value, which
+// the cell's events carry; the fingerprint alone does not give it back,
+// as each layout picks its own.
 type CellID struct {
 	Point uint64
 	Rep   int
+	X     float64
 }
 
 // CellKey identifies one measurement cell durably, across process
@@ -261,7 +264,7 @@ func (e *engine) key(i int) CellKey { return KeyOf(e.o.Experiment, e.cells[i], e
 func (e *engine) event(kind EventKind, i, attempt int, detail string) Event {
 	return Event{
 		Kind: kind, Experiment: e.o.Experiment, System: e.cells[i].Cfg.Name,
-		Point: e.ids[i].Point, X: e.cells[i].W.TargetRate / 1e6, Rep: e.ids[i].Rep,
+		Point: e.ids[i].Point, X: e.ids[i].X, Rep: e.ids[i].Rep,
 		Attempt: attempt, Detail: detail,
 	}
 }
@@ -420,7 +423,7 @@ func sweepCells(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int
 			wl.TargetRate = r * 1e6
 			for _, cfg := range cfgs {
 				cells = append(cells, Cell{Cfg: cfg, W: wl})
-				ids = append(ids, CellID{Point: pointKey(r), Rep: rep})
+				ids = append(ids, CellID{Point: pointKey(r), Rep: rep, X: r})
 			}
 		}
 	}

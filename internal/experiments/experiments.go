@@ -315,11 +315,11 @@ func tableRun(title string, series func(o Options) []core.Series) func(o Options
 }
 
 // observeCellPoints wraps obs so a per-cell sweep (one cell per plotted
-// point) publishes one EventPoint per final cell, rendered exactly like
-// cellSeries renders the series form. Emission is head-of-line sequenced
-// in cell layout order, so the point stream is deterministic for any
-// worker count.
-func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, ids []core.CellID, xOf func(i int) float64) core.Observer {
+// point) publishes one EventPoint per final cell, at the cell event's x,
+// rendered exactly like cellSeries renders the series form. Emission is
+// head-of-line sequenced in cell layout order, so the point stream is
+// deterministic for any worker count.
+func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, ids []core.CellID) core.Observer {
 	if obs == nil {
 		return nil
 	}
@@ -343,7 +343,7 @@ func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, 
 		if ev.Outcome != nil {
 			out = *ev.Outcome
 		}
-		pt := cellPoint(ev.System, xOf(i), out, ev.Outcome != nil)
+		pt := cellPoint(ev.System, ev.X, out, ev.Outcome != nil)
 		pe := core.Event{Kind: core.EventPoint, Experiment: ev.Experiment,
 			System: ev.System, Point: ev.Point, X: pt.X, Agg: &pt}
 		mu.Lock()
@@ -362,10 +362,10 @@ func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, 
 func runCells(o Options, experiment string, l cellSweep) []core.CellOutcome {
 	ids := make([]core.CellID, len(l.cells))
 	for i := range l.cells {
-		ids[i] = core.CellID{Point: l.point(i), Rep: 0}
+		ids[i] = core.CellID{Point: l.point(i), Rep: 0, X: l.x(i)}
 	}
 	co := o.engine(experiment)
-	co.Observer = observeCellPoints(o.Observer, experiment, l.cells, ids, l.x)
+	co.Observer = observeCellPoints(o.Observer, experiment, l.cells, ids)
 	outs, errs := core.Run(o.ctx(), l.cells, ids, co)
 	for _, err := range errs {
 		if err != nil && !core.IsCancel(err) {

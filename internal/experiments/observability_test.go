@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/capture"
+	"repro/internal/core"
 )
 
 // TestWhyFlagAppendsCauses checks the -why plumbing: with Why off the
@@ -119,5 +121,48 @@ func TestWhyAndJSONGolden(t *testing.T) {
 		if got != string(want) {
 			t.Fatalf("%s drifted:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 		}
+	}
+}
+
+// TestCellEventsCarryPointX checks that a cell event carries the plotted
+// x of the point it belongs to, not its train's rate: on per-cell sweeps
+// over another axis (buffer size, moderation delay, hour of the day) the
+// two differ, and every EventCell must agree with the EventPoint of the
+// same point.
+func TestCellEventsCarryPointX(t *testing.T) {
+	for _, id := range []string{"fig6.4-nosmp", "ext-moderation", "ext-production"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := Find(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var cells []core.Event
+			pointX := map[uint64]float64{}
+			o := Options{Packets: 2000, Parallelism: 2}
+			o.Observer = core.ObserverFunc(func(ev core.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch ev.Kind {
+				case core.EventCell:
+					cells = append(cells, ev)
+				case core.EventPoint:
+					pointX[ev.Point] = ev.X
+				}
+			})
+			e.Series(o)
+			if len(cells) == 0 {
+				t.Fatal("no cell events")
+			}
+			for _, ev := range cells {
+				x, ok := pointX[ev.Point]
+				if !ok {
+					t.Fatalf("cell %s at point %d: no point event", ev.System, ev.Point)
+				}
+				if ev.X != x {
+					t.Errorf("cell %s at point %d: X = %g, point event X = %g", ev.System, ev.Point, ev.X, x)
+				}
+			}
+		})
 	}
 }

@@ -43,6 +43,12 @@ func (p Prio) String() string {
 // OnDone runs when the task completes; model code chains sequential
 // activities (an application's read loop, a softirq drain, ...) by
 // submitting the next task from OnDone.
+//
+// A task may be submitted again once it has completed, so a site with at
+// most one task in flight can own its Task and bind OnDone once: completion
+// clears the preemption fraction, and OnDone runs after that, so it may
+// resubmit the task it belongs to. A task that is queued or running must
+// not be submitted a second time.
 type Task struct {
 	Name         string
 	Prio         Prio
@@ -115,6 +121,9 @@ func (m *Machine) Reserve(id int) {
 		m.unreserved = append(m.unreserved, m.CPUs...)
 	}
 }
+
+// Reserved reports whether CPU id is dedicated to pinned kernel work.
+func (m *Machine) Reserved(id int) bool { return m.reserved != nil && m.reserved[id] }
 
 // NewMachine creates a machine with n CPUs. If hyperthreading is true the
 // CPUs are paired: CPU 2k and 2k+1 share physical core k.
@@ -324,6 +333,7 @@ func (c *CPU) complete(t *Task) {
 	}
 	c.busy[t.Prio] += t.duration
 	c.current = nil
+	t.remaining = 0 // completed: a resubmission starts whole
 	// Run the completion callback before dispatching the next task so the
 	// callback may submit follow-up work that competes fairly for the CPU.
 	t.OnDone()

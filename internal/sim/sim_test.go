@@ -421,6 +421,32 @@ func TestPreemptAtCompletionInstantDoesNotRerun(t *testing.T) {
 	}
 }
 
+// TestCompletedTaskResubmits checks the rule that lets a site own its
+// task: once completed, a task that was preempted on its way may be
+// submitted again, from its own OnDone, and runs whole.
+func TestCompletedTaskResubmits(t *testing.T) {
+	s := New()
+	m := NewMachine(s, 1, false)
+	c := m.CPUs[0]
+	var ends []Time
+	task := &Task{Name: "reused", Prio: PrioUser, FixedNS: 100}
+	task.OnDone = func() {
+		ends = append(ends, s.Now())
+		if len(ends) == 1 {
+			c.Submit(task)
+		}
+	}
+	c.Submit(task)
+	s.At(40, func() {
+		c.Submit(&Task{Name: "irq", Prio: PrioHardIRQ, FixedNS: 10, OnDone: func() {}})
+	})
+	s.Run()
+	// 40 ns, the irq's 10, the remaining 60; then a whole 100 again.
+	if len(ends) != 2 || ends[0] != 110 || ends[1] != 210 {
+		t.Fatalf("completions at %v, want [110 210]", ends)
+	}
+}
+
 func TestStaleCancelIsNoOp(t *testing.T) {
 	// After an event fires, its struct is recycled for the next scheduled
 	// event. A Cancel through the old ref must not touch the new event.
