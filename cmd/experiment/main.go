@@ -393,26 +393,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var workerWG sync.WaitGroup
 	var chaosTransports []*netchaos.Transport
 	if coord != nil && *workersN > 0 {
-		wo := o
-		wo.Ctx, wo.Journal, wo.Observer, wo.Executor = nil, nil, nil, nil
 		for i := 1; i <= *workersN; i++ {
-			w := &dispatch.Worker{
-				ID: fmt.Sprintf("local-%d", i), BaseURL: baseURL, Options: wo,
-			}
-			if *netchaosS != 0 {
-				// Each in-process worker talks through its own chaos
-				// transport; Peer salts the draws so the workers see
-				// independent fault schedules from one seed.
-				tr := &netchaos.Transport{
-					Plan: netchaos.DefaultPlan(*netchaosS), Peer: w.ID,
-					OnFault: func(c netchaos.Class, detail string) {
-						hub.Observe(core.Event{Kind: core.EventChaos,
-							Campaign: campaign(*journalDir), Worker: w.ID,
-							Fault: "net-" + c.String(), Detail: detail})
-					},
-				}
+			wid := fmt.Sprintf("local-%d", i)
+			w, tr := newWorker(wid, baseURL, o, *netchaosS, func(c netchaos.Class, detail string) {
+				hub.Observe(core.Event{Kind: core.EventChaos,
+					Campaign: campaign(*journalDir), Worker: wid,
+					Fault: "net-" + c.String(), Detail: detail})
+			})
+			if tr != nil {
 				chaosTransports = append(chaosTransports, tr)
-				w.Client = &http.Client{Timeout: dispatch.DefaultClientTimeout, Transport: tr}
 			}
 			workerWG.Add(1)
 			go func() {
@@ -553,6 +542,22 @@ func openCampaign(stderr io.Writer, fsys faultfs.FS, dir string, resume bool, o 
 	return c, nil
 }
 
+// newWorker builds a dispatch worker for the coordinator at base. The
+// worker reads only the semantic fields of o and its Parallelism. With a
+// -netchaos seed the worker talks through a chaos transport of its own,
+// whose Peer salts the draws with the worker's ID so that workers see
+// independent fault schedules from one seed; onFault reports each
+// injected fault, and the transport is returned for its fault count.
+func newWorker(id, base string, o experiments.Options, netchaosSeed uint64, onFault func(netchaos.Class, string)) (*dispatch.Worker, *netchaos.Transport) {
+	w := &dispatch.Worker{ID: id, BaseURL: base, Options: o}
+	if netchaosSeed == 0 {
+		return w, nil
+	}
+	tr := &netchaos.Transport{Plan: netchaos.DefaultPlan(netchaosSeed), Peer: id, OnFault: onFault}
+	w.Client = &http.Client{Timeout: dispatch.DefaultClientTimeout, Transport: tr}
+	return w, tr
+}
+
 // runWorker is the whole -worker mode: join the coordinator, serve
 // leases until the campaign completes. Exit codes follow the usual
 // contract — a campaign-fingerprint mismatch is a usage error (2): the
@@ -566,22 +571,14 @@ func runWorker(ctx context.Context, stderr io.Writer, addr string, o experiments
 	if host == "" {
 		host = "worker"
 	}
-	w := &dispatch.Worker{
-		ID:      fmt.Sprintf("%s-%d", host, os.Getpid()),
-		BaseURL: base,
-		Options: o,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(stderr, "experiment: "+format+"\n", args...)
-		},
+	w, tr := newWorker(fmt.Sprintf("%s-%d", host, os.Getpid()), base, o, netchaosSeed,
+		func(c netchaos.Class, detail string) {
+			fmt.Fprintf(stderr, "experiment: chaos: %s injected: %s\n", c, detail)
+		})
+	w.Log = func(format string, args ...any) {
+		fmt.Fprintf(stderr, "experiment: "+format+"\n", args...)
 	}
-	if netchaosSeed != 0 {
-		tr := &netchaos.Transport{
-			Plan: netchaos.DefaultPlan(netchaosSeed), Peer: w.ID,
-			OnFault: func(c netchaos.Class, detail string) {
-				fmt.Fprintf(stderr, "experiment: chaos: %s injected: %s\n", c, detail)
-			},
-		}
-		w.Client = &http.Client{Timeout: dispatch.DefaultClientTimeout, Transport: tr}
+	if tr != nil {
 		defer func() {
 			fmt.Fprintf(stderr, "experiment: chaos: %d network faults injected\n", tr.Injected())
 		}()

@@ -16,14 +16,14 @@ import (
 	"time"
 )
 
-// Breaker defaults.
+// Breaker constants.
 const (
-	// DefaultBreakerThreshold is the consecutive-failure run that opens
-	// the breaker.
-	DefaultBreakerThreshold = 8
-	// DefaultBreakerCooldown is how long an open breaker fails fast
-	// before admitting a half-open probe.
-	DefaultBreakerCooldown = 2 * time.Second
+	// breakerThreshold is the consecutive-failure run that opens the
+	// breaker.
+	breakerThreshold = 8
+	// breakerCooldown is how long an open breaker fails fast before
+	// admitting a half-open probe.
+	breakerCooldown = 2 * time.Second
 )
 
 // ErrBreakerOpen is returned (wrapped) by calls refused while the
@@ -52,13 +52,11 @@ func (s breakerState) String() string {
 }
 
 // Breaker is a consecutive-failure circuit breaker. The zero value is
-// not usable; NewBreaker applies the defaults. Safe for concurrent use
-// (the worker's lease loop and heartbeat loop share one).
+// not usable; build one with NewBreaker. Safe for concurrent use (the
+// worker's lease loop and heartbeat loop share one).
 type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // injected by tests
+	mu  sync.Mutex
+	now func() time.Time // injected by tests
 
 	state    breakerState
 	failures int
@@ -67,17 +65,8 @@ type Breaker struct {
 	trips    uint64
 }
 
-// NewBreaker builds a breaker; threshold 0 and cooldown 0 mean the
-// defaults.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
-}
+// NewBreaker builds a closed breaker.
+func NewBreaker() *Breaker { return &Breaker{now: time.Now} }
 
 // Allow reports whether a call may go out. Open: false until the
 // cooldown elapses, then the breaker half-opens and admits exactly one
@@ -122,12 +111,12 @@ func (b *Breaker) Failure() {
 	defer b.mu.Unlock()
 	b.failures++
 	b.probing = false
-	if b.state == breakerHalfOpen || b.failures >= b.threshold {
+	if b.state == breakerHalfOpen || b.failures >= breakerThreshold {
 		if b.state != breakerOpen {
 			b.trips++
 		}
 		b.state = breakerOpen
-		b.until = b.now().Add(b.cooldown)
+		b.until = b.now().Add(breakerCooldown)
 	}
 }
 

@@ -53,23 +53,27 @@ import (
 	"repro/internal/journal"
 )
 
-// Tuning defaults.
+// Lease-protocol timings and budgets.
 const (
-	// DefaultLeaseTTL is how long a granted lease stays valid without a
+	// leaseTTL is how long a granted lease stays valid without a
 	// heartbeat.
-	DefaultLeaseTTL = 5 * time.Second
-	// DefaultMaxLease bounds the cells handed out per lease.
-	DefaultMaxLease = 8
-	// DefaultRetryBudget is the dispatch attempts per cell before the
+	leaseTTL = 5 * time.Second
+	// straggler is the age at which a live lease is speculatively
+	// re-dispatched. It is also how long the coordinator waits without
+	// any worker call before it runs the cells still undone itself.
+	straggler = 8 * leaseTTL
+	// maxLease bounds the cells handed out per lease.
+	maxLease = 8
+	// retryBudget is the dispatch attempts per cell before the
 	// coordinator stops trusting workers and runs it locally.
-	DefaultRetryBudget = 3
-	// DefaultBackoff is the base re-dispatch delay after an expiry,
+	retryBudget = 3
+	// requeueBackoff is the base re-dispatch delay after an expiry,
 	// doubled per spent attempt (the shape of the cell engine's fault
 	// supervision).
-	DefaultBackoff = 250 * time.Millisecond
-	// DefaultStrikeout quarantines a worker after this many expired
-	// leases: it keeps asking for work and keeps losing it.
-	DefaultStrikeout = 3
+	requeueBackoff = 250 * time.Millisecond
+	// strikeout quarantines a worker after this many expired leases: it
+	// keeps asking for work and keeps losing it.
+	strikeout = 3
 )
 
 // WALFile is the dispatch write-ahead log's file name inside the
@@ -196,12 +200,6 @@ type Coordinator struct {
 	Campaign    string
 	Fingerprint string
 
-	LeaseTTL    time.Duration // 0 = DefaultLeaseTTL
-	Straggler   time.Duration // 0 = 8×LeaseTTL; <0 disables straggler re-dispatch
-	Backoff     time.Duration // 0 = DefaultBackoff
-	MaxLease    int           // 0 = DefaultMaxLease
-	RetryBudget int           // 0 = DefaultRetryBudget
-	Strikeout   int           // 0 = DefaultStrikeout; <0 disables quarantine
 	// LocalWorkers is the parallelism of local-fallback runs (the
 	// Workers convention; 0 = serial).
 	LocalWorkers int
@@ -237,7 +235,7 @@ type Coordinator struct {
 
 var _ core.CellExecutor = (*Coordinator)(nil)
 
-// New builds a coordinator for the campaign with default tuning.
+// New builds a coordinator for the campaign.
 func New(campaign, fingerprint string) *Coordinator {
 	start := time.Now() // monotonic base: time.Since reads the monotonic clock
 	return &Coordinator{
@@ -250,28 +248,6 @@ func New(campaign, fingerprint string) *Coordinator {
 		wake:        make(chan struct{}, 1),
 	}
 }
-
-func (c *Coordinator) ttl() time.Duration {
-	if c.LeaseTTL > 0 {
-		return c.LeaseTTL
-	}
-	return DefaultLeaseTTL
-}
-
-func (c *Coordinator) straggler() time.Duration {
-	if c.Straggler < 0 {
-		return 0 // disabled
-	}
-	if c.Straggler > 0 {
-		return c.Straggler
-	}
-	return stragglerTTLs * c.ttl()
-}
-
-// stragglerTTLs is the default straggler window in lease TTLs. It is also
-// how long the coordinator waits without any worker call before it runs
-// the cells still undone itself.
-const stragglerTTLs = 8
 
 // abandonedLocked returns the undone cells of st once no worker has
 // called for the straggler window, counted from the coordinator's
@@ -286,7 +262,7 @@ func (c *Coordinator) abandonedLocked(st *activeSet) []int {
 	for _, ws := range c.workers {
 		last = max(last, ws.lastCall)
 	}
-	if st.remaining == 0 || c.now()-last < stragglerTTLs*c.ttl() {
+	if st.remaining == 0 || c.now()-last < straggler {
 		return nil
 	}
 	var idxs []int
@@ -297,37 +273,6 @@ func (c *Coordinator) abandonedLocked(st *activeSet) []int {
 	}
 	st.pending = st.pending[:0]
 	return idxs
-}
-
-func (c *Coordinator) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return DefaultBackoff
-}
-
-func (c *Coordinator) maxLease() int {
-	if c.MaxLease > 0 {
-		return c.MaxLease
-	}
-	return DefaultMaxLease
-}
-
-func (c *Coordinator) budget() int {
-	if c.RetryBudget > 0 {
-		return c.RetryBudget
-	}
-	return DefaultRetryBudget
-}
-
-func (c *Coordinator) strikeout() int {
-	if c.Strikeout < 0 {
-		return 0 // disabled
-	}
-	if c.Strikeout > 0 {
-		return c.Strikeout
-	}
-	return DefaultStrikeout
 }
 
 // OpenWAL attaches the lease-table write-ahead log in dir — the same
@@ -519,11 +464,7 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		st.wg.Wait()
 	}()
 
-	tick := c.ttl() / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(leaseTTL / 4)
 	defer ticker.Stop()
 	for {
 		c.mu.Lock()
@@ -532,7 +473,7 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		st.exhausted = nil
 		if len(locals) == 0 {
 			if locals = c.abandonedLocked(st); locals != nil {
-				why = fmt.Sprintf("no worker call for %s", stragglerTTLs*c.ttl())
+				why = fmt.Sprintf("no worker call for %s", straggler)
 			}
 		}
 		rem := st.remaining
@@ -578,7 +519,7 @@ func (c *Coordinator) sweepLocked() {
 			c.stats.Expired++
 			ws := c.workerLocked(l.worker)
 			ws.expired++
-			if so := c.strikeout(); so > 0 && ws.expired >= so {
+			if ws.expired >= strikeout {
 				ws.quarantined = true
 			}
 			lost := 0
@@ -595,7 +536,7 @@ func (c *Coordinator) sweepLocked() {
 				Detail: fmt.Sprintf("lease %d expired (%d cells back in queue)", l.id, lost)})
 			continue
 		}
-		if str := c.straggler(); str > 0 && !l.redisp && now-l.granted >= str {
+		if !l.redisp && now-l.granted >= straggler {
 			l.redisp = true
 			n := 0
 			for _, i := range l.cells {
@@ -608,7 +549,7 @@ func (c *Coordinator) sweepLocked() {
 				c.stats.Redispatched++
 				c.observe(core.Event{Kind: core.EventRetry, Experiment: st.experiment,
 					Worker: l.worker,
-					Detail: fmt.Sprintf("straggler: lease %d open after %s; %d cells re-dispatched", l.id, str, n)})
+					Detail: fmt.Sprintf("straggler: lease %d open after %s; %d cells re-dispatched", l.id, straggler, n)})
 			}
 		}
 	}
@@ -619,27 +560,24 @@ func (c *Coordinator) sweepLocked() {
 // budget is spent. Callers hold c.mu.
 func (c *Coordinator) requeueLocked(st *activeSet, i int) {
 	n := c.attempts[st.keys[i]]
-	if n > c.budget() {
+	if n > retryBudget {
 		st.exhausted = append(st.exhausted, i)
 		c.wakeup()
 		return
 	}
-	shift := n - 1
+	shift := n - 1 // at most retryBudget-1: the delay stays small
 	if shift < 0 {
 		shift = 0
 	}
-	if shift > 10 {
-		shift = 10
-	}
-	st.eligible[i] = c.now() + c.backoff()<<uint(shift)
+	st.eligible[i] = c.now() + requeueBackoff<<uint(shift)
 	st.pending = append(st.pending, i)
 }
 
-// Lease grants up to max eligible cells to the worker. A nil, nil
+// Lease grants up to maxLease eligible cells to the worker. A nil, nil
 // return means nothing is leasable right now (the worker should poll
 // again); errors are typed: *FingerprintError (mismatched options),
 // quarantine, campaign-done.
-func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease, error) {
+func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 	if fingerprint != c.Fingerprint {
 		return nil, &FingerprintError{Want: c.Fingerprint, Got: fingerprint}
 	}
@@ -660,9 +598,6 @@ func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease,
 	// Expire before granting: a dead worker's cells become grantable the
 	// moment a healthy worker asks, not a sweep tick later.
 	c.sweepLocked()
-	if max <= 0 || max > c.maxLease() {
-		max = c.maxLease()
-	}
 	now := c.now()
 	var take []int
 	keep := st.pending[:0]
@@ -670,7 +605,7 @@ func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease,
 		if st.done[i] {
 			continue // lazily drop entries finished by another path
 		}
-		if len(take) < max && now >= st.eligible[i] {
+		if len(take) < maxLease && now >= st.eligible[i] {
 			take = append(take, i)
 			continue
 		}
@@ -695,7 +630,7 @@ func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease,
 		return nil, err
 	}
 	l := &lease{id: id, worker: worker, set: st, cells: take,
-		granted: now, deadline: now + c.ttl()}
+		granted: now, deadline: now + leaseTTL}
 	c.leases[id] = l
 	for _, i := range take {
 		st.inflight[i]++
@@ -706,7 +641,7 @@ func (c *Coordinator) Lease(worker, fingerprint string, max int) (*GrantedLease,
 	c.observe(core.Event{Kind: core.EventLease, Experiment: st.experiment, Worker: worker,
 		Detail: fmt.Sprintf("lease %d: %d cells", id, len(take))})
 	return &GrantedLease{ID: id, Experiment: st.experiment, Keys: keys,
-		TTLMS: c.ttl().Milliseconds()}, nil
+		TTLMS: leaseTTL.Milliseconds()}, nil
 }
 
 // Heartbeat extends the deadlines of every lease the worker holds.
@@ -716,7 +651,7 @@ func (c *Coordinator) Heartbeat(worker string) {
 	now := c.now()
 	for _, l := range c.leases {
 		if l.worker == worker {
-			l.deadline = now + c.ttl()
+			l.deadline = now + leaseTTL
 		}
 	}
 	c.workerLocked(worker).lastCall = now
@@ -730,9 +665,10 @@ func (c *Coordinator) Heartbeat(worker string) {
 // deterministic, so every copy is byte-identical). failed lists cells
 // the worker could not measure; they are re-queued immediately. An
 // expired (unknown) lease does not invalidate the data: finished work is
-// finished work.
+// finished work. The fingerprint is required: a completion without one
+// is refused like a mismatch, and nothing of it is recorded.
 func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs []Record, failed []core.CellKey) error {
-	if fingerprint != "" && fingerprint != c.Fingerprint {
+	if fingerprint != c.Fingerprint {
 		return &FingerprintError{Want: c.Fingerprint, Got: fingerprint}
 	}
 	type fin struct {

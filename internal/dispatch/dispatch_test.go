@@ -25,15 +25,13 @@ func (f *fakeClock) now() time.Duration      { return time.Duration(f.ns.Load())
 func (f *fakeClock) advance(d time.Duration) { f.ns.Add(int64(d)) }
 func (f *fakeClock) set(d time.Duration)     { f.ns.Store(int64(d)) }
 
-// newTestCoordinator builds a coordinator on a fake clock with a fast
-// tick (tiny TTL would also shrink the poll tick; the tests drive
-// expiry explicitly).
+// newTestCoordinator builds a coordinator on a fake clock. The tests
+// drive expiry explicitly: they advance the clock and then sweep, lease
+// or wake the coordinator instead of waiting for its ticker.
 func newTestCoordinator(t *testing.T, clk *fakeClock) *Coordinator {
 	t.Helper()
 	c := New("test-campaign", "fp-test")
 	c.now = clk.now
-	c.LeaseTTL = 100 * time.Millisecond
-	c.Backoff = time.Millisecond
 	return c
 }
 
@@ -118,9 +116,9 @@ func completeAll(t *testing.T, c *Coordinator, worker string, l *GrantedLease) {
 }
 
 // mustLease requests one lease for worker and fails the test on error.
-func mustLease(t *testing.T, c *Coordinator, worker string, max int) *GrantedLease {
+func mustLease(t *testing.T, c *Coordinator, worker string) *GrantedLease {
 	t.Helper()
-	l, err := c.Lease(worker, c.Fingerprint, max)
+	l, err := c.Lease(worker, c.Fingerprint)
 	if err != nil {
 		t.Fatalf("Lease(%s): %v", worker, err)
 	}
@@ -130,18 +128,19 @@ func mustLease(t *testing.T, c *Coordinator, worker string, max int) *GrantedLea
 func TestLeaseLifecycle(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
-	cells, ids := testCells(5)
+	n := maxLease + 3 // two leases: a full one and the rest
+	cells, ids := testCells(n)
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
 	seen := map[string]bool{}
 	for {
-		l := mustLease(t, c, "w1", 2)
+		l := mustLease(t, c, "w1")
 		if l == nil {
 			break
 		}
-		if len(l.Keys) > 2 {
-			t.Fatalf("lease has %d cells, max was 2", len(l.Keys))
+		if len(l.Keys) > maxLease {
+			t.Fatalf("lease has %d cells, max is %d", len(l.Keys), maxLease)
 		}
 		for _, k := range l.Keys {
 			if seen[k.System+fmt.Sprint(k.Point, k.Rep)] {
@@ -156,7 +155,7 @@ func TestLeaseLifecycle(t *testing.T) {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < n; i++ {
 		if col.counts[i] != 1 {
 			t.Fatalf("cell %d finalized %d times, want exactly 1", i, col.counts[i])
 		}
@@ -165,8 +164,8 @@ func TestLeaseLifecycle(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Completed != 5 || st.Expired != 0 || st.Duplicates != 0 {
-		t.Fatalf("stats = %+v, want 5 completed, 0 expired, 0 duplicates", st)
+	if st.Completed != uint64(n) || st.Granted != 2 || st.Expired != 0 || st.Duplicates != 0 {
+		t.Fatalf("stats = %+v, want %d completed in 2 leases, 0 expired, 0 duplicates", st, n)
 	}
 }
 
@@ -185,18 +184,18 @@ func TestExpiryDoubleGrantAndLateCompletion(t *testing.T) {
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	l1 := mustLease(t, c, "w1", 8)
+	l1 := mustLease(t, c, "w1")
 	if l1 == nil || len(l1.Keys) != 3 {
 		t.Fatalf("first lease = %+v, want all 3 cells", l1)
 	}
 	// w1 goes dark; the lease expires, and after the re-dispatch backoff
 	// (which starts at the expiry sweep) the cells are re-grantable.
-	clk.advance(c.LeaseTTL + time.Millisecond)
+	clk.advance(leaseTTL + time.Millisecond)
 	c.mu.Lock()
 	c.sweepLocked()
 	c.mu.Unlock()
-	clk.advance(c.Backoff + time.Millisecond)
-	l2 := mustLease(t, c, "w2", 8)
+	clk.advance(requeueBackoff + time.Millisecond)
+	l2 := mustLease(t, c, "w2")
 	if l2 == nil || len(l2.Keys) != 3 {
 		t.Fatalf("post-expiry lease = %+v, want all 3 cells re-granted", l2)
 	}
@@ -240,18 +239,18 @@ func TestHeartbeatPreventsExpiry(t *testing.T) {
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	l := mustLease(t, c, "w1", 8)
+	l := mustLease(t, c, "w1")
 	if l == nil {
 		t.Fatal("no lease granted")
 	}
 	// Three TTL periods pass, but a heartbeat lands inside each one.
 	for i := 0; i < 3; i++ {
-		clk.advance(c.LeaseTTL / 2)
+		clk.advance(leaseTTL / 2)
 		c.Heartbeat("w1")
-		clk.advance(c.LeaseTTL / 2)
+		clk.advance(leaseTTL / 2)
 		c.Heartbeat("w1")
 	}
-	if l2 := mustLease(t, c, "w2", 8); l2 != nil {
+	if l2 := mustLease(t, c, "w2"); l2 != nil {
 		t.Fatalf("w2 got a lease (%+v) although w1 is heartbeating", l2)
 	}
 	if got := c.Stats().Expired; got != 0 {
@@ -272,7 +271,7 @@ func TestHeartbeatRacesExpiry(t *testing.T) {
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	l := mustLease(t, c, "w1", 8)
+	l := mustLease(t, c, "w1")
 	if l == nil {
 		t.Fatal("no lease granted")
 	}
@@ -290,10 +289,11 @@ func TestHeartbeatRacesExpiry(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // hammer the clock across the deadline
+	go func() { // hammer the clock across the deadline, sweeping as it goes
 		defer wg.Done()
 		for i := 0; i < 1000; i++ {
-			clk.advance(c.LeaseTTL / 100)
+			clk.advance(leaseTTL / 100)
+			c.wakeup()
 		}
 		close(stop)
 	}()
@@ -303,8 +303,8 @@ func TestHeartbeatRacesExpiry(t *testing.T) {
 	// that expired) must finalize each exactly once.
 	completeAll(t, c, "w1", l)
 	for {
-		clk.advance(c.LeaseTTL + c.Backoff)
-		l2 := mustLease(t, c, "w2", 8)
+		clk.advance(leaseTTL + requeueBackoff)
+		l2 := mustLease(t, c, "w2")
 		if l2 == nil {
 			break
 		}
@@ -325,26 +325,25 @@ func TestHeartbeatRacesExpiry(t *testing.T) {
 func TestStragglerRedispatch(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
-	c.Straggler = 4 * c.LeaseTTL
 	cells, ids := testCells(2)
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	l1 := mustLease(t, c, "slow", 8)
+	l1 := mustLease(t, c, "slow")
 	if l1 == nil {
 		t.Fatal("no lease granted")
 	}
 	// The slow worker heartbeats forever but never completes. Past the
 	// straggler threshold its cells become leasable again WITHOUT the
 	// lease expiring.
-	for i := 0; i < 5; i++ {
-		clk.advance(c.LeaseTTL)
+	for age := time.Duration(0); age < straggler; age += leaseTTL / 2 {
+		clk.advance(leaseTTL / 2)
 		c.Heartbeat("slow")
 	}
 	c.mu.Lock()
 	c.sweepLocked()
 	c.mu.Unlock()
-	l2 := mustLease(t, c, "fast", 8)
+	l2 := mustLease(t, c, "fast")
 	if l2 == nil || len(l2.Keys) != 2 {
 		t.Fatalf("straggler cells not re-dispatched: lease = %+v", l2)
 	}
@@ -368,24 +367,25 @@ func TestStragglerRedispatch(t *testing.T) {
 
 // TestRetryBudgetExhaustedRunsLocally starves a cell through its whole
 // dispatch budget (every lease expires) and asserts the coordinator
-// measures it locally rather than looping forever.
+// measures it locally rather than looping forever. Each lease goes to a
+// different worker, so none of them reaches the strikeout.
 func TestRetryBudgetExhaustedRunsLocally(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
-	c.RetryBudget = 2
-	c.Strikeout = -1 // the whole point is repeated loss by one worker
 	cells, ids := testCells(1)
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	for attempt := 0; attempt < c.RetryBudget+1; attempt++ {
+	for attempt := 0; attempt <= retryBudget; attempt++ {
+		worker := fmt.Sprintf("bad-%d", attempt)
 		var l *GrantedLease
 		for l == nil { // wait out the backoff gate
-			clk.advance(c.LeaseTTL)
-			l = mustLease(t, c, "bad", 8)
+			clk.advance(leaseTTL)
+			l = mustLease(t, c, worker)
 		}
-		clk.advance(c.LeaseTTL + time.Millisecond) // lease dies
+		clk.advance(leaseTTL + time.Millisecond) // lease dies
 	}
+	c.wakeup() // the sweep expires the last lease and spends the budget
 	for i, err := range wait() {
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
@@ -395,8 +395,8 @@ func TestRetryBudgetExhaustedRunsLocally(t *testing.T) {
 		t.Fatalf("cell finalized by %q, want the coordinator's local fallback", col.workers[0])
 	}
 	st := c.Stats()
-	if st.LocalCells != 1 {
-		t.Fatalf("local cells = %d, want 1", st.LocalCells)
+	if st.LocalCells != 1 || st.Expired != retryBudget+1 {
+		t.Fatalf("stats = %+v, want 1 local cell after %d expired leases", st, retryBudget+1)
 	}
 }
 
@@ -411,7 +411,8 @@ func TestNoWorkerRunsCellsLocally(t *testing.T) {
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	clk.advance(stragglerTTLs * c.LeaseTTL)
+	clk.advance(straggler)
+	c.wakeup()
 	for i, err := range wait() {
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
@@ -440,14 +441,15 @@ func TestReturningWorkerGetsNoLocalCells(t *testing.T) {
 		lateErr error
 	)
 	done := func(i int, st *capture.Stats, worker string) error {
-		once.Do(func() { late, lateErr = c.Lease("late", c.Fingerprint, 8) })
+		once.Do(func() { late, lateErr = c.Lease("late", c.Fingerprint) })
 		return nil
 	}
 	ch := make(chan []error, 1)
 	go func() { ch <- c.ExecuteCells(context.Background(), "exp", cells, ids, done) }()
 	waitActive(t, c)
 
-	clk.advance(stragglerTTLs * c.LeaseTTL)
+	clk.advance(straggler)
+	c.wakeup()
 	for i, err := range <-ch {
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
@@ -470,12 +472,12 @@ func TestHeartbeatKeepsCellsRemote(t *testing.T) {
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	l := mustLease(t, c, "slow", 8)
+	l := mustLease(t, c, "slow")
 	if l == nil || len(l.Keys) != 2 {
 		t.Fatalf("lease = %+v, want both cells", l)
 	}
-	for i := 0; i < 2*stragglerTTLs+2; i++ {
-		clk.advance(c.LeaseTTL / 2)
+	for idle := time.Duration(0); idle <= straggler; idle += leaseTTL / 2 {
+		clk.advance(leaseTTL / 2)
 		c.Heartbeat("slow")
 	}
 	c.mu.Lock()
@@ -496,43 +498,47 @@ func TestHeartbeatKeepsCellsRemote(t *testing.T) {
 	}
 }
 
+// TestQuarantineAfterRepeatedExpiry: a worker that loses strikeout
+// leases is refused from then on. The strikeout equals the retry budget,
+// so the cell is still in play for a healthy worker afterwards.
 func TestQuarantineAfterRepeatedExpiry(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
-	c.Strikeout = 2
-	c.RetryBudget = 100 // keep the cells in play
 	cells, ids := testCells(1)
 	col := newCollector()
 	wait := execute(t, c, cells, ids, col)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < strikeout; i++ {
 		var l *GrantedLease
 		for l == nil {
-			clk.advance(c.LeaseTTL)
-			l = mustLease(t, c, "flaky", 8)
+			clk.advance(leaseTTL)
+			l = mustLease(t, c, "flaky")
 		}
-		clk.advance(c.LeaseTTL + time.Millisecond)
+		clk.advance(leaseTTL + time.Millisecond)
 	}
 	c.mu.Lock()
 	c.sweepLocked()
 	c.mu.Unlock()
-	if _, err := c.Lease("flaky", c.Fingerprint, 8); !IsQuarantined(err) {
+	if _, err := c.Lease("flaky", c.Fingerprint); !IsQuarantined(err) {
 		t.Fatalf("flaky worker's lease error = %v, want quarantine", err)
 	}
 	// A healthy worker still finishes the campaign.
 	var l *GrantedLease
 	for l == nil {
-		clk.advance(c.LeaseTTL)
-		l = mustLease(t, c, "good", 8)
+		clk.advance(leaseTTL)
+		l = mustLease(t, c, "good")
 	}
 	completeAll(t, c, "good", l)
 	wait()
+	if col.workers[0] != "good" {
+		t.Fatalf("cell finalized by %q, want the healthy worker", col.workers[0])
+	}
 }
 
 func TestFingerprintRefusalCoordinator(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
-	_, err := c.Lease("w1", "some-other-fp", 8)
+	_, err := c.Lease("w1", "some-other-fp")
 	fe, ok := err.(*FingerprintError)
 	if !ok {
 		t.Fatalf("Lease with wrong fingerprint = %v, want *FingerprintError", err)
@@ -557,18 +563,17 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	if err := c1.OpenWAL(dir, false); err != nil {
 		t.Fatalf("OpenWAL: %v", err)
 	}
-	cells, ids := testCells(2)
+	cells, ids := testCells(maxLease + 1)
 	col := newCollector()
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan []error, 1)
 	go func() { ch <- c1.ExecuteCells(ctx, "exp", cells, ids, col.done) }()
 	waitActive(t, c1)
 
-	l := mustLease(t, c1, "w1", 1) // one cell granted once
-	if l == nil || len(l.Keys) != 1 {
-		t.Fatalf("lease = %+v, want 1 cell", l)
+	l := mustLease(t, c1, "w1") // all cells but the last granted once
+	if l == nil || len(l.Keys) != maxLease {
+		t.Fatalf("lease = %+v, want %d cells", l, maxLease)
 	}
-	granted := l.Keys[0]
 	cancel() // coordinator "crashes" mid-campaign
 	<-ch
 	if err := c1.Close(); err != nil {
@@ -580,14 +585,15 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 		t.Fatalf("OpenWAL(resume): %v", err)
 	}
 	defer c2.Close()
-	if got := c2.Attempts(granted); got != 1 {
-		t.Fatalf("resumed attempt count of granted cell = %d, want 1", got)
-	}
-	other := core.CellKey{Experiment: "exp", Point: ids[1].Point, System: cells[1].Cfg.Name, Rep: 0}
-	if granted != other {
-		if got := c2.Attempts(other); got != 0 {
-			t.Fatalf("resumed attempt count of ungranted cell = %d, want 0", got)
+	for _, k := range l.Keys {
+		if got := c2.Attempts(k); got != 1 {
+			t.Fatalf("resumed attempt count of granted cell %+v = %d, want 1", k, got)
 		}
+	}
+	last := len(cells) - 1
+	other := core.KeyOf("exp", cells[last], ids[last])
+	if got := c2.Attempts(other); got != 0 {
+		t.Fatalf("resumed attempt count of ungranted cell = %d, want 0", got)
 	}
 
 	// Resuming with the wrong fingerprint must refuse the WAL.
@@ -620,7 +626,6 @@ func TestWorkerEndToEndHTTP(t *testing.T) {
 	}
 
 	c := New("e2e", fp)
-	c.LeaseTTL = 2 * time.Second
 	mux := newMux(c)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -633,7 +638,7 @@ func TestWorkerEndToEndHTTP(t *testing.T) {
 		done <- c.ExecuteCells(ctx, expID, set.Cells, set.IDs, col.done)
 	}()
 
-	w := &Worker{ID: "tw", BaseURL: srv.URL, Options: o, Poll: 10 * time.Millisecond}
+	w := &Worker{ID: "tw", BaseURL: srv.URL, Options: o}
 	werr := make(chan error, 1)
 	go func() { werr <- w.Run(ctx) }()
 
@@ -696,7 +701,7 @@ func TestFingerprintRefusalNamesRings(t *testing.T) {
 	}
 
 	c := New("e2e", coordFP)
-	if _, err := c.Lease("w1", workerFP, 8); err == nil || !strings.Contains(err.Error(), "-rings") {
+	if _, err := c.Lease("w1", workerFP); err == nil || !strings.Contains(err.Error(), "-rings") {
 		t.Errorf("coordinator refusal %v does not name -rings", err)
 	}
 	srv := httptest.NewServer(newMux(c))

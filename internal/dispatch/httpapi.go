@@ -6,11 +6,11 @@
 //	POST /api/campaigns/{id}/heartbeat  — keep held leases alive
 //
 // plus GET /api/dispatch for worker discovery (campaign id and
-// fingerprint). Refusals are typed by status: 409 for a fingerprint
-// mismatch (the worker's options hash differently — a worker bug or a
-// misaligned flag set, never retryable), 403 for a quarantined worker,
-// 410 once the campaign is complete, 204 when nothing is leasable right
-// now.
+// fingerprint). Refusals are typed by status: 409 for a missing or
+// mismatched fingerprint (the worker's options hash differently — a
+// worker bug or a misaligned flag set, never retryable), 403 for a
+// quarantined worker, 410 once the campaign is complete, 204 when
+// nothing is leasable right now.
 package dispatch
 
 import (
@@ -25,7 +25,6 @@ import (
 type leaseRequest struct {
 	Worker      string `json:"worker"`
 	Fingerprint string `json:"fingerprint"`
-	Max         int    `json:"max,omitempty"`
 }
 
 // completeRequest reports the outcome of a lease. Records carries the
@@ -37,7 +36,6 @@ type completeRequest struct {
 	Lease       uint64         `json:"lease"`
 	Records     []Record       `json:"records,omitempty"`
 	Failed      []core.CellKey `json:"failed,omitempty"`
-	Error       string         `json:"error,omitempty"`
 }
 
 type heartbeatRequest struct {
@@ -70,10 +68,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 const (
 	maxSmallBody    = 4 << 10
 	maxCompleteBody = 16 << 20
-	// maxLeaseCap bounds the per-lease cell count a request may ask for;
-	// it exists purely as input validation, real batch sizing is the
-	// coordinator's MaxLease.
-	maxLeaseCap = 1 << 16
 )
 
 // validKey sanity-checks a worker-reported cell key. Keys are matched
@@ -141,11 +135,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "worker name required"})
 		return
 	}
-	if req.Max < 0 || req.Max > maxLeaseCap {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("max must be in [0,%d]", maxLeaseCap)})
-		return
-	}
-	l, err := c.Lease(req.Worker, req.Fingerprint, req.Max)
+	l, err := c.Lease(req.Worker, req.Fingerprint)
 	switch {
 	case err == nil && l == nil:
 		w.WriteHeader(http.StatusNoContent)

@@ -4,7 +4,9 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/mix"
 )
@@ -23,19 +26,22 @@ import (
 // and re-open on probe failure.
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(3, time.Second)
+	b := NewBreaker()
 	b.now = func() time.Time { return now }
+	fail := func(n int) {
+		for i := 0; i < n; i++ {
+			b.Failure()
+		}
+	}
 
 	// Below the threshold the breaker stays closed.
-	b.Failure()
-	b.Failure()
+	fail(breakerThreshold - 1)
 	if !b.Allow() || b.State() != "closed" {
 		t.Fatalf("breaker opened below threshold: %s", b.State())
 	}
 	// A success resets the failure run.
 	b.Success()
-	b.Failure()
-	b.Failure()
+	fail(breakerThreshold - 1)
 	if b.State() != "closed" {
 		t.Fatal("success did not reset the failure run")
 	}
@@ -48,7 +54,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("open breaker allowed a call inside the cooldown")
 	}
 	// Cooldown elapsed: exactly one probe goes out.
-	now = now.Add(time.Second + time.Millisecond)
+	now = now.Add(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("half-open breaker refused the probe")
 	}
@@ -61,7 +67,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("failed probe: state=%s trips=%d, want open/2", b.State(), b.Trips())
 	}
 	// Next cooldown, probe succeeds: closed and fully reset.
-	now = now.Add(time.Second + time.Millisecond)
+	now = now.Add(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second probe refused")
 	}
@@ -69,6 +75,14 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != "closed" || !b.Allow() {
 		t.Fatalf("successful probe left breaker %s", b.State())
 	}
+}
+
+// newTestWorker builds a worker ready for direct post and postRetry
+// calls, with the state Run would set up.
+func newTestWorker(url string) *Worker {
+	w := &Worker{ID: "w", BaseURL: url, campaign: "c", breaker: NewBreaker()}
+	w.jitter = mix.String(w.ID) | 1
+	return w
 }
 
 // TestWorkerDefaultClientHasTimeout: a worker with no explicit Client
@@ -82,6 +96,19 @@ func TestWorkerDefaultClientHasTimeout(t *testing.T) {
 	}
 	if c == http.DefaultClient {
 		t.Fatal("worker fell back to http.DefaultClient")
+	}
+}
+
+// TestTimingRelations pins the two relations the protocol's timings rely
+// on: a worker heartbeats at least four times per lease TTL, so one lost
+// heartbeat never expires a live lease, and one call's deadline ends
+// before the client timeout cuts the exchange off.
+func TestTimingRelations(t *testing.T) {
+	if heartbeatInterval > leaseTTL/4 {
+		t.Errorf("heartbeat interval %v exceeds a quarter of the lease TTL %v", heartbeatInterval, leaseTTL)
+	}
+	if callTimeout >= DefaultClientTimeout {
+		t.Errorf("per-call deadline %v is not shorter than the client timeout %v", callTimeout, DefaultClientTimeout)
 	}
 }
 
@@ -100,8 +127,7 @@ func TestPostRetrySurvivesTransientFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	w := &Worker{ID: "w", BaseURL: srv.URL, Backoff: time.Millisecond, campaign: "c"}
-	w.jitter = mix.String(w.ID) | 1
+	w := newTestWorker(srv.URL)
 	var out infoResponse
 	status, err := w.postRetry(context.Background(), "lease", heartbeatRequest{Worker: "w"}, &out)
 	if err != nil || status != http.StatusOK {
@@ -116,8 +142,8 @@ func TestPostRetrySurvivesTransientFailures(t *testing.T) {
 }
 
 // TestPostRetryBudgetExhausted: a persistently failing coordinator
-// exhausts the bounded budget — 1 initial + Retries attempts — and the
-// final error surfaces.
+// exhausts the bounded budget — 1 initial + callRetries attempts — and
+// the final error surfaces.
 func TestPostRetryBudgetExhausted(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -126,14 +152,13 @@ func TestPostRetryBudgetExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	w := &Worker{ID: "w", BaseURL: srv.URL, Backoff: time.Millisecond, Retries: 2, campaign: "c"}
-	w.jitter = mix.String(w.ID) | 1
+	w := newTestWorker(srv.URL)
 	status, err := w.postRetry(context.Background(), "lease", heartbeatRequest{Worker: "w"}, nil)
 	if err == nil {
 		t.Fatalf("postRetry succeeded against a dead coordinator (status %d)", status)
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3 (1 + 2 retries)", got)
+	if got := calls.Load(); got != 1+callRetries {
+		t.Fatalf("server saw %d calls, want %d (1 + %d retries)", got, 1+callRetries, callRetries)
 	}
 }
 
@@ -147,13 +172,10 @@ func TestBreakerFailsFastWithoutTraffic(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	w := &Worker{
-		ID: "w", BaseURL: srv.URL, Retries: -1, campaign: "c",
-		Breaker: NewBreaker(2, time.Hour),
-	}
-	w.jitter = mix.String(w.ID) | 1
+	w := newTestWorker(srv.URL)
+	w.breaker.now = func() time.Time { return time.Unix(0, 0) } // the cooldown never ends
 	ctx := context.Background()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := w.post(ctx, "lease", heartbeatRequest{Worker: "w"}, nil); err != nil {
 			t.Fatalf("call %d: transport error %v (5xx should return status)", i, err)
 		}
@@ -173,7 +195,7 @@ func TestBreakerFailsFastWithoutTraffic(t *testing.T) {
 // different IDs draw different jitter streams.
 func TestRetryDelayJitterDeterministic(t *testing.T) {
 	mk := func(id string) *Worker {
-		w := &Worker{ID: id, Backoff: 100 * time.Millisecond}
+		w := &Worker{ID: id}
 		w.jitter = mix.String(id) | 1
 		return w
 	}
@@ -184,7 +206,7 @@ func TestRetryDelayJitterDeterministic(t *testing.T) {
 		if da != db {
 			t.Fatalf("same worker ID, attempt %d: %v vs %v", attempt, da, db)
 		}
-		base := 100 * time.Millisecond << uint(attempt-1)
+		base := retryBackoff << uint(attempt-1)
 		if da < base/2 || da >= base*3/2 {
 			t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, da, base/2, base*3/2)
 		}
@@ -198,8 +220,8 @@ func TestRetryDelayJitterDeterministic(t *testing.T) {
 }
 
 // TestCoordinatorRequestValidation: garbage requests — malformed JSON,
-// unknown fields, oversized bodies, out-of-range lease caps, corrupt
-// cell keys — are refused with 400 and never reach campaign state.
+// unknown fields, oversized bodies, corrupt cell keys — are refused with
+// 400 and never reach campaign state.
 func TestCoordinatorRequestValidation(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
@@ -224,8 +246,6 @@ func TestCoordinatorRequestValidation(t *testing.T) {
 		{"malformed json", "lease", `{"worker": `},
 		{"unknown field", "lease", `{"worker":"w","fingerprint":"f","bogus":1}`},
 		{"missing worker", "lease", `{"fingerprint":"f"}`},
-		{"negative max", "lease", `{"worker":"w","fingerprint":"f","max":-1}`},
-		{"huge max", "lease", `{"worker":"w","fingerprint":"f","max":70000}`},
 		{"oversized body", "heartbeat", `{"worker":"` + strings.Repeat("x", 8<<10) + `"}`},
 		{"empty experiment key", "complete",
 			`{"worker":"w","fingerprint":"f","lease":1,"failed":[{"experiment":"","system":"s","point":0,"rep":0}]}`},
@@ -242,6 +262,59 @@ func TestCoordinatorRequestValidation(t *testing.T) {
 	// gets through validation (204: nothing queued yet).
 	if status := post("lease", `{"worker":"w","fingerprint":"`+c.Fingerprint+`"}`); status != http.StatusNoContent {
 		t.Fatalf("valid lease request: HTTP %d, want 204", status)
+	}
+}
+
+// TestCompleteRequiresFingerprint: /complete writes campaign results, so
+// a completion that omits the fingerprint is refused with 409 like a
+// mismatch, and nothing of it is finalized or journaled.
+func TestCompleteRequiresFingerprint(t *testing.T) {
+	clk := &fakeClock{}
+	c := newTestCoordinator(t, clk)
+	j := &memJournal{}
+	c.Journal = j
+	srv := httptest.NewServer(newMux(c))
+	defer srv.Close()
+	cells, ids := testCells(1)
+	col := newCollector()
+	wait := execute(t, c, cells, ids, col)
+
+	key := core.KeyOf("exp", cells[0], ids[0])
+	body, err := json.Marshal(map[string]any{
+		"worker": "w1",
+		"records": []Record{{Key: key, Out: core.CellOutcome{
+			Stats: capture.Stats{Generated: 200}, OK: true, Attempts: 1,
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/campaigns/test-campaign/complete",
+		"application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("completion without fingerprint: HTTP %d, want 409", resp.StatusCode)
+	}
+	col.mu.Lock()
+	finalized := len(col.counts)
+	col.mu.Unlock()
+	if st := c.Stats(); finalized != 0 || st.Completed != 0 || j.count() != 0 {
+		t.Fatalf("refused completion left %d finalized cells, stats %+v, %d journal records",
+			finalized, st, j.count())
+	}
+
+	// The cell is still owed: a proper lease and completion finish it.
+	l := mustLease(t, c, "w1")
+	if l == nil || len(l.Keys) != 1 || l.Keys[0] != key {
+		t.Fatalf("lease after the refusal = %+v, want the cell", l)
+	}
+	completeAll(t, c, "w1", l)
+	wait()
+	if col.counts[0] != 1 {
+		t.Fatalf("cell finalized %d times, want 1", col.counts[0])
 	}
 }
 

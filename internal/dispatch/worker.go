@@ -27,31 +27,33 @@ import (
 	"repro/internal/mix"
 )
 
-// Worker defaults.
+// DefaultClientTimeout caps a whole HTTP exchange on the worker's
+// default client — without it a slow-loris coordinator (or a fault
+// injector impersonating one) can pin a worker forever.
+const DefaultClientTimeout = 15 * time.Second
+
+// Worker timings and retry budget.
 const (
-	// DefaultPoll is the idle re-poll interval when no cells are
+	// pollInterval is the idle re-poll interval when no cells are
 	// leasable.
-	DefaultPoll = 200 * time.Millisecond
-	// DefaultHeartbeat is the lease keep-alive interval; it must be
-	// comfortably under the coordinator's lease TTL.
-	DefaultHeartbeat = 1 * time.Second
-	// DefaultConnectWait bounds how long a starting worker waits for the
+	pollInterval = 200 * time.Millisecond
+	// heartbeatInterval is the lease keep-alive interval; it must stay
+	// at most a quarter of the coordinator's leaseTTL.
+	heartbeatInterval = 1 * time.Second
+	// connectWait bounds how long a starting worker waits for the
 	// coordinator to answer discovery.
-	DefaultConnectWait = 60 * time.Second
-	// DefaultClientTimeout caps a whole HTTP exchange on the worker's
-	// default client — without it a slow-loris coordinator (or a fault
-	// injector impersonating one) can pin a worker forever.
-	DefaultClientTimeout = 15 * time.Second
-	// DefaultCallTimeout is the per-request context deadline layered
-	// under the client timeout; one protocol call never outlives it.
-	DefaultCallTimeout = 10 * time.Second
-	// DefaultCallRetries is how many times a lease/complete call is
-	// retried in place (with backoff) before the caller's own
-	// miss-handling takes over.
-	DefaultCallRetries = 3
-	// DefaultRetryBackoff is the base backoff between in-place retries;
-	// it doubles per attempt with deterministic jitter.
-	DefaultRetryBackoff = 50 * time.Millisecond
+	connectWait = 60 * time.Second
+	// callTimeout is the per-request context deadline layered under the
+	// client timeout, and shorter than DefaultClientTimeout; one protocol
+	// call never outlives it.
+	callTimeout = 10 * time.Second
+	// callRetries is how many times a lease/complete call is retried in
+	// place (with backoff) before the caller's own miss-handling takes
+	// over.
+	callRetries = 3
+	// retryBackoff is the base backoff between in-place retries; it
+	// doubles per attempt with deterministic jitter.
+	retryBackoff = 50 * time.Millisecond
 	// shutdownGrace is how many consecutive transport errors a worker
 	// tolerates after first contact before concluding the coordinator
 	// exited (the normal end of a campaign whose final lease went to
@@ -86,17 +88,7 @@ type Worker struct {
 	// worker's own cell runs.
 	Options experiments.Options
 
-	Client      *http.Client  // nil = a shared client with DefaultClientTimeout
-	Poll        time.Duration // 0 = DefaultPoll
-	Heartbeat   time.Duration // 0 = DefaultHeartbeat
-	ConnectWait time.Duration // 0 = DefaultConnectWait
-	CallTimeout time.Duration // per-request deadline; 0 = DefaultCallTimeout
-	Retries     int           // in-place retries per call; 0 = DefaultCallRetries, <0 = none
-	Backoff     time.Duration // base retry backoff; 0 = DefaultRetryBackoff
-	// Breaker gates every coordinator call; nil builds one with the
-	// defaults at Run time.
-	Breaker  *Breaker
-	MaxCells int // per-lease cell cap to request; 0 = coordinator default
+	Client *http.Client // nil = a shared client with DefaultClientTimeout
 	// Log receives progress lines; nil discards them.
 	Log func(format string, args ...any)
 
@@ -104,6 +96,8 @@ type Worker struct {
 	campaign    string
 	sets        map[string]*experiments.CellSet
 	feeds       map[string]*core.FeedCache
+	// breaker gates every coordinator call; Run builds it.
+	breaker *Breaker
 	// jitter is the splitmix64 state for retry jitter, seeded from ID so
 	// two workers retrying the same outage do not march in lockstep.
 	jitter uint64
@@ -136,9 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.sets = map[string]*experiments.CellSet{}
 	w.feeds = map[string]*core.FeedCache{}
-	if w.Breaker == nil {
-		w.Breaker = NewBreaker(0, 0)
-	}
+	w.breaker = NewBreaker()
 	w.jitter = mix.String(w.ID) | 1
 
 	if err := w.awaitCoordinator(ctx); err != nil {
@@ -159,7 +151,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // corrupted response (injected or real) must not permanently turn away
 // a correctly configured worker.
 func (w *Worker) awaitCoordinator(ctx context.Context) error {
-	deadline := time.Now().Add(w.connectWait())
+	deadline := time.Now().Add(connectWait)
 	mismatches := 0
 	for {
 		info, err := w.discover(ctx)
@@ -172,7 +164,7 @@ func (w *Worker) awaitCoordinator(ctx context.Context) error {
 				select {
 				case <-ctx.Done():
 					return ctx.Err()
-				case <-time.After(w.poll()):
+				case <-time.After(pollInterval):
 				}
 				continue
 			}
@@ -183,60 +175,14 @@ func (w *Worker) awaitCoordinator(ctx context.Context) error {
 			return ctx.Err()
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("dispatch: no coordinator at %s after %s: %w", w.BaseURL, w.connectWait(), err)
+			return fmt.Errorf("dispatch: no coordinator at %s after %s: %w", w.BaseURL, connectWait, err)
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(w.poll()):
+		case <-time.After(pollInterval):
 		}
 	}
-}
-
-func (w *Worker) connectWait() time.Duration {
-	if w.ConnectWait > 0 {
-		return w.ConnectWait
-	}
-	return DefaultConnectWait
-}
-
-func (w *Worker) poll() time.Duration {
-	if w.Poll > 0 {
-		return w.Poll
-	}
-	return DefaultPoll
-}
-
-func (w *Worker) heartbeat() time.Duration {
-	if w.Heartbeat > 0 {
-		return w.Heartbeat
-	}
-	return DefaultHeartbeat
-}
-
-func (w *Worker) callTimeout() time.Duration {
-	if w.CallTimeout > 0 {
-		return w.CallTimeout
-	}
-	return DefaultCallTimeout
-}
-
-func (w *Worker) retries() int {
-	switch {
-	case w.Retries > 0:
-		return w.Retries
-	case w.Retries < 0:
-		return 0
-	default:
-		return DefaultCallRetries
-	}
-}
-
-func (w *Worker) backoff() time.Duration {
-	if w.Backoff > 0 {
-		return w.Backoff
-	}
-	return DefaultRetryBackoff
 }
 
 // nextJitter draws a deterministic fraction in [0,1) from the worker's
@@ -252,12 +198,12 @@ func (w *Worker) nextJitter() float64 {
 // retryDelay is the backoff before retry attempt (1-based): base·2^(a-1)
 // scaled by a deterministic jitter factor in [0.5, 1.5).
 func (w *Worker) retryDelay(attempt int) time.Duration {
-	d := w.backoff() << uint(attempt-1)
+	d := retryBackoff << uint(attempt-1)
 	return time.Duration(float64(d) * (0.5 + w.nextJitter()))
 }
 
 func (w *Worker) discover(ctx context.Context) (*infoResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, w.callTimeout())
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.BaseURL+"/api/dispatch", nil)
 	if err != nil {
@@ -279,7 +225,7 @@ func (w *Worker) discover(ctx context.Context) (*infoResponse, error) {
 }
 
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	t := time.NewTicker(w.heartbeat())
+	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -303,7 +249,7 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 		}
 		var l GrantedLease
 		status, err := w.postRetry(ctx, "lease", leaseRequest{
-			Worker: w.ID, Fingerprint: w.fingerprint, Max: w.MaxCells,
+			Worker: w.ID, Fingerprint: w.fingerprint,
 		}, &l)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -317,7 +263,7 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(w.poll()):
+			case <-time.After(pollInterval):
 			}
 			continue
 		}
@@ -331,7 +277,7 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(w.poll()):
+			case <-time.After(pollInterval):
 			}
 		case http.StatusGone:
 			w.logf("worker %s: campaign complete", w.ID)
@@ -352,7 +298,7 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(w.poll()):
+			case <-time.After(pollInterval):
 			}
 		case http.StatusConflict:
 			return &FingerprintMismatchError{Mine: w.fingerprint}
@@ -444,16 +390,14 @@ func (w *Worker) cellSet(id string) (*experiments.CellSet, error) {
 // traffic. Any response from the coordinator — even a 4xx — closes the
 // breaker; transport errors, 5xx, and undecodable 200s open it.
 func (w *Worker) post(ctx context.Context, verb string, body, out any) (int, error) {
-	if w.Breaker != nil && !w.Breaker.Allow() {
+	if !w.breaker.Allow() {
 		return 0, fmt.Errorf("dispatch: %s: %w", verb, ErrBreakerOpen)
 	}
 	status, err := w.post1(ctx, verb, body, out)
-	if w.Breaker != nil {
-		if err != nil || status >= 500 {
-			w.Breaker.Failure()
-		} else {
-			w.Breaker.Success()
-		}
+	if err != nil || status >= 500 {
+		w.breaker.Failure()
+	} else {
+		w.breaker.Success()
 	}
 	return status, err
 }
@@ -463,7 +407,7 @@ func (w *Worker) post1(ctx context.Context, verb string, body, out any) (int, er
 	if err != nil {
 		return 0, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, w.callTimeout())
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	url := fmt.Sprintf("%s/api/campaigns/%s/%s", w.BaseURL, w.campaign, verb)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
@@ -502,7 +446,7 @@ func (w *Worker) postRetry(ctx context.Context, verb string, body, out any) (int
 		if err == nil {
 			err = fmt.Errorf("dispatch: %s: HTTP %d", verb, status)
 		}
-		if attempt >= w.retries() || ctx.Err() != nil {
+		if attempt >= callRetries || ctx.Err() != nil {
 			return status, err
 		}
 		select {

@@ -114,13 +114,13 @@ type Recovery struct {
 	TornBytes int64
 }
 
-// Append-retry defaults: transient storage faults (ENOSPC, EIO, short
+// Append-retry budget: transient storage faults (ENOSPC, EIO, short
 // writes) are repaired and retried with doubling backoff before Append
 // gives up. The total pause is ~Σ delay·2^i ≈ 620 ms — long enough for
 // a hiccuping disk, short enough that a dead one fails fast.
 const (
-	DefaultAppendRetries = 5
-	DefaultRetryDelay    = 20 * time.Millisecond
+	appendRetries = 5
+	retryDelay    = 20 * time.Millisecond
 )
 
 // Journal is an open, appendable campaign journal. Append is safe for
@@ -133,21 +133,8 @@ type Journal struct {
 	// good is the byte offset of the last durable frame boundary: the
 	// truncation point when a write fails partway through a frame.
 	good int64
-	// retries/retryDelay tune the transient-fault pause-and-retry;
-	// SetRetry overrides, zero values mean the defaults.
-	retries    int
-	retryDelay time.Duration
 	// onRetry, when set, observes every repaired-and-retried append.
 	onRetry func(err error, attempt int)
-}
-
-// SetRetry tunes the transient-append retry budget (n < 0 disables
-// retries entirely; delay 0 keeps the default backoff base).
-func (j *Journal) SetRetry(n int, delay time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.retries = n
-	j.retryDelay = delay
 }
 
 // OnRetry registers an observer of append repairs: fn runs after a
@@ -190,10 +177,10 @@ func CreateFS(fsys faultfs.FS, path, fingerprint string) (*Journal, error) {
 func retryTransient(fn func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
-		if err = fn(); err == nil || attempt >= DefaultAppendRetries || !faultfs.IsTransient(err) {
+		if err = fn(); err == nil || attempt >= appendRetries || !faultfs.IsTransient(err) {
 			return err
 		}
-		time.Sleep(DefaultRetryDelay << uint(attempt))
+		time.Sleep(retryDelay << uint(attempt))
 	}
 }
 
@@ -338,24 +325,15 @@ func (j *Journal) appendHeader(fingerprint string) error {
 	return j.appendLocked(payload)
 }
 
+// appendFrame appends payload to dst as one frame.
+func appendFrame(dst, payload []byte) []byte {
+	dst = fmt.Appendf(dst, "%08x ", crc32.ChecksumIEEE(payload))
+	dst = append(dst, payload...)
+	return append(dst, '\n')
+}
+
 func (j *Journal) appendLocked(payload []byte) error {
-	frame := make([]byte, 0, len(payload)+10)
-	frame = fmt.Appendf(frame, "%08x ", crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-	frame = append(frame, '\n')
-
-	retries := j.retries
-	switch {
-	case retries == 0:
-		retries = DefaultAppendRetries
-	case retries < 0:
-		retries = 0
-	}
-	delay := j.retryDelay
-	if delay <= 0 {
-		delay = DefaultRetryDelay
-	}
-
+	frame := appendFrame(make([]byte, 0, len(payload)+10), payload)
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = j.writeFrameLocked(frame)
@@ -370,13 +348,13 @@ func (j *Journal) appendLocked(payload []byte) error {
 		if rerr := j.repairLocked(); rerr != nil {
 			return fmt.Errorf("journal: append failed (%w) and tail repair failed: %v", err, rerr)
 		}
-		if attempt >= retries || !faultfs.IsTransient(err) {
+		if attempt >= appendRetries || !faultfs.IsTransient(err) {
 			return fmt.Errorf("journal: append failed after %d attempts: %w", attempt+1, err)
 		}
 		if j.onRetry != nil {
 			j.onRetry(err, attempt+1)
 		}
-		time.Sleep(delay << uint(attempt))
+		time.Sleep(retryDelay << uint(attempt))
 	}
 }
 

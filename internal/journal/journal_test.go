@@ -9,7 +9,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/faultfs"
 )
@@ -309,7 +308,6 @@ func TestAppendRepairsTransientFault(t *testing.T) {
 		}
 		repairs++
 	})
-	j.SetRetry(0, time.Millisecond)
 	for i := 0; i < 3; i++ {
 		if err := j.Append(rec{K: "x", N: i}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -391,26 +389,32 @@ func TestAppendCrashPartialFrameRecovery(t *testing.T) {
 	}
 }
 
-// TestAppendTypedErrorWhenExhausted: with retries disabled the append
-// fails immediately and the underlying errno survives the wrapping, so
-// callers can errors.Is on ENOSPC/EIO and degrade deliberately.
+// TestAppendTypedErrorWhenExhausted: a fault on every attempt of the
+// retry budget fails the append, and the underlying errno survives the
+// wrapping, so callers can errors.Is on ENOSPC/EIO and degrade
+// deliberately.
 func TestAppendTypedErrorWhenExhausted(t *testing.T) {
 	path := tmpJournal(t)
 	ffs := faultfs.New(nil)
-	ffs.Script(faultfs.Fault{Op: faultfs.OpWrite, N: 2, Err: syscall.ENOSPC})
+	// Frame writes: the header is OpWrite #1; record 0's attempts are #2
+	// onwards, one more than the retries.
+	for n := 2; n <= 2+appendRetries; n++ {
+		ffs.Script(faultfs.Fault{Op: faultfs.OpWrite, N: n, Err: syscall.ENOSPC})
+	}
 
 	j, err := CreateFS(ffs, path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.SetRetry(-1, 0)
 	err = j.Append(rec{K: "x", N: 0})
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append error %v does not unwrap to ENOSPC", err)
 	}
+	if got := ffs.Injected(); got != 1+appendRetries {
+		t.Fatalf("injected = %d, want %d (every attempt)", got, 1+appendRetries)
+	}
 	// The repair ran: the journal is still usable once the fault clears.
-	j.SetRetry(0, 0)
 	if err := j.Append(rec{K: "x", N: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // Paging bounds of /api/campaigns/{id}/cells.
@@ -18,16 +17,11 @@ const (
 type Server struct {
 	hub *Hub
 	reg *Registry
-	// JournalPoll is the tail-polling cadence of journal-backed SSE
-	// streams; Keepalive the SSE comment heartbeat period. Adjust before
-	// serving.
-	JournalPoll time.Duration
-	Keepalive   time.Duration
 }
 
 // NewServer wires a server over the bus and registry.
 func NewServer(h *Hub, r *Registry) *Server {
-	return &Server{hub: h, reg: r, JournalPoll: DefaultJournalPoll, Keepalive: DefaultKeepalive}
+	return &Server{hub: h, reg: r}
 }
 
 // Hub returns the server's event bus.

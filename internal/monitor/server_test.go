@@ -17,16 +17,13 @@ import (
 	"repro/internal/experiments"
 )
 
-// newTestService wires hub + registry + HTTP server for a test, with a
-// fast journal-tail poll.
+// newTestService wires hub + registry + HTTP server for a test.
 func newTestService(t *testing.T) (*Hub, *Registry, *httptest.Server) {
 	t.Helper()
 	h := NewHub()
 	reg := NewRegistry()
 	reg.Attach(h)
-	s := NewServer(h, reg)
-	s.JournalPoll = 10 * time.Millisecond
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(NewServer(h, reg).Handler())
 	t.Cleanup(srv.Close)
 	return h, reg, srv
 }

@@ -24,13 +24,12 @@ import (
 	"repro/internal/journal"
 )
 
-// Stream tuning defaults (per-Server fields, set by NewServer).
+// Stream timing constants.
 const (
-	// DefaultJournalPoll is the tail-polling cadence of journal-backed
-	// streams.
-	DefaultJournalPoll = 150 * time.Millisecond
-	// DefaultKeepalive is the SSE comment heartbeat period.
-	DefaultKeepalive = 15 * time.Second
+	// journalPoll is the tail-polling cadence of journal-backed streams.
+	journalPoll = 150 * time.Millisecond
+	// keepalive is the SSE comment heartbeat period.
+	keepalive = 15 * time.Second
 )
 
 // wireEvent is the SSE `data:` payload schema.
@@ -164,13 +163,13 @@ func (s *Server) streamLive(r *http.Request, out *sseWriter, id string) {
 			return
 		}
 	}
-	keepalive := time.NewTicker(s.Keepalive)
-	defer keepalive.Stop()
+	beat := time.NewTicker(keepalive)
+	defer beat.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-keepalive.C:
+		case <-beat.C:
 			if err := out.comment("keepalive"); err != nil {
 				return
 			}
@@ -269,7 +268,7 @@ func (s *Server) streamJournal(r *http.Request, out *sseWriter, id string) {
 			}
 		}
 		if !progressed {
-			if time.Since(lastBeat) >= s.Keepalive {
+			if time.Since(lastBeat) >= keepalive {
 				lastBeat = time.Now()
 				if out.comment("keepalive") != nil {
 					return
@@ -278,7 +277,7 @@ func (s *Server) streamJournal(r *http.Request, out *sseWriter, id string) {
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(s.JournalPoll):
+			case <-time.After(journalPoll):
 			}
 		}
 	}
