@@ -1,9 +1,6 @@
 package capture
 
-import (
-	"repro/internal/flows"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // App is one capturing application (the createDist tool used as capture
 // program in the measurements): it reads packets from its OS attachment
@@ -129,31 +126,20 @@ func (a *App) admitBatch(occ float64) {
 		}
 		for _, p := range a.batch {
 			adm.caplens = append(adm.caplens, p.caplen)
-			adm.noteFlow(a, p.data)
+			adm.flowKeys = append(adm.flowKeys, p.flow)
 		}
 		return
 	}
 	a.sampler.observe(occ)
 	adm.policyNS = a.sys.ufixed(a.sys.Costs.PolicyPerPktNS) * float64(len(a.batch))
 	for _, p := range a.batch {
-		if !a.sampler.admit(p.data) {
+		if !a.sampler.admit(p.flow) {
 			adm.shed++
 			adm.shedBytes += uint64(p.caplen)
 			continue
 		}
 		adm.caplens = append(adm.caplens, p.caplen)
-		adm.noteFlow(a, p.data)
-	}
-}
-
-// noteFlow records one admitted packet's flow hash for flow-coverage
-// accounting (applied to the app's table only when the read completes).
-func (adm *admission) noteFlow(a *App, frame []byte) {
-	if a.flowsKept == nil {
-		return
-	}
-	if k, ok := flows.KeyOf(frame); ok {
-		adm.flowKeys = append(adm.flowKeys, k.Hash())
+		adm.flowKeys = append(adm.flowKeys, p.flow)
 	}
 }
 

@@ -91,13 +91,13 @@ type bsdAccept struct {
 // The decision is made here because interrupt tasks execute strictly in
 // order; an application read between decision and execution can only free
 // space, making the decision conservative.
-func (st *bsdStack) irqCost(data []byte) (float64, float64) {
+func (st *bsdStack) irqCost(p kpkt) (float64, float64) {
 	c := &st.sys.Costs
 	fixed := c.MbufNS
 	var mem float64
 	st.accepts = st.accepts[:0]
 	for _, att := range st.atts {
-		caplen, fcost := st.sys.runFilter(data)
+		caplen, fcost := st.sys.runFilter(p.data)
 		fixed += fcost
 		if caplen == 0 {
 			st.accepts = append(st.accepts, bsdAccept{att: att, reject: true})
@@ -128,11 +128,11 @@ func (st *bsdStack) irqCost(data []byte) (float64, float64) {
 	return fixed, mem
 }
 
-func (st *bsdStack) irqDone(data []byte) {
+func (st *bsdStack) irqDone(p kpkt) {
 	for _, acc := range st.accepts {
 		att := acc.att
 		if acc.reject {
-			st.sys.recordDrop(CauseFilter, len(data))
+			st.sys.recordDrop(CauseFilter, len(p.data))
 			continue
 		}
 		if acc.drop {
@@ -150,7 +150,8 @@ func (st *bsdStack) irqDone(data []byte) {
 			att.gauge.overflow()
 			continue
 		}
-		att.store.pkts = append(att.store.pkts, kpkt{data: data, caplen: acc.caplen})
+		p.caplen = acc.caplen
+		att.store.pkts = append(att.store.pkts, p)
 		att.store.bytes += sz
 		att.gauge.observe(att.store.bytes)
 		att.Stored++

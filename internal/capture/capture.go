@@ -322,11 +322,12 @@ type Config struct {
 	Prepared bool
 }
 
-// kpkt is a packet inside a kernel queue.
+// kpkt is a packet inside a NIC or kernel queue.
 type kpkt struct {
 	data    []byte
 	caplen  int
 	arrival sim.Time // when the last bit hit the NIC (true wire time)
+	flow    uint64   // the frame's flow hash, carried from pktgen.Packet.Flow
 }
 
 // Stats aggregates the outcome of one run.

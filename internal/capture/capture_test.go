@@ -3,6 +3,7 @@ package capture
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/dist"
@@ -75,6 +76,14 @@ func run(t *testing.T, cfg Config, packets int, rate float64) Stats {
 	t.Helper()
 	sys := NewSystem(scaled(cfg, packets))
 	return sys.Run(newGen(packets, rate, 1))
+}
+
+// TestKpktSize: carrying the flow hash grows a queued packet by at most
+// its 8 bytes.
+func TestKpktSize(t *testing.T) {
+	if got := unsafe.Sizeof(kpkt{}); got > 48 {
+		t.Fatalf("kpkt is %d bytes, want at most 48", got)
+	}
 }
 
 func TestMoorhenCapturesEverything(t *testing.T) {

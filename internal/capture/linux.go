@@ -52,7 +52,7 @@ func (st *linuxStack) remnants() (shared []kpkt, perApp [][]kpkt) {
 // No payload copy happens here (the card DMAed the frame already). The
 // PF_RING-style stack skips the skb allocation: the driver hands the raw
 // buffer straight towards the ring.
-func (st *linuxStack) irqCost(data []byte) (float64, float64) {
+func (st *linuxStack) irqCost(kpkt) (float64, float64) {
 	c := &st.sys.Costs
 	if st.sys.PFRing {
 		return c.RingInsertNS + c.BacklogEnqNS, 0
@@ -60,13 +60,13 @@ func (st *linuxStack) irqCost(data []byte) (float64, float64) {
 	return c.SkbAllocNS + c.BacklogEnqNS, 0
 }
 
-func (st *linuxStack) irqDone(data []byte) {
+func (st *linuxStack) irqDone(p kpkt) {
 	if st.backlog.len() >= st.sys.Costs.BacklogLen {
-		st.sys.recordDrop(CauseBacklog, len(data))
+		st.sys.recordDrop(CauseBacklog, len(p.data))
 		st.gBacklog.overflow()
 		return
 	}
-	st.backlog.push(kpkt{data: data})
+	st.backlog.push(p)
 	st.gBacklog.observe(st.backlog.len())
 	if !st.softirqOn {
 		st.softirqOn = true

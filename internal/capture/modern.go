@@ -393,7 +393,8 @@ func (st *xdpStack) xdpDone(r int) {
 				continue
 			}
 			f.refs++
-			sk.queue.push(kpkt{data: p.data, caplen: caplen, arrival: p.arrival})
+			p.caplen = caplen
+			sk.queue.push(p)
 			sk.frames.push(f)
 			sk.used++
 			sk.gauge.observe(sk.used)

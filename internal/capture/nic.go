@@ -8,10 +8,10 @@ import "repro/internal/sim"
 type irqStack interface {
 	// irqCost prices the interrupt-context work for one packet (beyond
 	// the shared driver cost).
-	irqCost(data []byte) (fixedNS, memBytes float64)
+	irqCost(p kpkt) (fixedNS, memBytes float64)
 	// irqDone applies the interrupt-context state change when the task
 	// completes (enqueue, copy into buffers, wakeups, drops).
-	irqDone(data []byte)
+	irqDone(p kpkt)
 }
 
 // NIC models the Intel 82544EI receive path: a DMA descriptor ring of
@@ -60,8 +60,9 @@ func (n *NIC) reset() {
 // holding reports whether a packet is in the ring or in the handler.
 func (n *NIC) holding() bool { return n.ring.len() > 0 || n.irqActive }
 
-// Arrive is called at the simulated instant the frame has fully arrived.
-func (n *NIC) Arrive(data []byte) {
+// Arrive is called at the simulated instant the frame has fully arrived;
+// flow is its flow hash.
+func (n *NIC) Arrive(data []byte, flow uint64) {
 	if n.ring.len() >= n.sys.Costs.RingSlots {
 		// Attribute the overflow: a ring that filled while the card was
 		// still delaying the first interrupt of a moderation window is the
@@ -74,7 +75,7 @@ func (n *NIC) Arrive(data []byte) {
 		n.gauge.overflow()
 		return
 	}
-	n.ring.push(kpkt{data: data, arrival: n.sys.Sim.Now()})
+	n.ring.push(kpkt{data: data, arrival: n.sys.Sim.Now(), flow: flow})
 	n.gauge.observe(n.ring.len())
 	if !n.irqActive {
 		n.irqActive = true
@@ -103,7 +104,7 @@ func (n *NIC) serviceNext(first bool) {
 	n.cur = n.ring.pop()
 	n.inIRQ = true
 
-	fixed, memBytes := n.irq.irqCost(n.cur.data)
+	fixed, memBytes := n.irq.irqCost(n.cur)
 	fixed += n.sys.Costs.DriverRxNS
 	if first {
 		fixed += n.sys.Costs.IRQEntryNS
@@ -119,7 +120,7 @@ func (n *NIC) irqDone() {
 	n.Delivered++
 	n.stamp(p)
 	n.inIRQ = false // custody passes to the stack
-	n.irq.irqDone(p.data)
+	n.irq.irqDone(p)
 	if n.ring.len() > 0 {
 		n.serviceNext(false)
 	} else {

@@ -3,7 +3,6 @@ package capture
 import (
 	"fmt"
 
-	"repro/internal/flows"
 	"repro/internal/sim"
 )
 
@@ -27,9 +26,11 @@ type rxRing struct {
 	lastStamp sim.Time
 }
 
-// rssNIC models a modern multi-queue NIC: the 5-tuple of each arriving
-// frame is hashed (reusing internal/flows — the RSS Toeplitz stand-in)
-// onto one of RXRings per-core receive rings. Before a frame can land in
+// rssNIC models a modern multi-queue NIC: each arriving frame is steered
+// by its flow hash onto one of RXRings per-core receive rings. Real RSS
+// hashes the 5-tuple in hardware (Toeplitz) and hands the hash up with
+// the descriptor; here the hash is the one the generator computed for the
+// frame (pktgen.Packet.Flow), carried with it. Before a frame can land in
 // a ring it must cross the host bus: when the architecture declares a
 // PCIe / memory-bandwidth ceiling, DMA is serialized at that rate through
 // a bounded on-NIC FIFO, and FIFO overflow is the pcie-bus drop cause —
@@ -49,16 +50,10 @@ type rssNIC struct {
 	fifoBytes    int
 	fifoGauge    *Gauge
 	linkFree     sim.Time
-	dma          fifo[dmaFrame]
+	dma          fifo[kpkt]
 	dmaDone      func()
 
 	Delivered uint64 // packets handed to the stack
-}
-
-// dmaFrame is one frame crossing the bus.
-type dmaFrame struct {
-	data    []byte
-	arrival sim.Time
 }
 
 func newRSSNIC(s *System, nrings int) *rssNIC {
@@ -97,23 +92,18 @@ func (n *rssNIC) reset() {
 	n.Delivered = 0
 }
 
-// ringOf steers a frame: RSS hashes the 5-tuple onto a ring; frames
-// without a parseable flow key (non-UDP/IP) land on ring 0, like real RSS
-// falling back to a default queue.
-func (n *rssNIC) ringOf(data []byte) int {
-	if k, ok := flows.KeyOf(data); ok {
-		return int(k.Hash() % uint64(len(n.rings)))
-	}
-	return 0
+// ringOf steers a frame by its flow hash onto a ring.
+func (n *rssNIC) ringOf(flow uint64) int {
+	return int(flow % uint64(len(n.rings)))
 }
 
 // Arrive is called at the simulated instant the frame has fully arrived
-// on the wire. With a DMA ceiling the frame first queues in the NIC FIFO
-// and lands in its ring when its DMA completes.
-func (n *rssNIC) Arrive(data []byte) {
-	arrival := n.sys.Sim.Now()
+// on the wire; flow is its flow hash. With a DMA ceiling the frame first
+// queues in the NIC FIFO and lands in its ring when its DMA completes.
+func (n *rssNIC) Arrive(data []byte, flow uint64) {
+	p := kpkt{data: data, arrival: n.sys.Sim.Now(), flow: flow}
 	if n.dmaNsPerByte == 0 {
-		n.land(data, arrival)
+		n.land(p)
 		return
 	}
 	if n.fifoBytes+len(data) > n.fifoCap {
@@ -123,11 +113,8 @@ func (n *rssNIC) Arrive(data []byte) {
 	}
 	n.fifoBytes += len(data)
 	n.fifoGauge.observe(n.fifoBytes)
-	n.dma.push(dmaFrame{data: data, arrival: arrival})
-	start := n.linkFree
-	if start < arrival {
-		start = arrival
-	}
+	n.dma.push(p)
+	start := max(n.linkFree, p.arrival)
 	done := start + sim.Time(float64(len(data))*n.dmaNsPerByte+0.5)
 	n.linkFree = done
 	n.sys.Sim.At(done, n.dmaDone)
@@ -135,15 +122,15 @@ func (n *rssNIC) Arrive(data []byte) {
 
 // landDMA completes the oldest DMA in flight.
 func (n *rssNIC) landDMA() {
-	f := n.dma.pop()
-	n.fifoBytes -= len(f.data)
+	p := n.dma.pop()
+	n.fifoBytes -= len(p.data)
 	n.fifoGauge.observe(n.fifoBytes)
-	n.land(f.data, f.arrival)
+	n.land(p)
 }
 
 // land places a DMA-complete frame into its RSS ring.
-func (n *rssNIC) land(data []byte, arrival sim.Time) {
-	r := n.ringOf(data)
+func (n *rssNIC) land(p kpkt) {
+	r := n.ringOf(p.flow)
 	ring := &n.rings[r]
 	if ring.pkts.len() >= n.sys.Costs.RSSRingSlots {
 		// Attribute the overflow: a ring that filled while the servicer
@@ -153,11 +140,11 @@ func (n *rssNIC) land(data []byte, arrival sim.Time) {
 		if ring.deferred {
 			cause = CausePollBudget
 		}
-		n.sys.recordDrop(cause, len(data))
+		n.sys.recordDrop(cause, len(p.data))
 		ring.gauge.overflow()
 		return
 	}
-	ring.pkts.push(kpkt{data: data, arrival: arrival})
+	ring.pkts.push(p)
 	ring.gauge.observe(ring.pkts.len())
 	if n.kick != nil {
 		n.kick.ringKick(r)
@@ -221,9 +208,9 @@ func (n *rssNIC) idle() bool {
 // remnants counts the packets still inside the NIC (DMA in flight plus
 // ring contents) for truncation accounting.
 func (n *rssNIC) remnants() (pkts int, bytes uint64) {
-	for _, f := range n.dma.items() {
+	for _, p := range n.dma.items() {
 		pkts++
-		bytes += uint64(len(f.data))
+		bytes += uint64(len(p.data))
 	}
 	for i := range n.rings {
 		for _, p := range n.rings[i].pkts.items() {

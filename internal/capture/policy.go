@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/flows"
 )
 
 // PolicyKind selects a sampling / load-shedding policy for the capturing
@@ -23,10 +21,10 @@ const (
 	// PolicyUniform: keep exactly one packet in every N, counted per
 	// application — the classic systematic count-based sampler.
 	PolicyUniform
-	// PolicyFlow: keep whole flows. The canonical 5-tuple is hashed
-	// (internal/flows) and a flow is kept when its hash falls into the
-	// kept 1/N slice of the hash space, so every packet of a kept flow is
-	// processed and every packet of a shed flow is declined —
+	// PolicyFlow: keep whole flows: a flow is kept when the hash of its
+	// canonical 5-tuple, which each packet carries (pktgen.Packet.Flow),
+	// falls into the kept 1/N slice of the hash space, so every packet of
+	// a kept flow is processed and every packet of a shed flow is declined —
 	// connection-level consumers (§1.1: "if only few packets per
 	// connection are required, it is exceptionally bad if exactly these
 	// packets are lost") keep complete flows instead of packet fragments.
@@ -216,8 +214,9 @@ type policySampler interface {
 	// observe feeds the controller the queue occupancy in [0,1] at the
 	// start of a read batch (before any admit decision of the batch).
 	observe(occ float64)
-	// admit decides whether the application processes this packet.
-	admit(frame []byte) bool
+	// admit decides whether the application processes a packet of the
+	// flow with this hash.
+	admit(flow uint64) bool
 	// reset clears the state for System reuse.
 	reset()
 }
@@ -230,7 +229,7 @@ type uniformSampler struct {
 
 func (u *uniformSampler) observe(float64) {}
 
-func (u *uniformSampler) admit([]byte) bool {
+func (u *uniformSampler) admit(uint64) bool {
 	keep := u.seen%u.n == 0
 	u.seen++
 	return keep
@@ -239,23 +238,14 @@ func (u *uniformSampler) admit([]byte) bool {
 func (u *uniformSampler) reset() { u.seen = 0 }
 
 // flowSampler keeps whole flows: a flow is kept iff its canonical 5-tuple
-// hash falls into the kept 1/n slice of the hash space. Non-IP frames
-// carry no flow identity and are always kept (they are rare in the
-// generated trains and shedding them would bias the non-flow traffic
-// class to zero).
+// hash falls into the kept 1/n slice of the hash space.
 type flowSampler struct {
 	n uint64
 }
 
 func (f *flowSampler) observe(float64) {}
 
-func (f *flowSampler) admit(frame []byte) bool {
-	k, ok := flows.KeyOf(frame)
-	if !ok {
-		return true
-	}
-	return k.Hash()%f.n == 0
-}
+func (f *flowSampler) admit(flow uint64) bool { return flow%f.n == 0 }
 
 func (f *flowSampler) reset() {}
 
@@ -287,7 +277,7 @@ func (a *adaptiveSampler) observe(occ float64) {
 	}
 }
 
-func (a *adaptiveSampler) admit([]byte) bool {
+func (a *adaptiveSampler) admit(uint64) bool {
 	a.credit += a.keep
 	if a.credit >= 1 {
 		a.credit--

@@ -116,7 +116,7 @@ func TestUniformSamplerExactRatio(t *testing.T) {
 	s := PolicySpec{Kind: PolicyUniform, N: 4}.newSampler()
 	kept := 0
 	for i := 0; i < 1000; i++ {
-		if s.admit(nil) {
+		if s.admit(0) {
 			if i%4 != 0 {
 				t.Fatalf("packet %d admitted, want only multiples of 4", i)
 			}
@@ -127,14 +127,15 @@ func TestUniformSamplerExactRatio(t *testing.T) {
 		t.Fatalf("kept %d of 1000, want exactly 250", kept)
 	}
 	s.reset()
-	if !s.admit(nil) {
+	if !s.admit(0) {
 		t.Fatal("after reset the first packet must be admitted")
 	}
 }
 
-// TestFlowSamplerWholeFlows: the flow sampler's decisions are a pure
-// function of the 5-tuple — every packet of a kept flow is admitted and
-// every packet of a shed flow declined, with non-IP frames always kept.
+// TestFlowSamplerWholeFlows: the flow sampler's decisions, made on the
+// flow hash each packet carries, are a pure function of the 5-tuple that
+// flows.KeyOf parses out of the frame — every packet of a kept flow is
+// admitted and every packet of a shed flow declined.
 func TestFlowSamplerWholeFlows(t *testing.T) {
 	g := pktgen.New(3)
 	g.Config.Count = 4000
@@ -147,13 +148,10 @@ func TestFlowSamplerWholeFlows(t *testing.T) {
 		if !ok {
 			break
 		}
-		admit := s.admit(p.Data)
+		admit := s.admit(p.Flow)
 		k, isIP := flows.KeyOf(p.Data)
 		if !isIP {
-			if !admit {
-				t.Fatal("non-IP frame shed; frames without a flow identity must pass")
-			}
-			continue
+			t.Fatal("generated frame without a flow key")
 		}
 		if prev, seen := verdict[k]; seen {
 			if prev != admit {
@@ -195,7 +193,7 @@ func TestAdaptiveSamplerControl(t *testing.T) {
 	// Even at the floor a trickle gets through (graceful degradation).
 	admitted := 0
 	for i := 0; i < 1000; i++ {
-		if a.admit(nil) {
+		if a.admit(0) {
 			admitted++
 		}
 	}
@@ -213,7 +211,7 @@ func TestAdaptiveSamplerControl(t *testing.T) {
 	a.keep, a.credit = 0.5, 0
 	pat := ""
 	for i := 0; i < 6; i++ {
-		if a.admit(nil) {
+		if a.admit(0) {
 			pat += "1"
 		} else {
 			pat += "0"

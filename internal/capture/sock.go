@@ -179,7 +179,8 @@ func (p *kernelPass) run(cpu *sim.CPU, perPktNS, enqNS float64, copyIn bool) {
 			if copyIn {
 				mem += float64(caplen)
 			}
-			p.delivers = append(p.delivers, delivery{sk, kpkt{data: pk.data, caplen: caplen, arrival: pk.arrival}})
+			pk.caplen = caplen
+			p.delivers = append(p.delivers, delivery{sk, pk})
 		}
 	}
 	p.task.FixedNS, p.task.MemBytes, p.task.MemNsPerByte = s.kfixed(fixed), mem, s.kmemNs()

@@ -75,12 +75,12 @@ type System struct {
 	runStart  sim.Time // Sim.Now() when the current run began
 	truncated bool     // the run hit the safety cap with packets in flight
 
-	// The feed: the run's source, the packets it has sent, the frame of
+	// The feed: the run's source, the packets it has sent, the packet of
 	// the one scheduled arrival, and that arrival's event, bound once.
-	src      Source
-	sent     uint64
-	nextData []byte
-	arrival  func()
+	src     Source
+	sent    uint64
+	next    pktgen.Packet
+	arrival func()
 
 	housekeep []func() // each CPU's housekeeping tick, bound once
 	tasks     []*pooledTask
@@ -483,7 +483,7 @@ func (s *System) feed() {
 		return
 	}
 	s.sent++
-	s.nextData = p.Data
+	s.next = p
 	s.Sim.At(s.runStart+p.At, s.arrival)
 }
 
@@ -566,13 +566,13 @@ func (s *System) collectStats() Stats {
 	return st
 }
 
-// arrive hands the scheduled wire-complete frame to whichever NIC the
-// system has, and schedules the next.
+// arrive hands the scheduled wire-complete frame, with its flow hash, to
+// whichever NIC the system has, and schedules the next.
 func (s *System) arrive() {
 	if s.rss != nil {
-		s.rss.Arrive(s.nextData)
+		s.rss.Arrive(s.next.Data, s.next.Flow)
 	} else {
-		s.NIC.Arrive(s.nextData)
+		s.NIC.Arrive(s.next.Data, s.next.Flow)
 	}
 	s.feed()
 }

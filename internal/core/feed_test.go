@@ -42,7 +42,7 @@ func TestFeedReplayIndependentCursors(t *testing.T) {
 	}
 	a.Reset()
 	pa2, _ := a.Next()
-	if pa.At != pa2.At || pa.Seq != pa2.Seq {
+	if pa.At != pa2.At || pa.Flow != pa2.Flow {
 		t.Fatal("Reset did not rewind the cursor")
 	}
 }

@@ -662,12 +662,13 @@ func (c *Coordinator) Heartbeat(worker string) {
 // later copies — a straggler's late answer, a completion racing an
 // expiry — are recorded into the campaign journal as duplicates, where
 // the last-write-wins rule resolves them deterministically (cells are
-// deterministic, so every copy is byte-identical). failed lists cells
-// the worker could not measure; they are re-queued immediately. An
-// expired (unknown) lease does not invalidate the data: finished work is
-// finished work. The fingerprint is required: a completion without one
-// is refused like a mismatch, and nothing of it is recorded.
-func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs []Record, failed []core.CellKey) error {
+// deterministic, so every copy is byte-identical). A cell of the lease
+// without a successful record — one the worker could not measure, or
+// left out — returns to the queue as soon as no other lease covers it.
+// An expired (unknown) lease does not invalidate the data: finished work
+// is finished work. The fingerprint is required: a completion without
+// one is refused like a mismatch, and nothing of it is recorded.
+func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs []Record) error {
 	if fingerprint != c.Fingerprint {
 		return &FingerprintError{Want: c.Fingerprint, Got: fingerprint}
 	}

@@ -110,7 +110,7 @@ func completeAll(t *testing.T, c *Coordinator, worker string, l *GrantedLease) {
 			Stats: capture.Stats{Generated: 200}, OK: true, Attempts: 1,
 		}}
 	}
-	if err := c.Complete(worker, c.Fingerprint, l.ID, recs, nil); err != nil {
+	if err := c.Complete(worker, c.Fingerprint, l.ID, recs); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 }
@@ -546,7 +546,7 @@ func TestFingerprintRefusalCoordinator(t *testing.T) {
 	if fe.Want != c.Fingerprint || fe.Got != "some-other-fp" {
 		t.Fatalf("FingerprintError = %+v", fe)
 	}
-	if err := c.Complete("w1", "some-other-fp", 1, nil, nil); err == nil {
+	if err := c.Complete("w1", "some-other-fp", 1, nil); err == nil {
 		t.Fatal("Complete with wrong fingerprint accepted")
 	}
 }

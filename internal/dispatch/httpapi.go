@@ -28,14 +28,13 @@ type leaseRequest struct {
 }
 
 // completeRequest reports the outcome of a lease. Records carries the
-// measured cells; Failed lists cells the worker attempted but could not
-// measure (they re-enter the dispatch queue immediately).
+// measured cells; a leased cell without one re-enters the dispatch queue
+// once no other lease covers it.
 type completeRequest struct {
-	Worker      string         `json:"worker"`
-	Fingerprint string         `json:"fingerprint"`
-	Lease       uint64         `json:"lease"`
-	Records     []Record       `json:"records,omitempty"`
-	Failed      []core.CellKey `json:"failed,omitempty"`
+	Worker      string   `json:"worker"`
+	Fingerprint string   `json:"fingerprint"`
+	Lease       uint64   `json:"lease"`
+	Records     []Record `json:"records,omitempty"`
 }
 
 type heartbeatRequest struct {
@@ -175,13 +174,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	for _, k := range req.Failed {
-		if bad := validKey(k); bad != "" {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "failed cell " + bad})
-			return
-		}
-	}
-	if err := c.Complete(req.Worker, req.Fingerprint, req.Lease, req.Records, req.Failed); err != nil {
+	if err := c.Complete(req.Worker, req.Fingerprint, req.Lease, req.Records); err != nil {
 		if _, ok := err.(*FingerprintError); ok {
 			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 			return

@@ -247,8 +247,10 @@ func TestCoordinatorRequestValidation(t *testing.T) {
 		{"unknown field", "lease", `{"worker":"w","fingerprint":"f","bogus":1}`},
 		{"missing worker", "lease", `{"fingerprint":"f"}`},
 		{"oversized body", "heartbeat", `{"worker":"` + strings.Repeat("x", 8<<10) + `"}`},
+		{"unknown failed field", "complete",
+			`{"worker":"w","fingerprint":"f","lease":1,"failed":[{"experiment":"e","system":"s","point":0,"rep":0}]}`},
 		{"empty experiment key", "complete",
-			`{"worker":"w","fingerprint":"f","lease":1,"failed":[{"experiment":"","system":"s","point":0,"rep":0}]}`},
+			`{"worker":"w","fingerprint":"f","lease":1,"records":[{"key":{"experiment":"","system":"s","point":0,"rep":0},"out":{}}]}`},
 		{"absurd rep", "complete",
 			`{"worker":"w","fingerprint":"f","lease":1,"records":[{"key":{"experiment":"e","system":"s","point":0,"rep":9999999},"out":{}}]}`},
 	}

@@ -319,13 +319,13 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 	var cells []core.Cell
 	var ids []core.CellID
 	var okIdx []int
-	var failed []core.CellKey
+	failed := 0
 	for _, k := range l.Keys {
 		i, ok := set.Find(k)
 		if !ok {
 			// Enumeration disagrees despite a matching fingerprint: a
-			// bug, but one cell's worth — report it failed, keep going.
-			failed = append(failed, k)
+			// bug, but one cell's worth — count it failed, keep going.
+			failed++
 			continue
 		}
 		cells = append(cells, set.Cells[i])
@@ -343,7 +343,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 		for bi, i := range okIdx {
 			k := core.KeyOf(l.Experiment, set.Cells[i], set.IDs[i])
 			if errs[bi] != nil {
-				failed = append(failed, k)
+				failed++
 				continue
 			}
 			recs = append(recs, Record{Key: k, Out: outs[bi]})
@@ -352,10 +352,9 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 	if err := ctx.Err(); err != nil {
 		return err // don't report partial work on cancellation; the lease will expire
 	}
-	w.logf("worker %s: lease %d: %d cells measured, %d failed", w.ID, l.ID, len(recs), len(failed))
+	w.logf("worker %s: lease %d: %d cells measured, %d failed", w.ID, l.ID, len(recs), failed)
 	status, err := w.postRetry(ctx, "complete", completeRequest{
-		Worker: w.ID, Fingerprint: w.fingerprint, Lease: l.ID,
-		Records: recs, Failed: failed,
+		Worker: w.ID, Fingerprint: w.fingerprint, Lease: l.ID, Records: recs,
 	}, nil)
 	if err != nil {
 		// The completion is lost; the lease expires and the cells are

@@ -143,7 +143,7 @@ func mkTrain(n int) []pktgen.Packet {
 	pkts := make([]pktgen.Packet, n)
 	data := make([]byte, 64)
 	for i := range pkts {
-		pkts[i] = pktgen.Packet{At: sim.Time(1000 * (i + 1)), Data: data, Seq: uint64(i)}
+		pkts[i] = pktgen.Packet{At: sim.Time(1000 * (i + 1)), Data: data}
 	}
 	return pkts
 }

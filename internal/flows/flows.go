@@ -7,6 +7,10 @@
 //
 // The table is used by cmd/capture's -flows mode and doubles as the
 // reference for the FlowTrack per-packet load in the capture simulation.
+// KeyOf and Key.Hash also give every generated frame its flow hash:
+// pktgen computes it once per flow and carries it with each packet, and
+// the capture simulation steers RSS rings, samples flows and counts
+// flows by that hash.
 package flows
 
 import (
@@ -108,8 +112,9 @@ func (t *Table) Observe(ts time.Time, frame []byte) {
 
 // KeyOf parses one frame and returns its canonical (bidirectional) flow
 // key, ok=false for non-IPv4 frames. It is the 5-tuple extraction the
-// capture simulation's flow-aware sampling policy shares with the flow
-// table, so "keep whole flows" means the same flows Observe would account.
+// generator's per-packet flow hash shares with the flow table, so the
+// capture simulation's "keep whole flows" means the same flows Observe
+// would account.
 func KeyOf(frame []byte) (Key, bool) {
 	s, err := pkt.Parse(frame)
 	if err != nil || !s.IsIPv4 {

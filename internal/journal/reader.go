@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // ErrCorrupt reports a complete frame (newline present) that failed its
@@ -25,9 +26,13 @@ var ErrCorrupt = errors.New("journal: corrupt frame")
 // line that fails its CRC is corruption and a permanent error.
 type Reader struct {
 	f   *os.File
-	buf []byte
+	buf []byte // the one read buffer; buf[pos:] is read but not yet returned
+	pos int
 	off int64
 }
+
+// readChunk is the least free space a fill reads into.
+const readChunk = 64 << 10
 
 // OpenReader opens the journal at path for tailing.
 func OpenReader(path string) (*Reader, error) {
@@ -45,15 +50,15 @@ func OpenReader(path string) (*Reader, error) {
 // the corrupt frame by design: nothing after it can be trusted.
 func (r *Reader) Next() ([]byte, bool, error) {
 	for {
-		if nl := bytes.IndexByte(r.buf, '\n'); nl >= 0 {
-			line := r.buf[:nl]
+		if nl := bytes.IndexByte(r.buf[r.pos:], '\n'); nl >= 0 {
+			line := r.buf[r.pos : r.pos+nl]
 			payload, ok := parseFrame(line)
 			if !ok {
 				return nil, false, fmt.Errorf("%w at byte %d of %s",
-					ErrCorrupt, r.off-int64(len(r.buf)), r.f.Name())
+					ErrCorrupt, r.off-int64(len(r.buf)-r.pos), r.f.Name())
 			}
 			out := append([]byte(nil), payload...)
-			r.buf = r.buf[nl+1:]
+			r.pos += nl + 1
 			return out, true, nil
 		}
 		n, err := r.fill()
@@ -66,14 +71,17 @@ func (r *Reader) Next() ([]byte, bool, error) {
 	}
 }
 
-// fill reads newly appended bytes past the Reader's offset.
+// fill reads newly appended bytes past the Reader's offset into buf,
+// behind the bytes not yet returned, which it first moves to the front.
+// buf grows only when those bytes leave less than readChunk free, so a
+// Reader polled at the end of its journal allocates nothing.
 func (r *Reader) fill() (int, error) {
-	chunk := make([]byte, 64<<10)
-	n, err := r.f.ReadAt(chunk, r.off)
-	if n > 0 {
-		r.off += int64(n)
-		r.buf = append(r.buf, chunk[:n]...)
-	}
+	r.buf = r.buf[:copy(r.buf, r.buf[r.pos:])]
+	r.pos = 0
+	r.buf = slices.Grow(r.buf, readChunk)
+	n, err := r.f.ReadAt(r.buf[len(r.buf):cap(r.buf)], r.off)
+	r.off += int64(n)
+	r.buf = r.buf[:len(r.buf)+n]
 	if err == io.EOF {
 		err = nil
 	}

@@ -217,6 +217,41 @@ func TestReaderHeaderOnly(t *testing.T) {
 	}
 }
 
+// TestReaderIdleNextAllocatesNothing: a Reader polled at the end of its
+// journal, as the monitor polls one per idle stream, reuses its read
+// buffer instead of allocating a chunk per poll.
+func TestReaderIdleNextAllocatesNothing(t *testing.T) {
+	path := tmpJournal(t)
+	j, err := Create(path, "fp-idle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 3; i++ {
+		if err := j.Append(rec{K: "cell", N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for frames := 0; frames < 4; frames++ {
+		if _, ok, err := r.Next(); !ok || err != nil {
+			t.Fatalf("frame %d: ok=%v err=%v", frames, ok, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := r.Next(); ok || err != nil {
+			t.Fatalf("at EOF: ok=%v err=%v, want no frame, no error", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next at EOF allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // TestReadAllHeaderOnly: a header-only journal snapshots as zero records,
 // not as an error — the shape of a campaign interrupted before its first
 // completed cell.

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/dist"
+	"repro/internal/flows"
 	"repro/internal/mix"
 	"repro/internal/pkt"
 	"repro/internal/sim"
@@ -112,7 +113,11 @@ type Generator struct {
 
 	rng   *dist.RNG
 	seed  uint64
-	cache map[cacheKey][]byte
+	cache map[cacheKey]cachedFrame
+	// portFlow memoizes the flow hash per source-port index: of the
+	// fields a frame varies (size, source MAC, source port), only the
+	// port enters the flow key.
+	portFlow map[int]uint64
 
 	// Statistics (the thesis's byte-counting change: with variable sizes
 	// the byte count can no longer be derived from packets × size).
@@ -128,14 +133,21 @@ type cacheKey struct {
 	port int
 }
 
+// cachedFrame is one built frame and its flow hash.
+type cachedFrame struct {
+	data []byte
+	flow uint64
+}
+
 // New creates a generator with the default configuration and a
 // deterministic sequence seeded by seed.
 func New(seed uint64) *Generator {
 	return &Generator{
-		Config: DefaultConfig(),
-		rng:    dist.NewRNG(seed),
-		seed:   seed,
-		cache:  make(map[cacheKey][]byte),
+		Config:   DefaultConfig(),
+		rng:      dist.NewRNG(seed),
+		seed:     seed,
+		cache:    make(map[cacheKey]cachedFrame),
+		portFlow: make(map[int]uint64),
 	}
 }
 
@@ -348,8 +360,11 @@ type Packet struct {
 	// WireLen is the frame length plus preamble/FCS/IFG overhead — the
 	// bytes that occupy the medium.
 	WireLen int
-	// Seq counts generated packets from 0.
-	Seq uint64
+	// Flow is flows.KeyOf(Data).Hash(), the canonical 5-tuple hash an RSS
+	// NIC computes in hardware and hands up with the descriptor: computed
+	// once per flow by the generator, read by receivers instead of
+	// parsing the frame again.
+	Flow uint64
 }
 
 // Reset rewinds the sequence and statistics; the PRNG restarts from the
@@ -370,21 +385,34 @@ func (g *Generator) nextFrameLen() int {
 	return g.Config.PktSize
 }
 
-// frame returns the (cached) frame bytes for a size, MAC and source-port
-// index.
-func (g *Generator) frame(size, macIdx, portIdx int) []byte {
+// frame returns the (cached) frame for a size, MAC and source-port index.
+// Frames and flow hashes are built once per generator, so addresses and
+// ports must be set before the first packet.
+func (g *Generator) frame(size, macIdx, portIdx int) cachedFrame {
 	key := cacheKey{size, macIdx, portIdx}
 	if f, ok := g.cache[key]; ok {
 		return f
 	}
 	mac := g.Config.SrcMAC
 	mac[5] += byte(macIdx)
-	f := pkt.BuildUDP(nil, pkt.UDPSpec{
+	f := cachedFrame{data: pkt.BuildUDP(nil, pkt.UDPSpec{
 		SrcMAC: mac, DstMAC: g.Config.DstMAC,
 		SrcIP: g.Config.SrcIP, DstIP: g.Config.DstIP,
 		SrcPort: g.Config.UDPSrcPort + uint16(portIdx), DstPort: g.Config.UDPDstPort,
 		FrameLen: size,
-	})
+	})}
+	flow, ok := g.portFlow[portIdx]
+	if !ok {
+		// BuildUDP clamps to a full Ethernet/IPv4/UDP header chain, so
+		// every frame has a flow key.
+		k, isIP := flows.KeyOf(f.data)
+		if !isIP {
+			panic("pktgen: built a frame without a flow key")
+		}
+		flow = k.Hash()
+		g.portFlow[portIdx] = flow
+	}
+	f.flow = flow
 	g.cache[key] = f
 	return f
 }
@@ -411,8 +439,8 @@ func (g *Generator) Next() (Packet, bool) {
 		// sampler look flow-aware by accident.
 		portIdx = int(mix.SplitMix64(g.Sent) % uint64(g.Config.UDPSrcPortCount))
 	}
-	data := g.frame(size, macIdx, portIdx)
-	wire := len(data) + pkt.WireOverhead
+	f := g.frame(size, macIdx, portIdx)
+	wire := len(f.data) + pkt.WireOverhead
 
 	gap := float64(wire) * 8 / g.Config.LineRate * 1e9 // serialization
 	if c := g.Config.PerPacketCostNS; c > gap {
@@ -428,9 +456,9 @@ func (g *Generator) Next() (Packet, bool) {
 	}
 	g.LastTime += sim.Time(gap + 0.5)
 
-	p := Packet{At: g.LastTime, Data: data, WireLen: wire, Seq: g.Sent}
+	p := Packet{At: g.LastTime, Data: f.data, WireLen: wire, Flow: f.flow}
 	g.Sent++
-	g.SentBytes += uint64(len(data))
+	g.SentBytes += uint64(len(f.data))
 	g.WireBytes += uint64(wire)
 	return p, true
 }

@@ -2,10 +2,13 @@ package pktgen
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
+	"repro/internal/flows"
 	"repro/internal/pkt"
 	"repro/internal/trace"
 )
@@ -46,6 +49,53 @@ func TestFixedSizeGeneration(t *testing.T) {
 	}
 	if g.SentBytes != 100*1000 {
 		t.Fatalf("byte count = %d", g.SentBytes)
+	}
+}
+
+// TestPacketFlowIsKeyOf: the flow hash the generator carries with each
+// packet is the one flows.KeyOf and Key.Hash compute from the frame, for
+// every port range and frame size the generator varies (1 is clamped to
+// the minimum UDP frame), and a Packet stays 48 bytes, so carrying it
+// grows no recorded train.
+func TestPacketFlowIsKeyOf(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 48 {
+		t.Fatalf("pktgen.Packet is %d bytes, want 48", got)
+	}
+	for _, ports := range []int{0, 16, 256} {
+		for _, size := range []int{0, 1, 64, 1514, -1} {
+			name := fmt.Sprintf("ports=%d/size=%d", ports, size)
+			g := New(7)
+			g.Config.Count = 3000
+			g.Config.UDPSrcPortCount = ports
+			switch {
+			case size > 0:
+				g.Config.PktSize = size
+			case size < 0:
+				name = fmt.Sprintf("ports=%d/mwn", ports)
+				loadMWN(t, g)
+			}
+			keys := map[flows.Key]bool{}
+			for {
+				p, ok := g.Next()
+				if !ok {
+					break
+				}
+				if size == 1 && len(p.Data) != pkt.MinUDPFrameLen {
+					t.Fatalf("%s: frame of %d bytes, want it clamped to %d", name, len(p.Data), pkt.MinUDPFrameLen)
+				}
+				k, ok := flows.KeyOf(p.Data)
+				if !ok {
+					t.Fatalf("%s: packet %d has no flow key", name, g.Sent-1)
+				}
+				if p.Flow != k.Hash() {
+					t.Fatalf("%s: packet %d carries flow %#x, KeyOf hashes to %#x", name, g.Sent-1, p.Flow, k.Hash())
+				}
+				keys[k] = true
+			}
+			if want := max(ports, 1); len(keys) != want {
+				t.Fatalf("%s: %d distinct flows, want %d", name, len(keys), want)
+			}
+		}
 	}
 }
 
