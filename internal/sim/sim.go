@@ -7,9 +7,8 @@
 // insertion order and no real-world time or map iteration order ever leaks
 // into scheduling decisions.
 //
-// The queue is a hierarchical timing wheel (see wheel.go): O(1) amortized
-// schedule and cancel, and dispatch that drains a whole time slot per batch
-// instead of re-heapifying per event.
+// The queue is a radix heap (see radix.go): O(1) schedule and cancel, and
+// equal times fire in insertion order without a comparison.
 //
 // CPUs (see cpu.go) are built on top of the event queue and provide
 // priority-scheduled, preemptible execution of work items with cycle-accurate
@@ -18,7 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 )
 
@@ -55,11 +53,9 @@ func (t Time) String() string { return time.Duration(t).String() }
 // (each clear would cost a GC write barrier per dispatched event).
 type event struct {
 	at     Time
-	seq    uint64 // tie breaker: FIFO among equal times (implicit in slot order)
 	fn     func() // kind evFunc
 	cpu    *CPU   // kind evTask
 	task   *Task  // kind evTask
-	owner  *Sim   // for the live-event counter on Cancel
 	gen    uint64 // bumped on recycle; stale EventRefs miscompare
 	kind   uint8
 	cancel bool
@@ -77,24 +73,21 @@ type EventRef struct {
 }
 
 // Cancel prevents the event from firing. Cancellation is O(1) and lazy: the
-// event stays in its wheel slot and is reclaimed when the dispatcher reaches
-// it. Cancelling an already-fired or already-cancelled event is a no-op: the
+// event stays in its bucket and is recycled when the queue reaches it.
+// Cancelling an already-fired or already-cancelled event is a no-op: the
 // generation counter detects that the underlying struct has been recycled
 // for a newer event.
 func (r EventRef) Cancel() {
-	if r.ev != nil && r.ev.gen == r.gen && !r.ev.cancel {
+	if r.ev != nil && r.ev.gen == r.gen {
 		r.ev.cancel = true
-		r.ev.owner.live--
 	}
 }
 
 // Sim is a discrete-event simulator instance.
 type Sim struct {
+	radix  // the event queue
 	now    Time
-	wheel  wheel
-	seq    uint64
 	nsteps uint64
-	live   int      // scheduled and not yet fired or cancelled
 	free   []*event // recycled event structs (single-owner pool)
 }
 
@@ -123,7 +116,7 @@ func (s *Sim) alloc() *event {
 		s.free = s.free[:n-1]
 		return ev
 	}
-	return &event{owner: s}
+	return new(event)
 }
 
 // recycle returns a dispatched event to the pool. Bumping the generation
@@ -153,10 +146,8 @@ func (s *Sim) At(at Time, fn func()) EventRef {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	ev := s.alloc()
-	ev.at, ev.seq, ev.fn, ev.kind = at, s.seq, fn, evFunc
-	s.seq++
-	s.wheel.insert(ev)
-	s.live++
+	ev.at, ev.fn, ev.kind = at, fn, evFunc
+	s.insert(ev)
 	return EventRef{ev, ev.gen}
 }
 
@@ -174,10 +165,8 @@ func (s *Sim) After(d Time, fn func()) EventRef {
 // does not allocate.
 func (s *Sim) afterTask(d Time, c *CPU, t *Task) EventRef {
 	ev := s.alloc()
-	ev.at, ev.seq, ev.cpu, ev.task, ev.kind = s.now+d, s.seq, c, t, evTask
-	s.seq++
-	s.wheel.insert(ev)
-	s.live++
+	ev.at, ev.cpu, ev.task, ev.kind = s.now+d, c, t, evTask
+	s.insert(ev)
 	return EventRef{ev, ev.gen}
 }
 
@@ -186,78 +175,26 @@ func (s *Sim) afterTask(d Time, c *CPU, t *Task) EventRef {
 // executed event (or limit if the queue drained earlier than limit but the
 // caller wants a full window; see AdvanceTo).
 func (s *Sim) RunUntil(limit Time) {
-	w := &s.wheel
-	for w.n > 0 {
-		// Everything in the cursor's level-0 window is already filed at
-		// level 0, and a level-0 slot is one batch at one timestamp: drain it.
-		if m := w.occ[0] &^ (1<<(w.cur&wheelMask) - 1); m != 0 {
-			j := bits.TrailingZeros64(m)
-			at := Time(w.cur&^wheelMask | uint64(j))
-			if at > limit {
+	for {
+		var ev *event
+		if b := s.bucket[0]; s.head < len(b) {
+			if s.last > limit {
 				return
 			}
-			s.fireSlot(j, at)
-			continue
-		}
-		// Window exhausted: the next event lives in the first occupied slot
-		// of the lowest occupied level. Cascading it commits the cursor into
-		// its window, which is only safe once an event there is known to
-		// fire — otherwise a later schedule between now and the cursor would
-		// land behind the cursor and be lost. peekSlotMin gates that.
-		lvl, idx, start, ok := w.nextUpper()
-		if !ok {
+			ev = b[s.head]
+			s.head++
+		} else if ev = s.refill(limit); ev == nil {
 			return
 		}
-		if Time(start) > limit {
-			return
-		}
-		min, live := peekSlotMin(w.level[lvl][idx])
-		if !live {
-			// Only cancelled events: reclaim them without moving the cursor.
-			list := w.take(lvl, idx)
-			for _, ev := range list {
-				s.recycle(ev)
-			}
-			w.put(list)
-			continue
-		}
-		if min > limit {
-			return
-		}
-		w.cascade(lvl, idx, start)
-	}
-}
-
-// fireSlot dispatches one level-0 slot: a batch of events sharing a single
-// timestamp, in seq order. Callbacks may schedule at the current instant;
-// those land in a fresh list for the same slot and the run loop picks them
-// up in the next pass.
-//
-// The cursor is committed together with the clock, just before a live
-// event's callback runs. A slot holding only cancelled events must leave
-// the cursor where it is — the same gate peekSlotMin applies to the
-// upper-level cascade in RunUntil — because advancing cur past a slot that
-// fired nothing leaves now behind cur, and a later legal schedule into that
-// gap would file behind the cursor and be silently lost.
-func (s *Sim) fireSlot(j int, at Time) {
-	w := &s.wheel
-	lp := w.level[0]
-	list := lp[j]
-	lp[j] = nil
-	w.clearOcc(0, j)
-	w.n -= len(list)
-	for _, ev := range list {
 		// Recycle before running the callback: a dispatched event can never
 		// fire again, and the callback may schedule new events that reuse
 		// the struct.
-		fn, cpu, task := ev.fn, ev.cpu, ev.task
+		at, fn, cpu, task := ev.at, ev.fn, ev.cpu, ev.task
 		kind, cancelled := ev.kind, ev.cancel
 		s.recycle(ev)
 		if cancelled {
 			continue
 		}
-		w.cur = uint64(at)
-		s.live--
 		s.now = at
 		s.nsteps++
 		if kind == evTask {
@@ -265,13 +202,6 @@ func (s *Sim) fireSlot(j int, at Time) {
 		} else {
 			fn()
 		}
-	}
-	// Hand the batch's backing array straight back to the slot (unless a
-	// same-instant schedule already started a fresh list there): level-0
-	// slots recycle within nanoseconds, so keeping capacity in place avoids
-	// pool traffic on the hottest path.
-	if lp[j] == nil {
-		lp[j] = list[:0]
 	}
 }
 
@@ -285,12 +215,15 @@ func (s *Sim) AdvanceTo(t Time) {
 	if t < s.now {
 		panic("sim: AdvanceTo into the past")
 	}
-	if at, ok := s.wheel.earliestLive(); ok && at < t {
+	if at, live := s.earliest(); live > 0 && at < t {
 		panic("sim: AdvanceTo would skip pending events")
 	}
 	s.now = t
 }
 
 // Pending reports the number of live (non-cancelled) events in the queue.
-// The count is maintained on schedule/cancel/fire, so this is O(1).
-func (s *Sim) Pending() int { return s.live }
+// It walks the whole queue.
+func (s *Sim) Pending() int {
+	_, live := s.earliest()
+	return live
+}

@@ -54,11 +54,10 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// Regression: draining a slot that holds only cancelled events must not
-// advance the wheel cursor, because no event fired and the clock stayed
-// behind. Before the fix, the schedule at 20 below filed behind the cursor
-// (parked at 50) and was silently lost: g never fired and Pending() stayed
-// at 1 forever.
+// Regression: emptying a bucket that holds only cancelled events must not
+// move the queue's base time (last) past the clock, because no event fired
+// and the clock stayed behind. The schedule at 20 below, between the clock
+// and the cancelled event at 50, must still fire, at 20.
 func TestCancelledSlotDoesNotAdvanceCursor(t *testing.T) {
 	s := New()
 	s.At(50, func() { t.Fatal("cancelled event fired") }).Cancel()
@@ -477,7 +476,7 @@ func TestCancelledEventRecycled(t *testing.T) {
 
 func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 	// The scheduling hot path must not allocate once the pool has reached
-	// its high-water mark: events come off the free list, the heap slice is
+	// its high-water mark: events come off the free list, the buckets are
 	// at capacity, and EventRefs live on the stack.
 	s := New()
 	var tick func()
@@ -488,12 +487,12 @@ func TestEventQueueZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s.At(Time(i), tick)
 	}
-	// Warm up the pool and the wheel's per-slot batch lists. The tick
-	// pattern's phase relative to the level-0 slot windows repeats only
-	// after lcm(100, 64) = 1600ns, and every (slot, phase) pair must have
-	// seen its maximal batch once before growth stops, so the warmup covers
-	// many full periods.
-	s.RunUntil(s.Now() + 200_000)
+	// Warm up the pool and the buckets. With the clock below 2^k, an event
+	// at or past 2^k (and below 2^(k+1)) files into bucket k+1, so bucket
+	// k+1 is first used, and grows, as the clock nears 2^k. The warm-up
+	// crosses 2^18 = 262,144 ns, and the measured runs end before 2^19, so
+	// they reach no new bucket.
+	s.RunUntil(s.Now() + 300_000)
 	allocs := testing.AllocsPerRun(10, func() {
 		s.RunUntil(s.Now() + 10_000)
 	})
