@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bpf"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/filter"
@@ -149,6 +150,26 @@ func BenchmarkPktgenNext(b *testing.B) {
 		if _, ok := g.Next(); !ok {
 			b.Fatal("generator stopped")
 		}
+	}
+}
+
+// BenchmarkFeedSweep times the feed layer of one thesis rate sweep: a
+// fresh cache, then a feed and a full replay of one MWN train at each of
+// the 19 rates of Chapter 6 (50–950 Mbit/s).
+func BenchmarkFeedSweep(b *testing.B) {
+	b.ReportAllocs()
+	var last int64
+	for i := 0; i < b.N; i++ {
+		c := core.NewFeedCache(0)
+		for r := 50.0; r <= 950; r += 50 {
+			src := c.Get(core.Workload{Packets: 10000, Seed: 1, TargetRate: r * 1e6}).Replay()
+			for p, ok := src.Next(); ok; p, ok = src.Next() {
+				last = int64(p.At)
+			}
+		}
+	}
+	if last == 0 {
+		b.Fatal("no packet departed")
 	}
 }
 

@@ -6,8 +6,8 @@
 //
 //	benchsnap run -out BENCH_0007.json [-count 3] [-notes "..."]
 //	    Runs the tier-1 benchmarks (sim, BPF, filter and generator
-//	    microbenchmarks, one packet-path run per capture stack, end-to-end
-//	    sweeps) count times each, keeps the minimum ns/op per benchmark
+//	    microbenchmarks, the feed layer of one rate sweep, one packet-path
+//	    run per capture stack, end-to-end sweeps) count times each, keeps the minimum ns/op per benchmark
 //	    (the least-noise estimator on a shared machine), and writes a
 //	    normalized JSON snapshot with environment metadata.
 //
@@ -56,7 +56,7 @@ var tier1 = []string{
 	"EventQueue", "Schedule", "Cancel", "RunDense", "RunSparse",
 	"SweepSerial", "SweepParallel", "SimulatedCaptureRun", "PollModeCaptureRun",
 	"CaptureRun/swan", "CaptureRun/moorhen", "CaptureRun/heron", "CaptureRun/osprey", "CaptureRun/kite",
-	"BPFRunReferenceFilter", "FilterCompile", "PktgenNext",
+	"BPFRunReferenceFilter", "FilterCompile", "PktgenNext", "FeedSweep",
 }
 
 // benchSet is one `go test -bench` invocation: which package, which
@@ -75,7 +75,7 @@ type benchSet struct {
 
 var benchSets = []benchSet{
 	{pkg: "./internal/sim/", bench: "^(BenchmarkEventQueue|BenchmarkSchedule|BenchmarkCancel|BenchmarkRunDense|BenchmarkRunSparse)$", time: "0.5s"},
-	{pkg: ".", bench: "^(BenchmarkBPFRunReferenceFilter|BenchmarkFilterCompile|BenchmarkPktgenNext)$", time: "0.5s"},
+	{pkg: ".", bench: "^(BenchmarkBPFRunReferenceFilter|BenchmarkFilterCompile|BenchmarkPktgenNext|BenchmarkFeedSweep)$", time: "0.5s"},
 	{pkg: ".", bench: "^(BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSimulatedCaptureRun|BenchmarkPollModeCaptureRun|BenchmarkCaptureRun)$", time: "3x"},
 }
 

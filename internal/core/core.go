@@ -156,23 +156,31 @@ var mwnDistribution = func() *dist.Distribution {
 // Generator builds the enhanced pktgen instance for a workload.
 func (w Workload) Generator() *pktgen.Generator {
 	g := pktgen.New(w.Seed)
-	g.Config.Count = w.Packets
-	g.Config.TargetRate = w.TargetRate
-	if w.Flows > 1 {
-		g.Config.UDPSrcPortCount = w.Flows
-	}
-	if w.LineRate > 0 {
-		g.Config.LineRate = w.LineRate
-	}
-	if w.GenCostNS > 0 {
-		g.Config.PerPacketCostNS = w.GenCostNS
-	}
-	if w.FixedSize > 0 {
-		g.Config.PktSize = w.FixedSize
-	} else {
+	g.Config = w.genConfig()
+	if w.FixedSize <= 0 {
 		g.LoadDistribution(mwnDistribution)
 	}
 	return g
+}
+
+// genConfig is the generator configuration of a workload.
+func (w Workload) genConfig() pktgen.Config {
+	c := pktgen.DefaultConfig()
+	c.Count = w.Packets
+	c.TargetRate = w.TargetRate
+	if w.Flows > 1 {
+		c.UDPSrcPortCount = w.Flows
+	}
+	if w.LineRate > 0 {
+		c.LineRate = w.LineRate
+	}
+	if w.GenCostNS > 0 {
+		c.PerPacketCostNS = w.GenCostNS
+	}
+	if w.FixedSize > 0 {
+		c.PktSize = w.FixedSize
+	}
+	return c
 }
 
 // Prepare time-compresses a system configuration for the workload and

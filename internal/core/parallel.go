@@ -154,7 +154,7 @@ type Options struct {
 	Executor CellExecutor
 	// Feeds is the recorded-train cache the cells replay; nil gives each
 	// Run a fresh DefaultFeedCacheSize cache. A dispatch worker passes its
-	// own so successive leases of one experiment reuse their trains.
+	// own so successive leases, of any experiment, reuse their trains.
 	Feeds *FeedCache
 	// Chaos, when non-nil, runs every cell under fault supervision with
 	// this plan: validation, bounded retry with simulated backoff,

@@ -662,6 +662,54 @@ func TestWorkerEndToEndHTTP(t *testing.T) {
 	}
 }
 
+// TestWorkerSharesTrainsAcrossExperiments: a worker leasing the cells of
+// two experiments that sweep the same trains records each train once per
+// repetition, not once per experiment or per rate.
+func TestWorkerSharesTrainsAcrossExperiments(t *testing.T) {
+	o := experiments.Options{Packets: 300, Reps: 2, Seed: 1, Rates: []float64{400, 800}}
+	fp, err := experiments.Fingerprint(o)
+	if err != nil {
+		t.Fatalf("Fingerprint: %v", err)
+	}
+	c := New("shared", fp)
+	srv := httptest.NewServer(newMux(c))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	w := &Worker{ID: "tw", BaseURL: srv.URL, Options: o}
+	werr := make(chan error, 1)
+	go func() { werr <- w.Run(ctx) }()
+
+	cells := 0
+	for _, expID := range []string{"fig6.2-smp", "fig6.3-smp"} {
+		set, err := experiments.EnumerateCells(expID, o)
+		if err != nil {
+			t.Fatalf("EnumerateCells(%s): %v", expID, err)
+		}
+		col := newCollector()
+		for i, err := range c.ExecuteCells(ctx, expID, set.Cells, set.IDs, col.done) {
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", expID, i, err)
+			}
+		}
+		for i := 0; i < set.Len(); i++ {
+			if col.workers[i] != "tw" {
+				t.Fatalf("%s cell %d measured by %q, want tw", expID, i, col.workers[i])
+			}
+		}
+		cells += set.Len()
+	}
+	c.Finish()
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	hits, misses := w.feeds.Counters()
+	if misses != uint64(o.Reps) || hits+misses != uint64(cells) {
+		t.Fatalf("worker cache: %d hits, %d misses over %d cells; want %d misses (one train per rep)",
+			hits, misses, cells, o.Reps)
+	}
+}
+
 // TestWorkerFingerprintMismatchHTTP starts a worker whose options hash
 // differently: discovery must return the typed mismatch error without a
 // single lease being requested.

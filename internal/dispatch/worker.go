@@ -95,7 +95,9 @@ type Worker struct {
 	fingerprint string
 	campaign    string
 	sets        map[string]*experiments.CellSet
-	feeds       map[string]*core.FeedCache
+	// feeds is the recorded-train cache of every lease: experiments whose
+	// cells replay the same train share its recording.
+	feeds *core.FeedCache
 	// breaker gates every coordinator call; Run builds it.
 	breaker *Breaker
 	// jitter is the splitmix64 state for retry jitter, seeded from ID so
@@ -129,7 +131,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	w.sets = map[string]*experiments.CellSet{}
-	w.feeds = map[string]*core.FeedCache{}
+	w.feeds = core.NewFeedCache(core.DefaultFeedCacheSize)
 	w.breaker = NewBreaker()
 	w.jitter = mix.String(w.ID) | 1
 
@@ -334,12 +336,7 @@ func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
 	}
 	var recs []Record
 	if len(cells) > 0 {
-		feeds := w.feeds[l.Experiment]
-		if feeds == nil {
-			feeds = core.NewFeedCache(core.DefaultFeedCacheSize)
-			w.feeds[l.Experiment] = feeds
-		}
-		outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: w.Options.Parallelism, Feeds: feeds})
+		outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: w.Options.Parallelism, Feeds: w.feeds})
 		for bi, i := range okIdx {
 			k := core.KeyOf(l.Experiment, set.Cells[i], set.IDs[i])
 			if errs[bi] != nil {

@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -283,12 +285,98 @@ func TestParseProcfsErrors(t *testing.T) {
 		"cells overflow": "dist 100 20 1500 1 0\noutl 40 500\n",
 		"size range":     "dist 1000 20 1500 1 0\noutl 2000 10\n",
 		"bin alignment":  "dist 1000 20 1500 0 1\nhist 13 10\n",
+		"precision":      "dist 65537 20 1500 0 0\n",
+		"max size":       "dist 1000 20 65536 1 0\noutl 65536 10\n",
+		"bin width":      "dist 1000 65536 1500 0 0\n",
+		"cells wrap":     "dist 1000 20 1500 2 0\noutl 40 1\noutl 41 9223372036854775807\n",
 	}
 	for name, text := range cases {
 		if _, err := ParseProcfs(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted %q", name, text)
 		}
 	}
+}
+
+// TestParamBounds: the largest accepted parameters build, one past them
+// is refused before the arrays are allocated.
+func TestParamBounds(t *testing.T) {
+	ok := Params{Precision: MaxPrecision, BinSize: MaxPacketSize, MaxSize: MaxPacketSize}
+	if _, err := FromEntries(ok, []Entry{{Size: MaxPacketSize, Cells: 1}}, nil); err != nil {
+		t.Fatalf("bounds refused: %v", err)
+	}
+	if _, err := Build(mwnLike(), ok); err != nil {
+		t.Fatalf("Build at the bounds: %v", err)
+	}
+	for _, p := range []Params{
+		{Precision: MaxPrecision + 1},
+		{MaxSize: MaxPacketSize + 1},
+		{BinSize: MaxPacketSize + 1},
+		{BinSize: math.MaxInt},
+	} {
+		if _, err := FromEntries(p, nil, nil); err == nil {
+			t.Errorf("FromEntries accepted %+v", p)
+		}
+		if _, err := Build(mwnLike(), p); err == nil {
+			t.Errorf("Build accepted %+v", p)
+		}
+	}
+}
+
+// FuzzParseProcfs: no input panics or allocates beyond what its length
+// and the parameter bounds allow, and an accepted distribution re-parses
+// equal after WriteProcfs, with and without pgset wrapping.
+func FuzzParseProcfs(f *testing.F) {
+	d, err := Build(mwnLike(), DefaultParams())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, pgset := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := WriteProcfs(&buf, d, pgset); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	for _, s := range []string{
+		"# comment\n\ndist 0 0 0 1 1\noutl 1500 400\nhist 40 1000\n",
+		"dist 10 5 100 1 1\noutl 100 10\nhist 95 3\n",
+		"dist 1000 20 1500 2 0\noutl 40 10\n",
+		"dist 1000 20 1500 1 0\noutl 2000 10\n",
+		"dist 65536 65535 65535 1 0\noutl 65535 65536\n",
+		"dist 1000000000 20 1500 0 0\n",
+		"dist 1000 20 1000000000 1 0\noutl 999999999 1\n",
+		"dist 1000 20 1500 2 0\noutl 40 1\noutl 41 9223372036854775807\n",
+		`pgset "dist -1 -1 -1 0 0"` + "\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := ParseProcfs(strings.NewReader(text))
+		runtime.ReadMemStats(&after)
+		// The scanner's buffer, a few allocations per line and the two
+		// sampling arrays.
+		if limit := 64<<10 + 64*uint64(len(text)) + 8*MaxPrecision; after.TotalAlloc-before.TotalAlloc > limit {
+			t.Fatalf("parsing %d bytes allocated %d bytes, more than %d", len(text), after.TotalAlloc-before.TotalAlloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		for _, pgset := range []bool{false, true} {
+			var buf bytes.Buffer
+			if err := WriteProcfs(&buf, d, pgset); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := ParseProcfs(&buf)
+			if err != nil {
+				t.Fatalf("pgset=%v: written distribution refused: %v\n%s", pgset, err, buf.String())
+			}
+			if !reflect.DeepEqual(d, d2) {
+				t.Fatalf("pgset=%v: re-parsed distribution differs\nfirst:  %+v\nsecond: %+v", pgset, d, d2)
+			}
+		}
+	})
 }
 
 func TestReadWriteSizesAndDist(t *testing.T) {

@@ -10,18 +10,31 @@ import (
 // (§4.2.2) with the thesis's defaults.
 type Params struct {
 	// Precision ρ: length of the two sampling arrays. Larger arrays resolve
-	// smaller probabilities. Default 1000.
+	// smaller probabilities. Default 1000, at most MaxPrecision.
 	Precision int
 	// BinSize σ_bin: how many consecutive packet sizes one second-stage bin
-	// merges. Default 20.
+	// merges. Default 20, at most MaxPacketSize.
 	BinSize int
 	// MaxSize N_ps: the largest packet size considered. Default 1500
-	// (no jumbo frames in the MWN trace).
+	// (no jumbo frames in the MWN trace), at most MaxPacketSize.
 	MaxSize int
 	// OutlierBound p_Ωbound: minimum fraction for a size to become a
 	// first-stage outlier. Default 0.002 (2 per mille).
 	OutlierBound float64
 }
+
+// Bounds on Params. A procfs dist line or a createDist flag sets them,
+// and the sampling arrays and generated frames are sized by them, so they
+// are checked before anything is allocated.
+const (
+	// MaxPrecision bounds ρ: each of the two sampling arrays holds ρ
+	// 4-byte cells, so a distribution takes at most 512 KiB. It resolves
+	// probabilities 65 times finer than the default ρ of 1000.
+	MaxPrecision = 1 << 16
+	// MaxPacketSize bounds N_ps and σ_bin: the IPv4 total-length field is
+	// 16 bits, so no IP datagram is longer.
+	MaxPacketSize = 65535
+)
 
 // DefaultParams returns the thesis defaults (ρ=1000, σ=20, N=1500, 2‰).
 func DefaultParams() Params {
@@ -43,6 +56,20 @@ func (p Params) withDefaults() Params {
 		p.OutlierBound = d.OutlierBound
 	}
 	return p
+}
+
+// check rejects parameters beyond MaxPrecision and MaxPacketSize.
+func (p Params) check() error {
+	if p.Precision > MaxPrecision {
+		return fmt.Errorf("dist: precision %d above the maximum %d", p.Precision, MaxPrecision)
+	}
+	if p.MaxSize > MaxPacketSize {
+		return fmt.Errorf("dist: maximum packet size %d above the IPv4 limit %d", p.MaxSize, MaxPacketSize)
+	}
+	if p.BinSize > MaxPacketSize {
+		return fmt.Errorf("dist: bin width %d above the IPv4 limit %d", p.BinSize, MaxPacketSize)
+	}
+	return nil
 }
 
 // NumBins returns n_bin = ceil(N_ps / σ_bin).
@@ -79,6 +106,9 @@ type Distribution struct {
 // might) can over- or undershoot ρ.
 func Build(counts *Counts, params Params) (*Distribution, error) {
 	params = params.withDefaults()
+	if err := params.check(); err != nil {
+		return nil, err
+	}
 	if counts.Total() == 0 {
 		return nil, errors.New("dist: empty input distribution")
 	}
@@ -196,6 +226,9 @@ func largestRemainder(weights []float64, total int) []int {
 // (the kernel-module side of the interface).
 func FromEntries(params Params, outliers, bins []Entry) (*Distribution, error) {
 	params = params.withDefaults()
+	if err := params.check(); err != nil {
+		return nil, err
+	}
 	d := &Distribution{Params: params, Outliers: outliers, Bins: bins}
 	if err := d.expand(); err != nil {
 		return nil, err
@@ -215,7 +248,7 @@ func (d *Distribution) expand() error {
 		if e.Size < 0 || e.Size > p.MaxSize {
 			return fmt.Errorf("dist: outlier size %d out of range", e.Size)
 		}
-		if e.Cells < 0 || pos+e.Cells > p.Precision {
+		if e.Cells < 0 || e.Cells > p.Precision-pos {
 			return fmt.Errorf("dist: outlier cells overflow precision %d", p.Precision)
 		}
 		for k := 0; k < e.Cells; k++ {
@@ -235,7 +268,7 @@ func (d *Distribution) expand() error {
 		if e.Size%p.BinSize != 0 {
 			return fmt.Errorf("dist: bin start %d not aligned to width %d", e.Size, p.BinSize)
 		}
-		if e.Cells < 0 || pos+e.Cells > p.Precision {
+		if e.Cells < 0 || e.Cells > p.Precision-pos {
 			return fmt.Errorf("dist: bin cells overflow precision %d", p.Precision)
 		}
 		for k := 0; k < e.Cells; k++ {

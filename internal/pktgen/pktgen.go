@@ -417,10 +417,31 @@ func (g *Generator) frame(size, macIdx, portIdx int) cachedFrame {
 	return f
 }
 
+// Gap is the departure step of a frame that occupies wire bytes of the
+// medium: the maximum of its serialization time, the generator's
+// per-packet cost and the gap implied by TargetRate, plus the configured
+// delay, rounded to the nanosecond. It is a function of the wire length
+// alone, so a recorded train can be paced at any rate with the
+// generator's exact arithmetic.
+func (c *Config) Gap(wire int) sim.Time {
+	gap := float64(wire) * 8 / c.LineRate * 1e9 // serialization
+	if p := c.PerPacketCostNS; p > gap {
+		gap = p
+	}
+	if c.TargetRate > 0 {
+		if r := float64(wire) * 8 / c.TargetRate * 1e9; r > gap {
+			gap = r
+		}
+	}
+	if d := float64(c.DelayNS); d > 0 {
+		gap += d
+	}
+	return sim.Time(gap + 0.5)
+}
+
 // Next produces the next packet, or ok=false when Count is exhausted.
-// Timing: the departure completion time advances by the maximum of the
-// wire serialization time, the generator's per-packet cost, the configured
-// delay, and the gap implied by TargetRate.
+// Timing: the departure completion time advances by Config.Gap of the
+// frame's wire length.
 func (g *Generator) Next() (Packet, bool) {
 	if g.Config.Count > 0 && g.Sent >= uint64(g.Config.Count) {
 		return Packet{}, false
@@ -441,20 +462,7 @@ func (g *Generator) Next() (Packet, bool) {
 	}
 	f := g.frame(size, macIdx, portIdx)
 	wire := len(f.data) + pkt.WireOverhead
-
-	gap := float64(wire) * 8 / g.Config.LineRate * 1e9 // serialization
-	if c := g.Config.PerPacketCostNS; c > gap {
-		gap = c
-	}
-	if g.Config.TargetRate > 0 {
-		if r := float64(wire) * 8 / g.Config.TargetRate * 1e9; r > gap {
-			gap = r
-		}
-	}
-	if d := float64(g.Config.DelayNS); d > 0 {
-		gap += d
-	}
-	g.LastTime += sim.Time(gap + 0.5)
+	g.LastTime += g.Config.Gap(wire)
 
 	p := Packet{At: g.LastTime, Data: f.data, WireLen: wire, Flow: f.flow}
 	g.Sent++
