@@ -57,11 +57,14 @@ var tier1 = []string{
 	"SweepSerial", "SweepParallel", "SimulatedCaptureRun", "PollModeCaptureRun",
 	"CaptureRun/swan", "CaptureRun/moorhen", "CaptureRun/heron", "CaptureRun/osprey", "CaptureRun/kite",
 	"BPFRunReferenceFilter", "FilterCompile", "PktgenNext", "FeedSweep",
+	"DispatchEngineCall",
 }
 
 // benchSet is one `go test -bench` invocation: which package, which
 // benchmarks, and how long each iteration set should run. The end-to-end
-// sweeps take ~150 ms per op, so they get a fixed small iteration count. The
+// sweeps take ~150 ms per op, so they get a fixed small iteration count, as
+// does the dispatch engine call, whose ops each include HTTP round trips
+// and four measured cells. The
 // microbenchmarks use a time-based benchtime so every sample runs ~0.5 s of
 // measured work regardless of per-op cost: a fixed iteration count would
 // give a ~5 ns/op benchmark millisecond-long samples, and on a shared host a
@@ -77,6 +80,7 @@ var benchSets = []benchSet{
 	{pkg: "./internal/sim/", bench: "^(BenchmarkEventQueue|BenchmarkSchedule|BenchmarkCancel|BenchmarkRunDense|BenchmarkRunSparse)$", time: "0.5s"},
 	{pkg: ".", bench: "^(BenchmarkBPFRunReferenceFilter|BenchmarkFilterCompile|BenchmarkPktgenNext|BenchmarkFeedSweep)$", time: "0.5s"},
 	{pkg: ".", bench: "^(BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSimulatedCaptureRun|BenchmarkPollModeCaptureRun|BenchmarkCaptureRun)$", time: "3x"},
+	{pkg: "./internal/dispatch/", bench: "^BenchmarkDispatchEngineCall$", time: "20x"},
 }
 
 type metrics struct {

@@ -74,6 +74,12 @@ const (
 	// strikeout quarantines a worker after this many expired leases: it
 	// keeps asking for work and keeps losing it.
 	strikeout = 3
+	// leaseHold is how long a lease request that finds nothing leasable
+	// waits at the coordinator for that to change before it is answered
+	// 204. It stays well under the worker's callTimeout, so injected
+	// network latency never times a held call out, and under the CLI's
+	// 2 s graceful shutdown window.
+	leaseHold = 1 * time.Second
 )
 
 // WALFile is the dispatch write-ahead log's file name inside the
@@ -190,8 +196,7 @@ type activeSet struct {
 	inflight   []int           // live leases covering each cell
 	exhausted  []int           // cells past the retry budget, owed a local run
 	remaining  int
-	feeds      *core.FeedCache // local-fallback feed cache
-	wg         sync.WaitGroup  // in-flight finish callbacks
+	wg         sync.WaitGroup // in-flight finish callbacks
 }
 
 // Coordinator shards campaign cells into leases. Configure the exported
@@ -220,6 +225,10 @@ type Coordinator struct {
 	// now is the coordinator-monotonic clock; tests inject their own.
 	now func() time.Duration
 
+	// feeds is the recorded-train cache of every local-fallback run:
+	// experiments whose cells replay the same train share its recording.
+	feeds *core.FeedCache
+
 	mu       sync.Mutex
 	wal      *journal.Journal
 	walErr   error
@@ -230,7 +239,11 @@ type Coordinator struct {
 	cur      *activeSet
 	finished bool
 	stats    Stats
-	wake     chan struct{}
+	// changed is closed, and replaced, whenever the lease table changes
+	// in a way that can change what Lease answers or what the engine loop
+	// must do. Waiters take it under mu before they look at the state, so
+	// no change after their look goes unnoticed.
+	changed chan struct{}
 }
 
 var _ core.CellExecutor = (*Coordinator)(nil)
@@ -245,7 +258,8 @@ func New(campaign, fingerprint string) *Coordinator {
 		attempts:    map[core.CellKey]int{},
 		leases:      map[uint64]*lease{},
 		workers:     map[string]*workerState{},
-		wake:        make(chan struct{}, 1),
+		feeds:       core.NewFeedCache(core.DefaultFeedCacheSize),
+		changed:     make(chan struct{}),
 	}
 }
 
@@ -341,13 +355,14 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// Finish marks the campaign complete: every subsequent lease request is
-// refused with the done error, which workers turn into a clean exit.
+// Finish marks the campaign complete: every held and every subsequent
+// lease request is refused with the done error, which workers turn into
+// a clean exit.
 func (c *Coordinator) Finish() {
 	c.mu.Lock()
 	c.finished = true
+	c.signalLocked()
 	c.mu.Unlock()
-	c.wakeup()
 }
 
 // Stats returns a copy of the dispatch tallies.
@@ -376,11 +391,18 @@ func (c *Coordinator) WorkerCells() map[string]uint64 {
 	return out
 }
 
+// signalLocked wakes everything waiting on the lease table: the engine
+// loop and held lease requests. Callers hold c.mu.
+func (c *Coordinator) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// wakeup is signalLocked for callers that do not hold c.mu.
 func (c *Coordinator) wakeup() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.mu.Lock()
+	c.signalLocked()
+	c.mu.Unlock()
 }
 
 // worker returns (creating if needed) the state of a worker. Callers
@@ -432,7 +454,6 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		eligible:   make([]time.Duration, len(cells)),
 		inflight:   make([]int, len(cells)),
 		remaining:  len(cells),
-		feeds:      core.NewFeedCache(core.DefaultFeedCacheSize),
 	}
 	for i := range cells {
 		st.keys[i] = core.KeyOf(experiment, cells[i], ids[i])
@@ -446,8 +467,8 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		panic("dispatch: concurrent ExecuteCells")
 	}
 	c.cur = st
+	c.signalLocked() // workers may already be waiting for cells
 	c.mu.Unlock()
-	c.wakeup() // a worker may already be polling
 
 	defer func() {
 		c.mu.Lock()
@@ -468,6 +489,7 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 	defer ticker.Stop()
 	for {
 		c.mu.Lock()
+		changed := c.changed
 		c.sweepLocked()
 		locals, why := st.exhausted, "retry budget exhausted"
 		st.exhausted = nil
@@ -498,7 +520,7 @@ func (c *Coordinator) ExecuteCells(ctx context.Context, experiment string, cells
 		}
 		select {
 		case <-ctx.Done():
-		case <-c.wake:
+		case <-changed:
 		case <-ticker.C:
 		}
 	}
@@ -546,6 +568,7 @@ func (c *Coordinator) sweepLocked() {
 				}
 			}
 			if n > 0 {
+				c.signalLocked()
 				c.stats.Redispatched++
 				c.observe(core.Event{Kind: core.EventRetry, Experiment: st.experiment,
 					Worker: l.worker,
@@ -562,21 +585,22 @@ func (c *Coordinator) requeueLocked(st *activeSet, i int) {
 	n := c.attempts[st.keys[i]]
 	if n > retryBudget {
 		st.exhausted = append(st.exhausted, i)
-		c.wakeup()
-		return
+	} else {
+		shift := n - 1 // at most retryBudget-1: the delay stays small
+		if shift < 0 {
+			shift = 0
+		}
+		st.eligible[i] = c.now() + requeueBackoff<<uint(shift)
+		st.pending = append(st.pending, i)
 	}
-	shift := n - 1 // at most retryBudget-1: the delay stays small
-	if shift < 0 {
-		shift = 0
-	}
-	st.eligible[i] = c.now() + requeueBackoff<<uint(shift)
-	st.pending = append(st.pending, i)
+	c.signalLocked()
 }
 
-// Lease grants up to maxLease eligible cells to the worker. A nil, nil
-// return means nothing is leasable right now (the worker should poll
-// again); errors are typed: *FingerprintError (mismatched options),
-// quarantine, campaign-done.
+// Lease grants up to maxLease eligible cells to the worker. It never
+// blocks: a nil, nil return means nothing is leasable right now, and the
+// HTTP lease request then waits in holdLease for that to change. Errors
+// are typed: *FingerprintError (mismatched options), quarantine,
+// campaign-done.
 func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 	if fingerprint != c.Fingerprint {
 		return nil, &FingerprintError{Want: c.Fingerprint, Got: fingerprint}
@@ -644,7 +668,74 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 		TTLMS: leaseTTL.Milliseconds()}, nil
 }
 
-// Heartbeat extends the deadlines of every lease the worker holds.
+// holdLease is Lease for a lease request that may wait. While nothing is
+// leasable it waits until Lease could answer differently and asks again:
+// the lease table changed (cells queued or back in the queue, or the
+// campaign finished), or the next backoff end, lease deadline or
+// straggler age came. It returns nil, nil once leaseHold has passed since
+// the call, or as soon as ctx ends. The hold is a span of real time, the
+// instants it waits for are on the coordinator's clock.
+func (c *Coordinator) holdLease(ctx context.Context, worker, fingerprint string) (*GrantedLease, error) {
+	end := time.Now().Add(leaseHold)
+	for ctx.Err() == nil {
+		c.mu.Lock()
+		changed := c.changed
+		c.mu.Unlock()
+		l, err := c.Lease(worker, fingerprint)
+		wait := time.Until(end)
+		if l != nil || err != nil || wait <= 0 {
+			return l, err
+		}
+		if d, ok := c.untilDue(); ok {
+			wait = min(wait, d)
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-changed:
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+	}
+	return nil, nil
+}
+
+// untilDue is how long until the earliest instant at which Lease answers
+// differently with no call in between: a queued cell's backoff ends, or a
+// lease of the active set reaches its deadline or, not yet re-dispatched,
+// the straggler age. ok is false when nothing is due.
+func (c *Coordinator) untilDue() (d time.Duration, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.cur
+	if st == nil {
+		return 0, false
+	}
+	var next time.Duration
+	due := func(at time.Duration) {
+		if !ok || at < next {
+			next, ok = at, true
+		}
+	}
+	for _, i := range st.pending {
+		if !st.done[i] {
+			due(st.eligible[i])
+		}
+	}
+	for _, l := range c.leases {
+		if l.set == st {
+			due(l.deadline)
+			if !l.redisp {
+				due(l.granted + straggler)
+			}
+		}
+	}
+	return max(next-c.now(), 0), ok
+}
+
+// Heartbeat extends the deadlines of every lease the worker holds. It
+// does not signal the lease table's change: a held request whose timer
+// runs to an extended deadline finds nothing and sets it again.
 func (c *Coordinator) Heartbeat(worker string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -781,7 +872,7 @@ func (c *Coordinator) runLocal(ctx context.Context, st *activeSet, idxs []int, w
 	c.mu.Unlock()
 	c.observe(core.Event{Kind: core.EventRetry, Experiment: st.experiment, Worker: "coordinator",
 		Detail: fmt.Sprintf("%s: running %d cells locally", why, len(idxs))})
-	outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: c.LocalWorkers, Feeds: st.feeds})
+	outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: c.LocalWorkers, Feeds: c.feeds})
 	for bi, i := range idxs {
 		c.mu.Lock()
 		if st.done[i] { // a worker raced us to it after all

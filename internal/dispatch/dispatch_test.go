@@ -100,6 +100,26 @@ func waitActive(t *testing.T, c *Coordinator) {
 	}
 }
 
+// waitHeld blocks until the lease request of worker has reached the
+// coordinator. On a coordinator with nothing leasable for it, the request
+// is then held.
+func waitHeld(tb testing.TB, c *Coordinator, worker string) {
+	tb.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		_, seen := c.workers[worker]
+		c.mu.Unlock()
+		if seen {
+			return
+		}
+		if time.Now().After(deadline) {
+			tb.Fatalf("no lease request from %s reached the coordinator", worker)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // completeAll reports every cell of a lease as successfully measured
 // (with placeholder stats — protocol tests don't run real captures).
 func completeAll(t *testing.T, c *Coordinator, worker string, l *GrantedLease) {
@@ -425,6 +445,40 @@ func TestNoWorkerRunsCellsLocally(t *testing.T) {
 	}
 	if st := c.Stats(); st.LocalCells != uint64(len(cells)) {
 		t.Fatalf("local cells = %d, want %d", st.LocalCells, len(cells))
+	}
+}
+
+// TestLocalRunsShareTrainsAcrossExperiments: the coordinator's local runs
+// of two experiments that sweep the same trains record each train once
+// per repetition, not once per experiment.
+func TestLocalRunsShareTrainsAcrossExperiments(t *testing.T) {
+	o := experiments.Options{Packets: 300, Reps: 2, Seed: 1, Rates: []float64{400, 800}}
+	clk := &fakeClock{}
+	c := newTestCoordinator(t, clk)
+	clk.set(straggler) // no worker has called for the whole window: every cell runs locally
+	cells := 0
+	for _, expID := range []string{"fig6.2-smp", "fig6.3-smp"} {
+		set, err := experiments.EnumerateCells(expID, o)
+		if err != nil {
+			t.Fatalf("EnumerateCells(%s): %v", expID, err)
+		}
+		col := newCollector()
+		for i, err := range c.ExecuteCells(context.Background(), expID, set.Cells, set.IDs, col.done) {
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", expID, i, err)
+			}
+		}
+		for i := 0; i < set.Len(); i++ {
+			if col.workers[i] != "coordinator" {
+				t.Fatalf("%s cell %d measured by %q, want the coordinator", expID, i, col.workers[i])
+			}
+		}
+		cells += set.Len()
+	}
+	hits, misses := c.feeds.Counters()
+	if misses != uint64(o.Reps) || hits+misses != uint64(cells) {
+		t.Fatalf("coordinator cache: %d hits, %d misses over %d cells; want %d misses (one train per rep)",
+			hits, misses, cells, o.Reps)
 	}
 }
 

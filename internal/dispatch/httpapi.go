@@ -6,16 +6,23 @@
 //	POST /api/campaigns/{id}/heartbeat  — keep held leases alive
 //
 // plus GET /api/dispatch for worker discovery (campaign id and
-// fingerprint). Refusals are typed by status: 409 for a missing or
-// mismatched fingerprint (the worker's options hash differently — a
-// worker bug or a misaligned flag set, never retryable), 403 for a
-// quarantined worker, 410 once the campaign is complete, 204 when
-// nothing is leasable right now.
+// fingerprint). A lease request that finds nothing leasable is held: the
+// coordinator answers it as soon as cells become leasable (200 with the
+// lease) or the campaign completes, and with 204 only after leaseHold
+// without either, so a worker asks again at once. A complete or a
+// heartbeat is answered 204. Refusals are typed by status: 400 for a
+// malformed or oversized body, 404 for another campaign's id, 409 for a
+// missing or mismatched fingerprint (the worker's options hash
+// differently — a worker bug or a misaligned flag set, never retryable),
+// 403 for a quarantined worker, 410 once the campaign is complete, and
+// 500 when the coordinator cannot record a grant or a completion.
 package dispatch
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -86,11 +93,24 @@ func validKey(k core.CellKey) string {
 	}
 }
 
+// decodeBody reads a request body of one JSON value into v, or answers
+// 400. The body is read to its end and anything after the value but
+// space is refused, so the cap holds for the whole body, not just for
+// its first value. Reading to the end also lets the server watch the
+// connection of a held lease request for the worker hanging up.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("more than one JSON value")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
@@ -134,8 +154,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "worker name required"})
 		return
 	}
-	l, err := c.Lease(req.Worker, req.Fingerprint)
+	l, err := c.holdLease(r.Context(), req.Worker, req.Fingerprint)
 	switch {
+	case err == nil && l == nil && r.Context().Err() != nil:
+		// The worker hung up during the hold; nobody reads an answer.
 	case err == nil && l == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case err == nil:

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -99,16 +100,20 @@ func TestWorkerDefaultClientHasTimeout(t *testing.T) {
 	}
 }
 
-// TestTimingRelations pins the two relations the protocol's timings rely
-// on: a worker heartbeats at least four times per lease TTL, so one lost
-// heartbeat never expires a live lease, and one call's deadline ends
-// before the client timeout cuts the exchange off.
+// TestTimingRelations pins the relations the protocol's timings rely on:
+// a worker heartbeats at least four times per lease TTL, so one lost
+// heartbeat never expires a live lease; one call's deadline ends before
+// the client timeout cuts the exchange off; and a held lease request is
+// answered well before the call's deadline.
 func TestTimingRelations(t *testing.T) {
 	if heartbeatInterval > leaseTTL/4 {
 		t.Errorf("heartbeat interval %v exceeds a quarter of the lease TTL %v", heartbeatInterval, leaseTTL)
 	}
 	if callTimeout >= DefaultClientTimeout {
 		t.Errorf("per-call deadline %v is not shorter than the client timeout %v", callTimeout, DefaultClientTimeout)
+	}
+	if leaseHold >= callTimeout {
+		t.Errorf("lease hold %v is not shorter than the per-call deadline %v", leaseHold, callTimeout)
 	}
 }
 
@@ -219,9 +224,28 @@ func TestRetryDelayJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRequestValidation: garbage requests — malformed JSON,
-// unknown fields, oversized bodies, corrupt cell keys — are refused with
-// 400 and never reach campaign state.
+// badRequests are garbage request bodies — malformed JSON, unknown
+// fields, oversized bodies, corrupt cell keys — that the coordinator must
+// refuse with 400.
+var badRequests = []struct {
+	name, verb, body string
+}{
+	{"malformed json", "lease", `{"worker": `},
+	{"unknown field", "lease", `{"worker":"w","fingerprint":"f","bogus":1}`},
+	{"missing worker", "lease", `{"fingerprint":"f"}`},
+	{"oversized body", "heartbeat", `{"worker":"` + strings.Repeat("x", 8<<10) + `"}`},
+	{"oversized after one value", "heartbeat", `{"worker":"w"}` + strings.Repeat(" ", 8<<10)},
+	{"two values", "lease", `{"worker":"w","fingerprint":"f"} {}`},
+	{"unknown failed field", "complete",
+		`{"worker":"w","fingerprint":"f","lease":1,"failed":[{"experiment":"e","system":"s","point":0,"rep":0}]}`},
+	{"empty experiment key", "complete",
+		`{"worker":"w","fingerprint":"f","lease":1,"records":[{"key":{"experiment":"","system":"s","point":0,"rep":0},"out":{}}]}`},
+	{"absurd rep", "complete",
+		`{"worker":"w","fingerprint":"f","lease":1,"records":[{"key":{"experiment":"e","system":"s","point":0,"rep":9999999},"out":{}}]}`},
+}
+
+// TestCoordinatorRequestValidation: the bad requests are refused with 400
+// and never reach campaign state.
 func TestCoordinatorRequestValidation(t *testing.T) {
 	clk := &fakeClock{}
 	c := newTestCoordinator(t, clk)
@@ -240,31 +264,123 @@ func TestCoordinatorRequestValidation(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	cases := []struct {
-		name, verb, body string
-	}{
-		{"malformed json", "lease", `{"worker": `},
-		{"unknown field", "lease", `{"worker":"w","fingerprint":"f","bogus":1}`},
-		{"missing worker", "lease", `{"fingerprint":"f"}`},
-		{"oversized body", "heartbeat", `{"worker":"` + strings.Repeat("x", 8<<10) + `"}`},
-		{"unknown failed field", "complete",
-			`{"worker":"w","fingerprint":"f","lease":1,"failed":[{"experiment":"e","system":"s","point":0,"rep":0}]}`},
-		{"empty experiment key", "complete",
-			`{"worker":"w","fingerprint":"f","lease":1,"records":[{"key":{"experiment":"","system":"s","point":0,"rep":0},"out":{}}]}`},
-		{"absurd rep", "complete",
-			`{"worker":"w","fingerprint":"f","lease":1,"records":[{"key":{"experiment":"e","system":"s","point":0,"rep":9999999},"out":{}}]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		if status := post(tc.verb, tc.body); status != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, status)
 		}
 	}
 
 	// Sanity: a well-formed lease request on the idle coordinator still
-	// gets through validation (204: nothing queued yet).
+	// gets through validation, and is held for leaseHold before its 204:
+	// nothing was queued meanwhile.
+	start := time.Now()
 	if status := post("lease", `{"worker":"w","fingerprint":"`+c.Fingerprint+`"}`); status != http.StatusNoContent {
 		t.Fatalf("valid lease request: HTTP %d, want 204", status)
 	}
+	if d := time.Since(start); d < leaseHold {
+		t.Fatalf("idle lease request answered after %v, before the %v hold ran out", d, leaseHold)
+	}
+}
+
+// documented are the statuses the package doc lists for each route.
+var documented = map[string][]int{
+	"lease": {http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusForbidden,
+		http.StatusNotFound, http.StatusConflict, http.StatusGone, http.StatusInternalServerError},
+	"complete": {http.StatusNoContent, http.StatusBadRequest, http.StatusNotFound,
+		http.StatusConflict, http.StatusInternalServerError},
+	"heartbeat": {http.StatusNoContent, http.StatusBadRequest, http.StatusNotFound},
+}
+
+// FuzzDispatchRequests posts each input body to the lease, heartbeat and
+// complete routes of a coordinator with an active engine call, and the
+// complete twice, as a replayed completion. The campaign is finished, so
+// a lease request is answered at once and no input sits in the hold. No
+// input may panic; every status must be one the package doc lists; a body
+// over its route's cap gets 400; and a completion answered 204 finalizes
+// exactly its successful records' keys of the active engine call, each
+// once over both posts.
+func FuzzDispatchRequests(f *testing.F) {
+	cells, ids := testCells(2)
+	key := core.KeyOf("exp", cells[0], ids[0])
+	for _, tc := range badRequests {
+		f.Add([]byte(tc.body))
+	}
+	valid, err := json.Marshal(completeRequest{Worker: "w", Fingerprint: "fp-test", Lease: 1,
+		Records: []Record{{Key: key, Out: core.CellOutcome{OK: true, Attempts: 1}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"worker":"w","fingerprint":"fp-test"}`))
+	f.Add([]byte(`{"worker":"w"}`))
+	caps := map[string]int{"lease": maxSmallBody, "heartbeat": maxSmallBody, "complete": maxCompleteBody}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := newTestCoordinator(t, &fakeClock{})
+		c.Journal = &memJournal{}
+		col := newCollector()
+		ctx, cancel := context.WithCancel(context.Background())
+		c.mu.Lock()
+		queued := c.changed
+		c.mu.Unlock()
+		errs := make(chan []error, 1)
+		go func() { errs <- c.ExecuteCells(ctx, "exp", cells, ids, col.done) }()
+		defer func() {
+			cancel()
+			<-errs
+		}()
+		<-queued
+		c.Finish()
+		mux := newMux(c)
+
+		post := func(verb string) int {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+				"/api/campaigns/test-campaign/"+verb, bytes.NewReader(body)))
+			status := rec.Code
+			if !slices.Contains(documented[verb], status) {
+				t.Fatalf("%s: HTTP %d is not a documented status", verb, status)
+			}
+			if len(body) > caps[verb] && status != http.StatusBadRequest {
+				t.Fatalf("%s: %d-byte body over the %d-byte cap got HTTP %d, want 400", verb, len(body), caps[verb], status)
+			}
+			return status
+		}
+		if status := post("lease"); status == http.StatusOK || status == http.StatusNoContent {
+			t.Fatalf("lease on a finished campaign: HTTP %d", status)
+		}
+		post("heartbeat")
+
+		want := map[int]bool{}
+		for round := 0; round < 2; round++ {
+			if post("complete") != http.StatusNoContent {
+				continue
+			}
+			var req completeRequest
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				t.Fatalf("complete answered 204 to a body that does not decode: %v", err)
+			}
+			for _, r := range req.Records {
+				for i := range cells {
+					if r.Out.OK && r.Key == core.KeyOf("exp", cells[i], ids[i]) {
+						want[i] = true
+					}
+				}
+			}
+		}
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		for i, n := range col.counts {
+			if n != 1 || !want[i] {
+				t.Fatalf("cell %d finalized %d times; the body's successful records of the engine call: %v", i, n, want)
+			}
+		}
+		if len(col.counts) != len(want) {
+			t.Fatalf("finalized cells %v, want %v", col.counts, want)
+		}
+	})
 }
 
 // TestCompleteRequiresFingerprint: /complete writes campaign results, so

@@ -34,8 +34,9 @@ const DefaultClientTimeout = 15 * time.Second
 
 // Worker timings and retry budget.
 const (
-	// pollInterval is the idle re-poll interval when no cells are
-	// leasable.
+	// pollInterval is the retry delay after discovery, a 404 or a failed
+	// call. A lease request that finds nothing to do is not retried after
+	// it: the coordinator already held it (leaseHold).
 	pollInterval = 200 * time.Millisecond
 	// heartbeatInterval is the lease keep-alive interval; it must stay
 	// at most a quarter of the coordinator's leaseTTL.
@@ -239,10 +240,13 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// leaseLoop is the worker's main loop. Transport errors after first
-// contact are tolerated up to shutdownGrace consecutive failures — a
-// coordinator that finished and exited stops answering, and that is a
-// success, not a failure.
+// leaseLoop is the worker's main loop. A worker with nothing to do waits
+// inside its lease request, which the coordinator holds until cells are
+// leasable or the campaign is complete; after a 204 (a hold that ran
+// out) it asks again at once. Transport errors after first contact are
+// tolerated up to shutdownGrace consecutive failures — a coordinator
+// that finished and exited stops answering, and that is a success, not a
+// failure.
 func (w *Worker) leaseLoop(ctx context.Context) error {
 	misses := 0
 	for {
@@ -276,11 +280,7 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 				return err
 			}
 		case http.StatusNoContent:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(pollInterval):
-			}
+			// The hold ran out; the coordinator has waited already.
 		case http.StatusGone:
 			w.logf("worker %s: campaign complete", w.ID)
 			return nil
