@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,7 +140,7 @@ type GrantedLease struct {
 // Stats are the coordinator's lifetime dispatch tallies.
 type Stats struct {
 	Granted      uint64 // leases granted
-	Expired      uint64 // leases expired (missed heartbeats / dead worker)
+	Expired      uint64 // leases ended unfinished: missed heartbeats, a dead worker, or no longer held by their worker
 	Redispatched uint64 // straggler leases speculatively re-dispatched
 	Duplicates   uint64 // duplicate cell completions (resolved last-write-wins)
 	LocalCells   uint64 // cells run locally: past the retry budget, or with no worker left
@@ -537,25 +538,12 @@ func (c *Coordinator) sweepLocked() {
 			continue
 		}
 		if now >= l.deadline {
-			delete(c.leases, id)
-			c.stats.Expired++
 			ws := c.workerLocked(l.worker)
 			ws.expired++
 			if ws.expired >= strikeout {
 				ws.quarantined = true
 			}
-			lost := 0
-			for _, i := range l.cells {
-				st.inflight[i]--
-				if !st.done[i] && st.inflight[i] <= 0 {
-					c.requeueLocked(st, i)
-					lost++
-				}
-			}
-			c.walAppendLocked(walRecord{T: "expire", Lease: l.id, Worker: l.worker})
-			c.observe(core.Event{Kind: core.EventLeaseExpired, Experiment: st.experiment,
-				Worker: l.worker,
-				Detail: fmt.Sprintf("lease %d expired (%d cells back in queue)", l.id, lost)})
+			c.endLeaseLocked(l, "expired")
 			continue
 		}
 		if !l.redisp && now-l.granted >= straggler {
@@ -578,6 +566,28 @@ func (c *Coordinator) sweepLocked() {
 	}
 }
 
+// endLeaseLocked ends live lease l of the active set before its
+// completion: its cells that are not done and that no other lease covers
+// go back to the queue, the WAL gets an expire frame, and an
+// EventLeaseExpired says why. Callers hold c.mu.
+func (c *Coordinator) endLeaseLocked(l *lease, why string) {
+	st := l.set
+	delete(c.leases, l.id)
+	c.stats.Expired++
+	lost := 0
+	for _, i := range l.cells {
+		st.inflight[i]--
+		if !st.done[i] && st.inflight[i] <= 0 {
+			c.requeueLocked(st, i)
+			lost++
+		}
+	}
+	c.walAppendLocked(walRecord{T: "expire", Lease: l.id, Worker: l.worker})
+	c.observe(core.Event{Kind: core.EventLeaseExpired, Experiment: st.experiment,
+		Worker: l.worker,
+		Detail: fmt.Sprintf("lease %d %s (%d cells back in queue)", l.id, why, lost)})
+}
+
 // requeueLocked returns a cell to the dispatch queue with doubling
 // backoff, or routes it to the local-fallback list once its dispatch
 // budget is spent. Callers hold c.mu.
@@ -598,9 +608,9 @@ func (c *Coordinator) requeueLocked(st *activeSet, i int) {
 
 // Lease grants up to maxLease eligible cells to the worker. It never
 // blocks: a nil, nil return means nothing is leasable right now, and the
-// HTTP lease request then waits in holdLease for that to change. Errors
-// are typed: *FingerprintError (mismatched options), quarantine,
-// campaign-done.
+// HTTP lease request of a worker that holds no live lease then waits in
+// holdLease for that to change. Errors are typed: *FingerprintError
+// (mismatched options), quarantine, campaign-done.
 func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 	if fingerprint != c.Fingerprint {
 		return nil, &FingerprintError{Want: c.Fingerprint, Got: fingerprint}
@@ -668,22 +678,26 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 		TTLMS: leaseTTL.Milliseconds()}, nil
 }
 
-// holdLease is Lease for a lease request that may wait. While nothing is
-// leasable it waits until Lease could answer differently and asks again:
-// the lease table changed (cells queued or back in the queue, or the
-// campaign finished), or the next backoff end, lease deadline or
-// straggler age came. It returns nil, nil once leaseHold has passed since
-// the call, or as soon as ctx ends. The hold is a span of real time, the
-// instants it waits for are on the coordinator's clock.
-func (c *Coordinator) holdLease(ctx context.Context, worker, fingerprint string) (*GrantedLease, error) {
+// holdLease is Lease for a worker's lease request, which lists the
+// leases the worker holds. It first ends every other live lease of that
+// worker (release). A worker that still holds a live lease gets its
+// answer at once. One that holds none waits while nothing is leasable:
+// until Lease could answer differently it asks again whenever the lease
+// table changed (cells queued or back in the queue, or the campaign
+// finished), or the next backoff end, lease deadline or straggler age
+// came. It returns nil, nil once leaseHold has passed since the call, or
+// as soon as ctx ends. The hold is a span of real time, the instants it
+// waits for are on the coordinator's clock.
+func (c *Coordinator) holdLease(ctx context.Context, worker, fingerprint string, held []uint64) (*GrantedLease, error) {
 	end := time.Now().Add(leaseHold)
+	holds := c.release(worker, fingerprint, held)
 	for ctx.Err() == nil {
 		c.mu.Lock()
 		changed := c.changed
 		c.mu.Unlock()
 		l, err := c.Lease(worker, fingerprint)
 		wait := time.Until(end)
-		if l != nil || err != nil || wait <= 0 {
+		if l != nil || err != nil || wait <= 0 || holds {
 			return l, err
 		}
 		if d, ok := c.untilDue(); ok {
@@ -698,6 +712,34 @@ func (c *Coordinator) holdLease(ctx context.Context, worker, fingerprint string)
 		t.Stop()
 	}
 	return nil, nil
+}
+
+// release ends, like an expiry but without a strike against the worker,
+// every live lease of the active engine call that worker holds and does
+// not list in held, and reports whether it holds one it lists. A worker
+// makes one protocol call at a time, so when it asks for a lease it lists
+// every grant it has received: an unlisted lease is a grant whose answer
+// never reached it (the lease request was sent again) or one whose
+// completion it gave up on. Listed ids that are unknown or another
+// worker's are ignored; a request with another campaign's fingerprint
+// ends nothing.
+func (c *Coordinator) release(worker, fingerprint string, held []uint64) (holds bool) {
+	if fingerprint != c.Fingerprint {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, l := range c.leases {
+		if l.worker != worker || l.set != c.cur {
+			continue
+		}
+		if slices.Contains(held, l.id) {
+			holds = true
+		} else {
+			c.endLeaseLocked(l, "no longer held by its worker")
+		}
+	}
+	return holds
 }
 
 // untilDue is how long until the earliest instant at which Lease answers

@@ -3,13 +3,13 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,16 +25,21 @@ type leaseReply struct {
 	err    error
 }
 
-// postLease sends one lease request for worker to the campaign's lease
-// route in the background; its answer arrives on the returned channel.
-func postLease(ctx context.Context, client *http.Client, base, campaign, worker, fp string) <-chan leaseReply {
+// postLease sends one lease request for worker, listing the held leases,
+// to the campaign's lease route in the background; its answer arrives on
+// the returned channel.
+func postLease(ctx context.Context, client *http.Client, base, campaign, worker, fp string, held ...uint64) <-chan leaseReply {
 	ch := make(chan leaseReply, 1)
 	go func() {
 		var r leaseReply
 		defer func() { ch <- r }()
-		body := fmt.Sprintf(`{"worker":%q,"fingerprint":%q}`, worker, fp)
+		body, err := json.Marshal(leaseRequest{Worker: worker, Fingerprint: fp, Held: held})
+		if err != nil {
+			r.err = err
+			return
+		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			base+"/api/campaigns/"+campaign+"/lease", strings.NewReader(body))
+			base+"/api/campaigns/"+campaign+"/lease", bytes.NewReader(body))
 		if err != nil {
 			r.err = err
 			return

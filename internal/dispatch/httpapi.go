@@ -6,16 +6,20 @@
 //	POST /api/campaigns/{id}/heartbeat  — keep held leases alive
 //
 // plus GET /api/dispatch for worker discovery (campaign id and
-// fingerprint). A lease request that finds nothing leasable is held: the
-// coordinator answers it as soon as cells become leasable (200 with the
-// lease) or the campaign completes, and with 204 only after leaseHold
-// without either, so a worker asks again at once. A complete or a
-// heartbeat is answered 204. Refusals are typed by status: 400 for a
-// malformed or oversized body, 404 for another campaign's id, 409 for a
-// missing or mismatched fingerprint (the worker's options hash
-// differently — a worker bug or a misaligned flag set, never retryable),
-// 403 for a quarantined worker, 410 once the campaign is complete, and
-// 500 when the coordinator cannot record a grant or a completion.
+// fingerprint). A lease request lists the leases its worker holds
+// ("held"); the coordinator ends every other live lease of that worker,
+// returning its cells to the queue. A lease request that finds nothing
+// leasable is answered 204 at once if its worker still holds a live
+// lease; otherwise it is held: the coordinator answers it as soon as
+// cells become leasable (200 with the lease) or the campaign completes,
+// and with 204 only after leaseHold without either, so a worker asks
+// again at once. A complete or a heartbeat is answered 204. Refusals are
+// typed by status: 400 for a malformed or oversized body (a bad "held"
+// list included), 404 for another campaign's id, 409 for a missing or
+// mismatched fingerprint (the worker's options hash differently — a
+// worker bug or a misaligned flag set, never retryable), 403 for a
+// quarantined worker, 410 once the campaign is complete, and 500 when the
+// coordinator cannot record a grant or a completion.
 package dispatch
 
 import (
@@ -28,10 +32,13 @@ import (
 	"repro/internal/core"
 )
 
-// leaseRequest is a worker asking for cells.
+// leaseRequest is a worker asking for cells. Held lists the leases the
+// worker holds (absent means none); the coordinator ends every other live
+// lease of the worker.
 type leaseRequest struct {
-	Worker      string `json:"worker"`
-	Fingerprint string `json:"fingerprint"`
+	Worker      string   `json:"worker"`
+	Fingerprint string   `json:"fingerprint"`
+	Held        []uint64 `json:"held,omitempty"`
 }
 
 // completeRequest reports the outcome of a lease. Records carries the
@@ -154,7 +161,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "worker name required"})
 		return
 	}
-	l, err := c.holdLease(r.Context(), req.Worker, req.Fingerprint)
+	l, err := c.holdLease(r.Context(), req.Worker, req.Fingerprint, req.Held)
 	switch {
 	case err == nil && l == nil && r.Context().Err() != nil:
 		// The worker hung up during the hold; nobody reads an answer.

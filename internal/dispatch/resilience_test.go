@@ -236,6 +236,7 @@ var badRequests = []struct {
 	{"oversized body", "heartbeat", `{"worker":"` + strings.Repeat("x", 8<<10) + `"}`},
 	{"oversized after one value", "heartbeat", `{"worker":"w"}` + strings.Repeat(" ", 8<<10)},
 	{"two values", "lease", `{"worker":"w","fingerprint":"f"} {}`},
+	{"malformed held", "lease", `{"worker":"w","fingerprint":"f","held":[-1]}`},
 	{"unknown failed field", "complete",
 		`{"worker":"w","fingerprint":"f","lease":1,"failed":[{"experiment":"e","system":"s","point":0,"rep":0}]}`},
 	{"empty experiment key", "complete",
@@ -293,14 +294,16 @@ var documented = map[string][]int{
 
 // FuzzDispatchRequests posts each input body to the lease, heartbeat and
 // complete routes of a coordinator with an active engine call, and the
-// complete twice, as a replayed completion. The campaign is finished, so
-// a lease request is answered at once and no input sits in the hold. No
-// input may panic; every status must be one the package doc lists; a body
-// over its route's cap gets 400; and a completion answered 204 finalizes
-// exactly its successful records' keys of the active engine call, each
-// once over both posts.
+// complete twice, as a replayed completion. Another worker holds a lease
+// and cells stay leasable, so a lease request is answered at once and no
+// input sits in the hold. No input may panic; every status must be one
+// the package doc lists; a body over its route's cap gets 400; a lease
+// request never ends a lease of another worker; and a completion answered
+// 204 finalizes exactly its successful records' keys of the active engine
+// call, each once over both posts.
 func FuzzDispatchRequests(f *testing.F) {
-	cells, ids := testCells(2)
+	const other = "other"
+	cells, ids := testCells(maxLease + 2)
 	key := core.KeyOf("exp", cells[0], ids[0])
 	for _, tc := range badRequests {
 		f.Add([]byte(tc.body))
@@ -313,6 +316,14 @@ func FuzzDispatchRequests(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte(`{"worker":"w","fingerprint":"fp-test"}`))
 	f.Add([]byte(`{"worker":"w"}`))
+	// Held lists: the other worker's own lease (valid), unknown ids,
+	// another worker's lease, a non-numeric entry, and one over the cap.
+	f.Add([]byte(`{"worker":"other","fingerprint":"fp-test","held":[1]}`))
+	f.Add([]byte(`{"worker":"other","fingerprint":"fp-test"}`))
+	f.Add([]byte(`{"worker":"w","fingerprint":"fp-test","held":[7,99]}`))
+	f.Add([]byte(`{"worker":"w","fingerprint":"fp-test","held":[1]}`))
+	f.Add([]byte(`{"worker":"w","fingerprint":"fp-test","held":["1"]}`))
+	f.Add([]byte(`{"worker":"w","fingerprint":"fp-test","held":[1` + strings.Repeat(",1", maxSmallBody) + `]}`))
 	caps := map[string]int{"lease": maxSmallBody, "heartbeat": maxSmallBody, "complete": maxCompleteBody}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -330,7 +341,10 @@ func FuzzDispatchRequests(f *testing.F) {
 			<-errs
 		}()
 		<-queued
-		c.Finish()
+		theirs, err := c.Lease(other, c.Fingerprint)
+		if err != nil || theirs == nil {
+			t.Fatalf("Lease(%s) = %+v, %v", other, theirs, err)
+		}
 		mux := newMux(c)
 
 		post := func(verb string) int {
@@ -346,8 +360,19 @@ func FuzzDispatchRequests(f *testing.F) {
 			}
 			return status
 		}
-		if status := post("lease"); status == http.StatusOK || status == http.StatusNoContent {
-			t.Fatalf("lease on a finished campaign: HTTP %d", status)
+		if status := post("lease"); status == http.StatusNoContent {
+			t.Fatal("lease request answered 204 while cells were leasable")
+		}
+		c.mu.Lock()
+		_, live := c.leases[theirs.ID]
+		c.mu.Unlock()
+		if !live {
+			var req leaseRequest
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if dec.Decode(&req) != nil || req.Worker != other {
+				t.Fatalf("a lease request that is not %s's ended its lease %d", other, theirs.ID)
+			}
 		}
 		post("heartbeat")
 

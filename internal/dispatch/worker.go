@@ -1,9 +1,10 @@
 // Worker side of the dispatch protocol: a stateless measurement
 // process that discovers the coordinator, verifies it is serving the
 // same campaign (fingerprint match is mandatory — a worker measuring
-// under different options would poison the journal), then loops:
-// lease, measure, complete, until the coordinator says the campaign is
-// done.
+// under different options would poison the journal), then leases,
+// measures and completes cells until the coordinator says the campaign
+// is done. One protocol goroutine keeps the worker's cell pool fed a
+// lease ahead while its measuring goroutines drain it.
 //
 // Workers hold no shard assignment and no campaign state, so any number
 // can join or die at any time. A worker enumerates each experiment's
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -85,8 +87,9 @@ type Worker struct {
 	BaseURL string
 	// Options are this worker's experiment options. Their fingerprint
 	// must match the coordinator's; runtime knobs (Ctx, Journal,
-	// Observer, Executor) are ignored — Parallelism is honored for the
-	// worker's own cell runs.
+	// Observer, Executor) are ignored. Parallelism is the number of
+	// leased cells the worker measures at once, under the Workers
+	// convention (0 is one).
 	Options experiments.Options
 
 	Client *http.Client // nil = a shared client with DefaultClientTimeout
@@ -101,6 +104,9 @@ type Worker struct {
 	feeds *core.FeedCache
 	// breaker gates every coordinator call; Run builds it.
 	breaker *Breaker
+	// measure is the pool's per-cell call; nil is measureCell. Tests
+	// replace it.
+	measure func(context.Context, core.Cell, core.CellID) (core.CellOutcome, error)
 	// jitter is the splitmix64 state for retry jitter, seeded from ID so
 	// two workers retrying the same outage do not march in lockstep.
 	jitter uint64
@@ -240,129 +246,283 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// leaseLoop is the worker's main loop. A worker with nothing to do waits
-// inside its lease request, which the coordinator holds until cells are
-// leasable or the campaign is complete; after a 204 (a hold that ran
-// out) it asks again at once. Transport errors after first contact are
-// tolerated up to shutdownGrace consecutive failures — a coordinator
+// leaseLoop is the worker's protocol goroutine: it makes every lease and
+// complete call, one at a time, while the pool measures the leased cells.
+// While fewer than Parallelism+maxLease cells wait in the pool it asks
+// for the next lease before it posts a completion; otherwise it first
+// posts the completion of each lease whose last cell is measured. Every
+// lease request lists the leases the worker holds, so the coordinator
+// ends any other lease of this worker at once: a grant whose answer never
+// arrived, or a lease whose completion was given up on. A worker that
+// holds no lease waits inside its lease request, which the coordinator
+// holds until cells are leasable or the campaign is complete; after a 204
+// (a hold that ran out) it asks again at once. One that holds a lease is
+// answered 204 at once when nothing is leasable, and asks again only once
+// one of its leases has completed. Transport errors after first contact
+// are tolerated up to shutdownGrace consecutive failures — a coordinator
 // that finished and exited stops answering, and that is a success, not a
 // failure.
 func (w *Worker) leaseLoop(ctx context.Context) error {
+	p := w.startPool(ctx)
+	defer p.close()
+	mark := p.size + maxLease
+	var held []*leased // in grant order
 	misses := 0
+	waitCompletion := false // a 204 came while holding a lease
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var l GrantedLease
-		status, err := w.postRetry(ctx, "lease", leaseRequest{
-			Worker: w.ID, Fingerprint: w.fingerprint,
-		}, &l)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
+		// A pass makes at most one lease request and posts at most one
+		// completion, the request first while the queue is shallow: a
+		// stream of grants never holds back the completions.
+		ask := !waitCompletion && len(p.tasks) < mark
+		if ask {
+			ids := make([]uint64, len(held))
+			for i, l := range held {
+				ids[i] = l.id
 			}
-			misses++
-			if misses >= shutdownGrace {
-				w.logf("worker %s: coordinator gone; assuming campaign finished", w.ID)
+			var g GrantedLease
+			status, err := w.postRetry(ctx, "lease", leaseRequest{
+				Worker: w.ID, Fingerprint: w.fingerprint, Held: ids,
+			}, &g)
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				misses++
+				if misses >= shutdownGrace {
+					w.logf("worker %s: coordinator gone; assuming campaign finished", w.ID)
+					return nil
+				}
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(pollInterval):
+				}
+				continue
+			}
+			misses = 0
+			switch status {
+			case http.StatusOK:
+				l, err := w.enqueue(p, &g)
+				if err != nil {
+					return err
+				}
+				held = append(held, l)
+			case http.StatusNoContent:
+				// Holding a lease, the answer came at once; holding none,
+				// the coordinator has waited already.
+				waitCompletion = len(held) > 0
+			case http.StatusGone:
+				w.logf("worker %s: campaign complete", w.ID)
 				return nil
+			case http.StatusNotFound:
+				// The campaign id may be stale — learned from a corrupted
+				// discovery response, or the coordinator restarted with a
+				// new campaign. Re-discover (fingerprint still must match)
+				// and treat it as a miss.
+				if info, derr := w.discover(ctx); derr == nil && info.Fingerprint == w.fingerprint {
+					w.campaign = info.Campaign
+				}
+				misses++
+				if misses >= shutdownGrace {
+					w.logf("worker %s: campaign unknown to coordinator; giving up", w.ID)
+					return nil
+				}
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(pollInterval):
+				}
+			case http.StatusConflict:
+				return &FingerprintMismatchError{Mine: w.fingerprint}
+			case http.StatusForbidden:
+				return fmt.Errorf("dispatch: worker %s was quarantined by the coordinator", w.ID)
+			default:
+				return fmt.Errorf("dispatch: lease request: HTTP %d", status)
 			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(pollInterval):
-			}
-			continue
 		}
-		misses = 0
-		switch status {
-		case http.StatusOK:
-			if err := w.serveLease(ctx, &l); err != nil {
+		if l := p.nextReady(); l != nil {
+			held = slices.DeleteFunc(held, func(h *leased) bool { return h == l })
+			waitCompletion = false
+			if err := w.complete(ctx, l); err != nil {
 				return err
 			}
-		case http.StatusNoContent:
-			// The hold ran out; the coordinator has waited already.
-		case http.StatusGone:
-			w.logf("worker %s: campaign complete", w.ID)
-			return nil
-		case http.StatusNotFound:
-			// The campaign id may be stale — learned from a corrupted
-			// discovery response, or the coordinator restarted with a new
-			// campaign. Re-discover (fingerprint still must match) and
-			// treat it as a miss.
-			if info, derr := w.discover(ctx); derr == nil && info.Fingerprint == w.fingerprint {
-				w.campaign = info.Campaign
-			}
-			misses++
-			if misses >= shutdownGrace {
-				w.logf("worker %s: campaign unknown to coordinator; giving up", w.ID)
-				return nil
-			}
+		} else if !ask {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(pollInterval):
+			case <-p.wake:
 			}
-		case http.StatusConflict:
-			return &FingerprintMismatchError{Mine: w.fingerprint}
-		case http.StatusForbidden:
-			return fmt.Errorf("dispatch: worker %s was quarantined by the coordinator", w.ID)
-		default:
-			return fmt.Errorf("dispatch: lease request: HTTP %d", status)
 		}
 	}
 }
 
-// serveLease measures a lease's cells and reports the outcomes.
-func (w *Worker) serveLease(ctx context.Context, l *GrantedLease) error {
-	set, err := w.cellSet(l.Experiment)
-	if err != nil {
-		return err
-	}
-	var cells []core.Cell
-	var ids []core.CellID
-	var okIdx []int
-	failed := 0
-	for _, k := range l.Keys {
-		i, ok := set.Find(k)
-		if !ok {
-			// Enumeration disagrees despite a matching fingerprint: a
-			// bug, but one cell's worth — count it failed, keep going.
-			failed++
-			continue
-		}
-		cells = append(cells, set.Cells[i])
-		ids = append(ids, set.IDs[i])
-		okIdx = append(okIdx, i)
-	}
+// complete posts the outcomes of a lease whose last cell is measured. A
+// completion that cannot be delivered is given up on: the worker's next
+// lease request no longer lists the lease, so the coordinator returns its
+// cells to the queue.
+func (w *Worker) complete(ctx context.Context, l *leased) error {
 	var recs []Record
-	if len(cells) > 0 {
-		outs, errs := core.Run(ctx, cells, ids, core.Options{Workers: w.Options.Parallelism, Feeds: w.feeds})
-		for bi, i := range okIdx {
-			k := core.KeyOf(l.Experiment, set.Cells[i], set.IDs[i])
-			if errs[bi] != nil {
-				failed++
-				continue
-			}
-			recs = append(recs, Record{Key: k, Out: outs[bi]})
+	for k, ok := range l.measured {
+		if ok {
+			recs = append(recs, l.recs[k])
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err // don't report partial work on cancellation; the lease will expire
-	}
-	w.logf("worker %s: lease %d: %d cells measured, %d failed", w.ID, l.ID, len(recs), failed)
+	w.logf("worker %s: lease %d: %d cells measured, %d failed", w.ID, l.id, len(recs), len(l.recs)-len(recs))
 	status, err := w.postRetry(ctx, "complete", completeRequest{
-		Worker: w.ID, Fingerprint: w.fingerprint, Lease: l.ID, Records: recs,
+		Worker: w.ID, Fingerprint: w.fingerprint, Lease: l.id, Records: recs,
 	}, nil)
 	if err != nil {
-		// The completion is lost; the lease expires and the cells are
-		// re-dispatched. Correct, just wasteful — keep going.
-		w.logf("worker %s: completion of lease %d failed: %v", w.ID, l.ID, err)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		w.logf("worker %s: completion of lease %d failed: %v", w.ID, l.id, err)
 		return nil
 	}
 	if status == http.StatusConflict {
 		return &FingerprintMismatchError{Mine: w.fingerprint}
 	}
 	return nil
+}
+
+// leased is a lease the worker holds: granted, and neither completed nor
+// given up on. The pool fills in its records as it measures the cells.
+type leased struct {
+	id       uint64
+	recs     []Record // one slot per leased key
+	measured []bool   // recs[k] holds a measured outcome
+	left     int      // cells not measured yet; guarded by the pool's mu
+}
+
+// task is one leased cell waiting in the pool.
+type task struct {
+	l    *leased
+	k    int // the cell's slot in l.recs
+	cell core.Cell
+	id   core.CellID
+}
+
+// pool is the worker's local cell pool: one FIFO of leased cells, drained
+// by size measuring goroutines that each take the next waiting cell,
+// whatever lease it belongs to, and measure it with one core.Run call on
+// the worker's feed cache. A lease is ready for its completion once its
+// last cell is measured.
+type pool struct {
+	size  int
+	tasks chan task
+	// wake tells the protocol goroutine that a cell left the queue or a
+	// lease became ready.
+	wake  chan struct{}
+	stop  context.CancelFunc
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	ready []*leased
+}
+
+// startPool starts the measuring goroutines: Parallelism of them, under
+// the Workers convention (0 is one).
+func (w *Worker) startPool(ctx context.Context) *pool {
+	ctx, stop := context.WithCancel(ctx)
+	n := max(core.Workers(w.Options.Parallelism), 1)
+	p := &pool{size: n, stop: stop, wake: make(chan struct{}, 1),
+		// A lease is asked for while fewer than size+maxLease cells wait,
+		// so the queue never holds more than size+2·maxLease-1.
+		tasks: make(chan task, n+2*maxLease)}
+	measure := w.measure
+	if measure == nil {
+		measure = w.measureCell
+	}
+	p.wg.Add(n)
+	for range n {
+		go func() {
+			defer p.wg.Done()
+			for t := range p.tasks {
+				p.signal()
+				if ctx.Err() != nil {
+					continue // stopping: take no more cells
+				}
+				out, err := measure(ctx, t.cell, t.id)
+				if core.IsCancel(err) {
+					continue // the lease is never completed
+				}
+				p.mu.Lock()
+				if err == nil {
+					t.l.recs[t.k].Out, t.l.measured[t.k] = out, true
+				}
+				t.l.left--
+				if t.l.left == 0 {
+					p.ready = append(p.ready, t.l)
+				}
+				p.mu.Unlock()
+				p.signal()
+			}
+		}()
+	}
+	return p
+}
+
+func (p *pool) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// nextReady returns the lease that became ready first, or nil.
+func (p *pool) nextReady() *leased {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.ready) == 0 {
+		return nil
+	}
+	l := p.ready[0]
+	p.ready = p.ready[1:]
+	return l
+}
+
+// close stops the pool: waiting cells are dropped, cells in flight finish.
+func (p *pool) close() {
+	p.stop()
+	close(p.tasks)
+	p.wg.Wait()
+}
+
+// measureCell is the pool's default per-cell call.
+func (w *Worker) measureCell(ctx context.Context, c core.Cell, id core.CellID) (core.CellOutcome, error) {
+	outs, errs := core.Run(ctx, []core.Cell{c}, []core.CellID{id}, core.Options{Feeds: w.feeds})
+	return outs[0], errs[0]
+}
+
+// enqueue resolves a granted lease's keys against this worker's own
+// enumeration and queues its cells in the pool.
+func (w *Worker) enqueue(p *pool, g *GrantedLease) (*leased, error) {
+	set, err := w.cellSet(g.Experiment)
+	if err != nil {
+		return nil, err
+	}
+	l := &leased{id: g.ID, recs: make([]Record, len(g.Keys)), measured: make([]bool, len(g.Keys))}
+	var ts []task
+	for k, key := range g.Keys {
+		i, ok := set.Find(key)
+		if !ok {
+			// Enumeration disagrees despite a matching fingerprint: a
+			// bug, but one cell's worth — it counts failed, keep going.
+			continue
+		}
+		l.recs[k].Key = core.KeyOf(g.Experiment, set.Cells[i], set.IDs[i])
+		ts = append(ts, task{l: l, k: k, cell: set.Cells[i], id: set.IDs[i]})
+	}
+	l.left = len(ts)
+	if len(ts) == 0 {
+		p.mu.Lock()
+		p.ready = append(p.ready, l)
+		p.mu.Unlock()
+	}
+	for _, t := range ts {
+		p.tasks <- t
+	}
+	return l, nil
 }
 
 // cellSet lazily enumerates (and caches) one experiment's cell space.
@@ -427,8 +587,9 @@ func (w *Worker) post1(ctx context.Context, verb string, body, out any) (int, er
 // postRetry is post with bounded in-place retries: transport errors,
 // 5xx statuses, and undecodable 200 bodies are retried with doubling,
 // jittered backoff. Both calls that use it are idempotent on the
-// coordinator — a replayed lease request just grants a fresh lease (the
-// orphan expires), and replayed completions resolve last-write-wins —
+// coordinator — a replayed lease request grants a fresh lease and, not
+// listing the first grant, ends it, and replayed completions resolve
+// last-write-wins —
 // so retrying after an ambiguous failure (request may or may not have
 // been processed) is always safe.
 func (w *Worker) postRetry(ctx context.Context, verb string, body, out any) (int, error) {
