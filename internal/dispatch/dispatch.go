@@ -72,8 +72,9 @@ const (
 	// doubled per spent attempt (the shape of the cell engine's fault
 	// supervision).
 	requeueBackoff = 250 * time.Millisecond
-	// strikeout quarantines a worker after this many expired leases: it
-	// keeps asking for work and keeps losing it.
+	// strikeout quarantines a worker once its leases have expired in this
+	// many outages: it keeps asking for work and keeps losing it. The
+	// leases that expire before the worker calls again are one outage.
 	strikeout = 3
 	// leaseHold is how long a lease request that finds nothing leasable
 	// waits at the coordinator for that to change before it is answered
@@ -109,11 +110,12 @@ func (e *FingerprintError) Error() string {
 		e.Want, e.Got, alignHint)
 }
 
-// ErrQuarantined refuses a worker that lost too many leases.
+// quarantinedError refuses a worker whose leases expired in strikeout
+// outages.
 type quarantinedError struct{ worker string }
 
 func (e *quarantinedError) Error() string {
-	return fmt.Sprintf("dispatch: worker %s is quarantined (too many expired leases)", e.worker)
+	return fmt.Sprintf("dispatch: worker %s is quarantined (its leases expired in %d outages)", e.worker, strikeout)
 }
 
 // doneError marks the campaign as finished: workers translate it into a
@@ -163,7 +165,8 @@ type walRecord struct {
 // workerState tracks one worker's health across the campaign.
 type workerState struct {
 	leases      uint64
-	expired     int
+	expired     int  // outages in which its leases expired: strikes
+	struck      bool // struck since its last call: another expiry is the same outage
 	quarantined bool
 	completed   uint64
 	lastCall    time.Duration // coordinator clock of its last Lease, Heartbeat or Complete
@@ -538,10 +541,10 @@ func (c *Coordinator) sweepLocked() {
 			continue
 		}
 		if now >= l.deadline {
-			ws := c.workerLocked(l.worker)
-			ws.expired++
-			if ws.expired >= strikeout {
-				ws.quarantined = true
+			if ws := c.workerLocked(l.worker); !ws.struck {
+				ws.struck = true
+				ws.expired++
+				ws.quarantined = ws.expired >= strikeout
 			}
 			c.endLeaseLocked(l, "expired")
 			continue
@@ -624,7 +627,7 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 	if ws.quarantined {
 		return nil, &quarantinedError{worker: worker}
 	}
-	ws.lastCall = c.now()
+	ws.lastCall, ws.struck = c.now(), false
 	st := c.cur
 	if st == nil {
 		return nil, nil
@@ -719,10 +722,9 @@ func (c *Coordinator) holdLease(ctx context.Context, worker, fingerprint string,
 // not list in held, and reports whether it holds one it lists. A worker
 // makes one protocol call at a time, so when it asks for a lease it lists
 // every grant it has received: an unlisted lease is a grant whose answer
-// never reached it (the lease request was sent again) or one whose
-// completion it gave up on. Listed ids that are unknown or another
-// worker's are ignored; a request with another campaign's fingerprint
-// ends nothing.
+// never reached it (the lease request was sent again) or one it could
+// not resolve. Listed ids that are unknown or another worker's are
+// ignored; a request with another campaign's fingerprint ends nothing.
 func (c *Coordinator) release(worker, fingerprint string, held []uint64) (holds bool) {
 	if fingerprint != c.Fingerprint {
 		return false
@@ -787,7 +789,8 @@ func (c *Coordinator) Heartbeat(worker string) {
 			l.deadline = now + leaseTTL
 		}
 	}
-	c.workerLocked(worker).lastCall = now
+	ws := c.workerLocked(worker)
+	ws.lastCall, ws.struck = now, false
 }
 
 // Complete ingests a worker's outcomes for a lease. The first
@@ -824,7 +827,7 @@ func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs 
 		l = nil
 	}
 	ws := c.workerLocked(worker)
-	ws.lastCall = c.now()
+	ws.lastCall, ws.struck = c.now(), false
 	if st != nil {
 		for _, r := range recs {
 			if !r.Out.OK {

@@ -1,13 +1,12 @@
-// Tests for the resilient-transport layer: the circuit breaker, the
-// worker's bounded in-place retries, the default client timeout, and
-// the coordinator's request validation.
+// Tests for the resilient-transport layer: the worker's one retry rule,
+// the default client timeout, the protocol's timing relations, and the
+// coordinator's request validation.
 package dispatch
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -18,71 +17,16 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/core"
-	"repro/internal/mix"
+	"repro/internal/netchaos"
 )
 
-// TestBreakerLifecycle walks the breaker through its full state machine
-// on an injected clock: closed → open at the threshold → fail-fast
-// during cooldown → half-open single probe → closed on probe success,
-// and re-open on probe failure.
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker()
-	b.now = func() time.Time { return now }
-	fail := func(n int) {
-		for i := 0; i < n; i++ {
-			b.Failure()
-		}
-	}
-
-	// Below the threshold the breaker stays closed.
-	fail(breakerThreshold - 1)
-	if !b.Allow() || b.State() != "closed" {
-		t.Fatalf("breaker opened below threshold: %s", b.State())
-	}
-	// A success resets the failure run.
-	b.Success()
-	fail(breakerThreshold - 1)
-	if b.State() != "closed" {
-		t.Fatal("success did not reset the failure run")
-	}
-	// The threshold run opens it.
-	b.Failure()
-	if b.State() != "open" || b.Trips() != 1 {
-		t.Fatalf("state=%s trips=%d after threshold run, want open/1", b.State(), b.Trips())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed a call inside the cooldown")
-	}
-	// Cooldown elapsed: exactly one probe goes out.
-	now = now.Add(breakerCooldown)
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// Probe failure re-opens immediately, counting a new trip.
-	b.Failure()
-	if b.State() != "open" || b.Trips() != 2 {
-		t.Fatalf("failed probe: state=%s trips=%d, want open/2", b.State(), b.Trips())
-	}
-	// Next cooldown, probe succeeds: closed and fully reset.
-	now = now.Add(breakerCooldown)
-	if !b.Allow() {
-		t.Fatal("second probe refused")
-	}
-	b.Success()
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatalf("successful probe left breaker %s", b.State())
-	}
-}
-
-// newTestWorker builds a worker ready for direct post and postRetry
-// calls, with the state Run would set up.
+// newTestWorker builds a worker with the state Run would set up, so that
+// tests can use post and call directly.
 func newTestWorker(url string) *Worker {
-	w := &Worker{ID: "w", BaseURL: url, campaign: "c", breaker: NewBreaker()}
-	w.jitter = mix.String(w.ID) | 1
+	w := &Worker{ID: "w", BaseURL: url}
+	campaign := "c"
+	w.campaign.Store(&campaign)
+	w.heard()
 	return w
 }
 
@@ -103,8 +47,10 @@ func TestWorkerDefaultClientHasTimeout(t *testing.T) {
 // TestTimingRelations pins the relations the protocol's timings rely on:
 // a worker heartbeats at least four times per lease TTL, so one lost
 // heartbeat never expires a live lease; one call's deadline ends before
-// the client timeout cuts the exchange off; and a held lease request is
-// answered well before the call's deadline.
+// the client timeout cuts the exchange off; a held lease request is
+// answered well before the call's deadline; and a worker retrying at
+// pollInterval sends a netchaos partition epoch's worth of requests well
+// within straggler, the silence that ends it.
 func TestTimingRelations(t *testing.T) {
 	if heartbeatInterval > leaseTTL/4 {
 		t.Errorf("heartbeat interval %v exceeds a quarter of the lease TTL %v", heartbeatInterval, leaseTTL)
@@ -115,11 +61,14 @@ func TestTimingRelations(t *testing.T) {
 	if leaseHold >= callTimeout {
 		t.Errorf("lease hold %v is not shorter than the per-call deadline %v", leaseHold, callTimeout)
 	}
+	if epoch := time.Duration(netchaos.DefaultPlan(0).EpochLen) * pollInterval; epoch > straggler/4 {
+		t.Errorf("a partition epoch lasts %v of retries, more than a quarter of straggler %v", epoch, straggler)
+	}
 }
 
 // TestPostRetrySurvivesTransientFailures: a call that hits transient
-// 5xx responses succeeds once the coordinator recovers, within the
-// retry budget and without surfacing the intermediate failures.
+// 5xx responses is sent again until the coordinator recovers, and returns
+// the answer without surfacing the intermediate failures.
 func TestPostRetrySurvivesTransientFailures(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -134,93 +83,15 @@ func TestPostRetrySurvivesTransientFailures(t *testing.T) {
 
 	w := newTestWorker(srv.URL)
 	var out infoResponse
-	status, err := w.postRetry(context.Background(), "lease", heartbeatRequest{Worker: "w"}, &out)
+	status, err := w.call(context.Background(), "lease", heartbeatRequest{Worker: "w"}, &out)
 	if err != nil || status != http.StatusOK {
-		t.Fatalf("postRetry = %d, %v after recovery", status, err)
+		t.Fatalf("call = %d, %v after recovery", status, err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d calls, want 3 (2 failures + success)", got)
 	}
 	if out.Campaign != "c" {
 		t.Fatalf("decoded %+v", out)
-	}
-}
-
-// TestPostRetryBudgetExhausted: a persistently failing coordinator
-// exhausts the bounded budget — 1 initial + callRetries attempts — and
-// the final error surfaces.
-func TestPostRetryBudgetExhausted(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-
-	w := newTestWorker(srv.URL)
-	status, err := w.postRetry(context.Background(), "lease", heartbeatRequest{Worker: "w"}, nil)
-	if err == nil {
-		t.Fatalf("postRetry succeeded against a dead coordinator (status %d)", status)
-	}
-	if got := calls.Load(); got != 1+callRetries {
-		t.Fatalf("server saw %d calls, want %d (1 + %d retries)", got, 1+callRetries, callRetries)
-	}
-}
-
-// TestBreakerFailsFastWithoutTraffic: once the worker's breaker opens,
-// further calls return ErrBreakerOpen without touching the network.
-func TestBreakerFailsFastWithoutTraffic(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-
-	w := newTestWorker(srv.URL)
-	w.breaker.now = func() time.Time { return time.Unix(0, 0) } // the cooldown never ends
-	ctx := context.Background()
-	for i := 0; i < breakerThreshold; i++ {
-		if _, err := w.post(ctx, "lease", heartbeatRequest{Worker: "w"}, nil); err != nil {
-			t.Fatalf("call %d: transport error %v (5xx should return status)", i, err)
-		}
-	}
-	before := calls.Load()
-	_, err := w.post(ctx, "lease", heartbeatRequest{Worker: "w"}, nil)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("post with open breaker = %v, want ErrBreakerOpen", err)
-	}
-	if calls.Load() != before {
-		t.Fatal("open breaker still sent network traffic")
-	}
-}
-
-// TestRetryDelayJitterDeterministic: the retry backoff doubles per
-// attempt with a jitter factor in [0.5, 1.5), and two workers with
-// different IDs draw different jitter streams.
-func TestRetryDelayJitterDeterministic(t *testing.T) {
-	mk := func(id string) *Worker {
-		w := &Worker{ID: id}
-		w.jitter = mix.String(id) | 1
-		return w
-	}
-	a, b := mk("w1"), mk("w1")
-	var diverged bool
-	for attempt := 1; attempt <= 6; attempt++ {
-		da, db := a.retryDelay(attempt), b.retryDelay(attempt)
-		if da != db {
-			t.Fatalf("same worker ID, attempt %d: %v vs %v", attempt, da, db)
-		}
-		base := retryBackoff << uint(attempt-1)
-		if da < base/2 || da >= base*3/2 {
-			t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, da, base/2, base*3/2)
-		}
-		if da != mk("w2").retryDelay(attempt) {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Fatal("different worker IDs drew identical jitter streams")
 	}
 }
 

@@ -17,16 +17,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mix"
 )
 
 // DefaultClientTimeout caps a whole HTTP exchange on the worker's
@@ -34,11 +35,11 @@ import (
 // injector impersonating one) can pin a worker forever.
 const DefaultClientTimeout = 15 * time.Second
 
-// Worker timings and retry budget.
+// Worker timings.
 const (
-	// pollInterval is the retry delay after discovery, a 404 or a failed
-	// call. A lease request that finds nothing to do is not retried after
-	// it: the coordinator already held it (leaseHold).
+	// pollInterval is the retry delay of every unanswered call, and of
+	// discovery. A lease request that finds nothing to do is not retried
+	// after it: the coordinator already held it (leaseHold).
 	pollInterval = 200 * time.Millisecond
 	// heartbeatInterval is the lease keep-alive interval; it must stay
 	// at most a quarter of the coordinator's leaseTTL.
@@ -50,19 +51,13 @@ const (
 	// client timeout, and shorter than DefaultClientTimeout; one protocol
 	// call never outlives it.
 	callTimeout = 10 * time.Second
-	// callRetries is how many times a lease/complete call is retried in
-	// place (with backoff) before the caller's own miss-handling takes
-	// over.
-	callRetries = 3
-	// retryBackoff is the base backoff between in-place retries; it
-	// doubles per attempt with deterministic jitter.
-	retryBackoff = 50 * time.Millisecond
-	// shutdownGrace is how many consecutive transport errors a worker
-	// tolerates after first contact before concluding the coordinator
-	// exited (the normal end of a campaign whose final lease went to
-	// someone else).
-	shutdownGrace = 30
 )
+
+// errGone ends a worker once none of its calls has been answered for
+// straggler, the coordinator's own no-worker window: the coordinator has
+// exited, the normal end of a campaign whose final lease went to someone
+// else.
+var errGone = errors.New("dispatch: coordinator gone")
 
 // defaultWorkerClient replaces the old http.DefaultClient fallback,
 // which has no timeout at all.
@@ -97,20 +92,20 @@ type Worker struct {
 	Log func(format string, args ...any)
 
 	fingerprint string
-	campaign    string
-	sets        map[string]*experiments.CellSet
+	// campaign is the campaign id; a 404 re-discovers it while the
+	// heartbeat goroutine reads it.
+	campaign atomic.Pointer[string]
+	sets     map[string]*experiments.CellSet
 	// feeds is the recorded-train cache of every lease: experiments whose
 	// cells replay the same train share its recording.
 	feeds *core.FeedCache
-	// breaker gates every coordinator call; Run builds it.
-	breaker *Breaker
 	// measure is the pool's per-cell call; nil is measureCell. Tests
 	// replace it.
 	measure func(context.Context, core.Cell, core.CellID) (core.CellOutcome, error)
-	// jitter is the splitmix64 state for retry jitter, seeded from ID so
-	// two workers retrying the same outage do not march in lockstep.
-	jitter uint64
-	jmu    sync.Mutex
+	// now is the liveness rule's clock; nil is time.Now. Tests replace it.
+	now func() time.Time
+	// answered is when a call was last answered.
+	answered atomic.Pointer[time.Time]
 }
 
 func (w *Worker) client() *http.Client {
@@ -128,9 +123,10 @@ func (w *Worker) logf(format string, args ...any) {
 
 // Run executes the worker loop until the campaign completes (nil), ctx
 // is cancelled (ctx.Err()), or the coordinator refuses this worker
-// (*FingerprintMismatchError, quarantine). A coordinator that vanishes
-// after first contact is treated as a completed campaign: the normal
-// shutdown race when the final lease was someone else's.
+// (*FingerprintMismatchError, quarantine). A coordinator that has not
+// answered any call for straggler after first contact is treated as a
+// completed campaign: the normal shutdown race when the final lease was
+// someone else's.
 func (w *Worker) Run(ctx context.Context) error {
 	var err error
 	w.fingerprint, err = experiments.Fingerprint(w.Options)
@@ -139,19 +135,23 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.sets = map[string]*experiments.CellSet{}
 	w.feeds = core.NewFeedCache(core.DefaultFeedCacheSize)
-	w.breaker = NewBreaker()
-	w.jitter = mix.String(w.ID) | 1
 
 	if err := w.awaitCoordinator(ctx); err != nil {
 		return err
 	}
-	w.logf("worker %s: joined campaign %s", w.ID, w.campaign)
+	w.heard()
+	w.logf("worker %s: joined campaign %s", w.ID, *w.campaign.Load())
 
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx)
 
-	return w.leaseLoop(ctx)
+	err = w.leaseLoop(ctx)
+	if err == errGone {
+		w.logf("worker %s: no call answered for %s; coordinator gone, assuming campaign finished", w.ID, straggler)
+		return nil
+	}
+	return err
 }
 
 // awaitCoordinator polls discovery until the coordinator answers,
@@ -177,7 +177,7 @@ func (w *Worker) awaitCoordinator(ctx context.Context) error {
 				}
 				continue
 			}
-			w.campaign = info.Campaign
+			w.campaign.Store(&info.Campaign)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -192,23 +192,6 @@ func (w *Worker) awaitCoordinator(ctx context.Context) error {
 		case <-time.After(pollInterval):
 		}
 	}
-}
-
-// nextJitter draws a deterministic fraction in [0,1) from the worker's
-// splitmix64 stream.
-func (w *Worker) nextJitter() float64 {
-	w.jmu.Lock()
-	defer w.jmu.Unlock()
-	z := mix.SplitMix64(w.jitter)
-	w.jitter += mix.Golden
-	return mix.Unit(z)
-}
-
-// retryDelay is the backoff before retry attempt (1-based): base·2^(a-1)
-// scaled by a deterministic jitter factor in [0.5, 1.5).
-func (w *Worker) retryDelay(attempt int) time.Duration {
-	d := retryBackoff << uint(attempt-1)
-	return time.Duration(float64(d) * (0.5 + w.nextJitter()))
 }
 
 func (w *Worker) discover(ctx context.Context) (*infoResponse, error) {
@@ -253,21 +236,18 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // posts the completion of each lease whose last cell is measured. Every
 // lease request lists the leases the worker holds, so the coordinator
 // ends any other lease of this worker at once: a grant whose answer never
-// arrived, or a lease whose completion was given up on. A worker that
-// holds no lease waits inside its lease request, which the coordinator
-// holds until cells are leasable or the campaign is complete; after a 204
-// (a hold that ran out) it asks again at once. One that holds a lease is
-// answered 204 at once when nothing is leasable, and asks again only once
-// one of its leases has completed. Transport errors after first contact
-// are tolerated up to shutdownGrace consecutive failures — a coordinator
-// that finished and exited stops answering, and that is a success, not a
-// failure.
+// arrived, or one the worker could not resolve. A worker that holds no
+// lease waits inside its lease request, which the coordinator holds until
+// cells are leasable or the campaign is complete; after a 204 (a hold
+// that ran out) it asks again at once. One that holds a lease is answered
+// 204 at once when nothing is leasable, and asks again only once one of
+// its leases has completed. Each call is sent again until it is answered
+// (call), so the loop ends only on a 410, a refusal, or errGone.
 func (w *Worker) leaseLoop(ctx context.Context) error {
 	p := w.startPool(ctx)
 	defer p.close()
 	mark := p.size + maxLease
-	var held []*leased // in grant order
-	misses := 0
+	var held []*leased      // in grant order
 	waitCompletion := false // a 204 came while holding a lease
 	for {
 		if err := ctx.Err(); err != nil {
@@ -283,33 +263,22 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 				ids[i] = l.id
 			}
 			var g GrantedLease
-			status, err := w.postRetry(ctx, "lease", leaseRequest{
+			status, err := w.call(ctx, "lease", leaseRequest{
 				Worker: w.ID, Fingerprint: w.fingerprint, Held: ids,
 			}, &g)
 			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				misses++
-				if misses >= shutdownGrace {
-					w.logf("worker %s: coordinator gone; assuming campaign finished", w.ID)
-					return nil
-				}
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(pollInterval):
-				}
-				continue
+				return err
 			}
-			misses = 0
 			switch status {
 			case http.StatusOK:
-				l, err := w.enqueue(p, &g)
-				if err != nil {
-					return err
+				if l, err := w.enqueue(p, &g); err != nil {
+					// A grant corrupted in flight can name an experiment
+					// this worker does not know. Left out of held, it ends
+					// on the next lease request, like a grant never received.
+					w.logf("worker %s: dropping lease %d: %v", w.ID, g.ID, err)
+				} else {
+					held = append(held, l)
 				}
-				held = append(held, l)
 			case http.StatusNoContent:
 				// Holding a lease, the answer came at once; holding none,
 				// the coordinator has waited already.
@@ -317,24 +286,6 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 			case http.StatusGone:
 				w.logf("worker %s: campaign complete", w.ID)
 				return nil
-			case http.StatusNotFound:
-				// The campaign id may be stale — learned from a corrupted
-				// discovery response, or the coordinator restarted with a
-				// new campaign. Re-discover (fingerprint still must match)
-				// and treat it as a miss.
-				if info, derr := w.discover(ctx); derr == nil && info.Fingerprint == w.fingerprint {
-					w.campaign = info.Campaign
-				}
-				misses++
-				if misses >= shutdownGrace {
-					w.logf("worker %s: campaign unknown to coordinator; giving up", w.ID)
-					return nil
-				}
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(pollInterval):
-				}
 			case http.StatusConflict:
 				return &FingerprintMismatchError{Mine: w.fingerprint}
 			case http.StatusForbidden:
@@ -358,10 +309,9 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 	}
 }
 
-// complete posts the outcomes of a lease whose last cell is measured. A
-// completion that cannot be delivered is given up on: the worker's next
-// lease request no longer lists the lease, so the coordinator returns its
-// cells to the queue.
+// complete posts the outcomes of a lease whose last cell is measured,
+// until the coordinator answers. It accepts the outcomes of a lease that
+// ended meanwhile, and a completion sent twice resolves last-write-wins.
 func (w *Worker) complete(ctx context.Context, l *leased) error {
 	var recs []Record
 	for k, ok := range l.measured {
@@ -370,15 +320,11 @@ func (w *Worker) complete(ctx context.Context, l *leased) error {
 		}
 	}
 	w.logf("worker %s: lease %d: %d cells measured, %d failed", w.ID, l.id, len(recs), len(l.recs)-len(recs))
-	status, err := w.postRetry(ctx, "complete", completeRequest{
+	status, err := w.call(ctx, "complete", completeRequest{
 		Worker: w.ID, Fingerprint: w.fingerprint, Lease: l.id, Records: recs,
 	}, nil)
 	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		w.logf("worker %s: completion of lease %d failed: %v", w.ID, l.id, err)
-		return nil
+		return err
 	}
 	if status == http.StatusConflict {
 		return &FingerprintMismatchError{Mine: w.fingerprint}
@@ -386,8 +332,8 @@ func (w *Worker) complete(ctx context.Context, l *leased) error {
 	return nil
 }
 
-// leased is a lease the worker holds: granted, and neither completed nor
-// given up on. The pool fills in its records as it measures the cells.
+// leased is a lease the worker holds: granted and resolved, and not
+// completed yet. The pool fills in its records as it measures the cells.
 type leased struct {
 	id       uint64
 	recs     []Record // one slot per leased key
@@ -495,7 +441,8 @@ func (w *Worker) measureCell(ctx context.Context, c core.Cell, id core.CellID) (
 }
 
 // enqueue resolves a granted lease's keys against this worker's own
-// enumeration and queues its cells in the pool.
+// enumeration and queues its cells in the pool. It fails, queueing
+// nothing, on an experiment the worker cannot enumerate.
 func (w *Worker) enqueue(p *pool, g *GrantedLease) (*leased, error) {
 	set, err := w.cellSet(g.Experiment)
 	if err != nil {
@@ -538,34 +485,55 @@ func (w *Worker) cellSet(id string) (*experiments.CellSet, error) {
 	return s, nil
 }
 
-// post sends one JSON request to a campaign-scoped endpoint and decodes
-// the response into out when it is 200 and out is non-nil. It returns
-// the HTTP status; transport-level failures return an error. Every call
-// runs under its own deadline and through the worker's circuit breaker:
-// an open breaker fails fast with ErrBreakerOpen and no network
-// traffic. Any response from the coordinator — even a 4xx — closes the
-// breaker; transport errors, 5xx, and undecodable 200s open it.
-func (w *Worker) post(ctx context.Context, verb string, body, out any) (int, error) {
-	if !w.breaker.Allow() {
-		return 0, fmt.Errorf("dispatch: %s: %w", verb, ErrBreakerOpen)
+// call sends a lease or complete request until it is answered, and
+// returns the answer's status. It waits pollInterval between tries, and a
+// 404 first re-discovers the campaign id. Sending again is safe: a lease
+// request sent again does not list the grant the first one may have
+// received, so the coordinator ends that grant, and a completion sent
+// again resolves last-write-wins. call fails only when ctx ends or, with
+// errGone, once no call has been answered for straggler.
+func (w *Worker) call(ctx context.Context, verb string, body, out any) (int, error) {
+	for {
+		status, err := w.post(ctx, verb, body, out)
+		if err == nil {
+			return status, nil
+		}
+		if ctx.Err() != nil {
+			return 0, ctx.Err()
+		}
+		if status == http.StatusNotFound {
+			// The campaign id may be stale — learned from a corrupted
+			// discovery response, or the coordinator restarted with a
+			// new campaign. The fingerprint still must match.
+			if info, derr := w.discover(ctx); derr == nil && info.Fingerprint == w.fingerprint {
+				w.campaign.Store(&info.Campaign)
+			}
+		}
+		if w.clock().Sub(*w.answered.Load()) >= straggler {
+			return 0, errGone
+		}
+		select {
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-time.After(pollInterval):
+		}
 	}
-	status, err := w.post1(ctx, verb, body, out)
-	if err != nil || status >= 500 {
-		w.breaker.Failure()
-	} else {
-		w.breaker.Success()
-	}
-	return status, err
 }
 
-func (w *Worker) post1(ctx context.Context, verb string, body, out any) (int, error) {
+// post sends one JSON request to a campaign-scoped endpoint and decodes
+// the response into out when it is 200 and out is non-nil. A response is
+// an answer when its status is below 500 and not 404, and a 200's body
+// decodes; post returns an answer's status, and notes when it came. A
+// transport error, a 5xx, a 404 or an undecodable body is an error, with
+// the status of the response if one came.
+func (w *Worker) post(ctx context.Context, verb string, body, out any) (int, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
-	url := fmt.Sprintf("%s/api/campaigns/%s/%s", w.BaseURL, w.campaign, verb)
+	url := fmt.Sprintf("%s/api/campaigns/%s/%s", w.BaseURL, *w.campaign.Load(), verb)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
 		return 0, err
@@ -576,42 +544,29 @@ func (w *Worker) post1(ctx context.Context, verb string, body, out any) (int, er
 		return 0, err
 	}
 	defer drain(resp)
+	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusNotFound {
+		return resp.StatusCode, fmt.Errorf("dispatch: %s: HTTP %d", verb, resp.StatusCode)
+	}
 	if resp.StatusCode == http.StatusOK && out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return resp.StatusCode, fmt.Errorf("dispatch: %s: undecodable response: %w", verb, err)
 		}
 	}
+	w.heard()
 	return resp.StatusCode, nil
 }
 
-// postRetry is post with bounded in-place retries: transport errors,
-// 5xx statuses, and undecodable 200 bodies are retried with doubling,
-// jittered backoff. Both calls that use it are idempotent on the
-// coordinator — a replayed lease request grants a fresh lease and, not
-// listing the first grant, ends it, and replayed completions resolve
-// last-write-wins —
-// so retrying after an ambiguous failure (request may or may not have
-// been processed) is always safe.
-func (w *Worker) postRetry(ctx context.Context, verb string, body, out any) (int, error) {
-	var status int
-	var err error
-	for attempt := 0; ; attempt++ {
-		status, err = w.post(ctx, verb, body, out)
-		if err == nil && status < 500 {
-			return status, nil
-		}
-		if err == nil {
-			err = fmt.Errorf("dispatch: %s: HTTP %d", verb, status)
-		}
-		if attempt >= callRetries || ctx.Err() != nil {
-			return status, err
-		}
-		select {
-		case <-ctx.Done():
-			return status, ctx.Err()
-		case <-time.After(w.retryDelay(attempt + 1)):
-		}
+func (w *Worker) clock() time.Time {
+	if w.now != nil {
+		return w.now()
 	}
+	return time.Now()
+}
+
+// heard notes that the coordinator answered a call.
+func (w *Worker) heard() {
+	t := w.clock()
+	w.answered.Store(&t)
 }
 
 func drain(resp *http.Response) {

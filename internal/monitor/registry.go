@@ -328,8 +328,8 @@ func (r *Registry) Campaigns() []CampaignInfo {
 	return out
 }
 
-// Cells returns one page of a campaign's completed cells and the total
-// count; ok is false for an unknown campaign id.
+// Cells returns one page of at most limit of a campaign's completed
+// cells and the total count; ok is false for an unknown campaign id.
 func (r *Registry) Cells(id string, offset, limit int) (cells []CellView, total int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -353,7 +353,7 @@ func (r *Registry) Cells(id string, offset, limit int) (cells []CellView, total 
 		offset = total
 	}
 	end := offset + limit
-	if limit <= 0 || end > total {
+	if end > total {
 		end = total
 	}
 	page := make([]CellView, end-offset)

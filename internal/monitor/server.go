@@ -87,7 +87,8 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	if cells == nil {
 		cells = []CellView{}
 	}
-	writeJSON(w, cellsResponse{Campaign: id, Total: total, Offset: offset, Cells: cells})
+	// An offset past the end reads an empty page at the end.
+	writeJSON(w, cellsResponse{Campaign: id, Total: total, Offset: min(offset, total), Cells: cells})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

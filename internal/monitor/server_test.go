@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"testing"
@@ -336,6 +337,59 @@ func TestCellsBadPaging(t *testing.T) {
 	if page.Total != 3 || page.Offset != 1 || len(page.Cells) != 1 {
 		t.Fatalf("page = total %d offset %d cells %d, want 3/1/1", page.Total, page.Offset, len(page.Cells))
 	}
+
+	// limit=0 is an empty page that carries the total, not every cell.
+	code, body = getBody(t, srv.URL+"/api/campaigns/camp-paging/cells?limit=0")
+	page = cellsResponse{}
+	if err := json.Unmarshal([]byte(body), &page); code != 200 || err != nil {
+		t.Fatalf("limit=0 = %d, %v", code, err)
+	}
+	if page.Total != 3 || len(page.Cells) != 0 {
+		t.Fatalf("limit=0 page = total %d cells %d, want 3/0", page.Total, len(page.Cells))
+	}
+}
+
+// FuzzMonitorRequests sends GET /api/campaigns/{id}/cells?{query} with a
+// fuzzed id (path-escaped) and raw query to a server holding one campaign
+// of MaxCellPage+1 cells. No input may panic; every status is 200, 400
+// or 404; and a 200 page holds at most MaxCellPage cells, at an offset
+// no greater than the total.
+func FuzzMonitorRequests(f *testing.F) {
+	h := NewHub()
+	reg := NewRegistry()
+	reg.Attach(h)
+	publishCampaign(h, "big", MaxCellPage+1)
+	handler := NewServer(h, reg).Handler()
+	for _, seed := range [][2]string{
+		{"big", ""}, {"big", "limit=0"}, {"big", "limit=5001"}, {"big", "offset=5001&limit=1"},
+		{"big", "offset=9999999999999999999999"}, {"big", "limit=-1"}, {"big", "offset=%zz"},
+		{"big", "limit=1&limit=2"}, {"nope", ""}, {"b/ig", ""}, {"..", ""}, {"", ""},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, id, query string) {
+		if id == "" || id == "." || id == ".." {
+			return // no path segment: the mux redirects to the clean path before routing
+		}
+		req := httptest.NewRequest(http.MethodGet, "/api/campaigns/"+url.PathEscape(id)+"/cells", nil)
+		req.URL.RawQuery = query
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusNotFound:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("id %q query %q: HTTP %d", id, query, rec.Code)
+		}
+		var page cellsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("id %q query %q: undecodable page: %v", id, query, err)
+		}
+		if len(page.Cells) > MaxCellPage || page.Offset > page.Total {
+			t.Fatalf("id %q query %q: %d cells at offset %d of %d", id, query, len(page.Cells), page.Offset, page.Total)
+		}
+	})
 }
 
 // TestWorkerAttributionMetrics: cells carrying a dispatch worker label

@@ -28,6 +28,7 @@
 package netchaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -128,8 +129,9 @@ type Plan struct {
 
 // DefaultPlan returns the calibrated -netchaos mix: every fault class
 // fires many times over a campaign, partitions come in real windows,
-// and everything clears fast enough that bounded retry plus the
-// coordinator's lease expiry always converge.
+// and everything clears fast enough that a worker sending each call
+// again until it is answered, plus the coordinator's lease expiry,
+// always converges.
 func DefaultPlan(seed uint64) *Plan {
 	return &Plan{
 		Seed:          seed,
@@ -272,7 +274,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		resp.Body = &resetBody{inner: resp.Body, after: 1 + int(mix.Keys(p.Seed, peer, uint64(Reset), n, 1)%64)}
 	case p.roll(p.PSlowBody, peer, SlowBody, n):
 		t.fault(SlowBody, req.Method+" "+req.URL.Path)
-		resp.Body = &slowBody{inner: resp.Body, delay: p.SlowBodyDelay}
+		resp.Body = &slowBody{ctx: req.Context(), inner: resp.Body, delay: p.SlowBodyDelay}
 	case p.roll(p.PTruncate, peer, TruncateBody, n):
 		t.fault(TruncateBody, req.Method+" "+req.URL.Path)
 		resp.Body = truncateBody(resp.Body, mix.Unit(mix.Keys(p.Seed, peer, uint64(TruncateBody), n, 1)))
@@ -310,14 +312,23 @@ func (b *resetBody) Read(p []byte) (int, error) {
 func (b *resetBody) Close() error { return b.inner.Close() }
 
 // slowBody delivers one byte per read with a pause: the slow-loris
-// shape. A client with a sane timeout kills it; one without hangs.
+// shape. Like a socket read under a deadline, a read ends with the
+// request context's error once that ends during the pause, so a client
+// with a sane timeout kills it; one without hangs.
 type slowBody struct {
+	ctx   context.Context
 	inner io.ReadCloser
 	delay time.Duration
 }
 
 func (b *slowBody) Read(p []byte) (int, error) {
-	time.Sleep(b.delay)
+	t := time.NewTimer(b.delay)
+	defer t.Stop()
+	select {
+	case <-b.ctx.Done():
+		return 0, b.ctx.Err()
+	case <-t.C:
+	}
 	if len(p) > 1 {
 		p = p[:1]
 	}

@@ -1,6 +1,7 @@
 package netchaos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -205,5 +206,37 @@ func TestIsInjected(t *testing.T) {
 	}
 	if IsInjected(io.EOF) || IsInjected(nil) {
 		t.Error("IsInjected misclassifies real errors")
+	}
+}
+
+// TestSlowBodyHonoursDeadline: a slow body read under a request deadline
+// ends with the deadline's error at about the deadline, as a socket read
+// under a deadline does, instead of trickling on past it.
+func TestSlowBodyHonoursDeadline(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bytes.Repeat([]byte("x"), 100))
+	}))
+	defer srv.Close()
+	const delay, deadline = 35 * time.Millisecond, 500 * time.Millisecond
+	tr := &Transport{Plan: &Plan{Seed: 1, PSlowBody: 1, SlowBodyDelay: delay}}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("read %d of 100 bytes in %v with error %v; want the deadline's error", len(data), took, err)
+	}
+	if took > deadline+4*delay {
+		t.Fatalf("slow body ended %v after the request, past its %v deadline", took, deadline)
 	}
 }
