@@ -434,10 +434,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if coord != nil {
 		// The campaign is over (or dead): tell the workers — they get the
-		// gone status on their next lease poll and exit 0 — and drain the
-		// in-process pool before tearing the listener down.
+		// gone status on their next lease request or heartbeat and exit 0
+		// — and wait for the in-process pool. A finished campaign then
+		// drains: the listener stays up until every worker still in touch
+		// has been told, or one lease TTL has passed.
 		coord.Finish()
 		workerWG.Wait()
+		if ctx.Err() == nil {
+			coord.Drain()
+		}
 		st := coord.Stats()
 		if st.Granted > 0 {
 			fmt.Fprintf(stderr, "experiment: dispatch: %d leases granted, %d expired, %d straggler re-dispatches, %d duplicate completions, %d cells run locally\n",

@@ -282,11 +282,12 @@ type Series struct {
 	Points []Point
 }
 
-// aggregatePoint folds the per-repetition statistics of one cell column
-// into a plotted point. The runs arrive in repetition order, so the
-// floating-point accumulation is deterministic.
-func aggregatePoint(system string, runs []capture.Stats) Point {
-	pt := Point{System: system, RateMin: math.Inf(1), RateMax: math.Inf(-1)}
+// AggregatePoint folds the per-repetition statistics of one measurement
+// point at x into a plotted Point (capture rate, CPU, drop-cause ledger).
+// The runs arrive in repetition order, so the floating-point
+// accumulation is deterministic.
+func AggregatePoint(system string, x float64, runs []capture.Stats) Point {
+	pt := Point{System: system, X: x, RateMin: math.Inf(1), RateMax: math.Inf(-1)}
 	if len(runs) == 0 {
 		pt.RateMin, pt.RateMax = 0, 0
 		return pt
@@ -316,14 +317,6 @@ func aggregatePoint(system string, runs []capture.Stats) Point {
 	pt.Rate /= n
 	pt.Worst, pt.Avg, pt.Best = worstS/n, avgS/n, bestS/n
 	pt.CPU = cpuS / n
-	return pt
-}
-
-// AggregatePoint folds the per-repetition statistics of one measurement
-// point at x into a plotted Point (capture rate, CPU, drop-cause ledger).
-func AggregatePoint(system string, x float64, runs []capture.Stats) Point {
-	pt := aggregatePoint(system, runs)
-	pt.X = x
 	return pt
 }
 

@@ -76,7 +76,8 @@ func (j *memJournal) subset() *memJournal {
 // memJournal).
 func TestRunJournalReplay(t *testing.T) {
 	w := Workload{Packets: 1500, Seed: 6}
-	cells, ids := sweepCells(Sniffers(), []float64{300, 700}, w, 2)
+	l := RateLayout(Sniffers(), []float64{300, 700}, w, 2)
+	cells, ids := l.Cells, l.IDs
 	j := newMemJournal()
 	ctx := context.Background()
 	o := Options{Workers: 3, Experiment: "rates", Journal: j}
@@ -400,7 +401,8 @@ func TestRunJournalFailure(t *testing.T) {
 // one the local pool replays, recording the train once for both rates.
 func TestRunExecutorContract(t *testing.T) {
 	w := Workload{Packets: 800, Seed: 3, TargetRate: 4e8}
-	cells, ids := sweepCells([]capture.Config{Swan(), Moorhen()}, []float64{300, 600}, w, 1)
+	l := RateLayout([]capture.Config{Swan(), Moorhen()}, []float64{300, 600}, w, 1)
+	cells, ids := l.Cells, l.IDs
 	j := newMemJournal()
 	ctx := context.Background()
 	if _, errs := Run(ctx, cells[:1], ids[:1], Options{Experiment: "rates", Journal: j}); errs[0] != nil {

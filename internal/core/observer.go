@@ -1,5 +1,5 @@
-// Observer hook: the cell engine's live event feed. Run and Sweep accept
-// an optional Observer in their Options; when one is attached, the
+// Observer hook: the cell engine's live event feed. Run and Points
+// accept an optional Observer in their Options; when one is attached, the
 // engine publishes typed events as the campaign unfolds — per-cell
 // completions (with the cell's full statistics), deterministic per-point
 // aggregates, and the supervisor's retry/quarantine decisions. The
@@ -193,23 +193,22 @@ func MultiObserver(obs ...Observer) Observer {
 	})
 }
 
-// sweepObserver wraps obs for Sweep's cell layout (ncfg systems per
-// column, reps columns per rate): cell events are forwarded as-is, and
-// once every repetition of a (system, rate) point is final, the point
-// resolved by point is published as an EventPoint — in the canonical
-// x-major layout order (every system of rate[0], then rate[1], …)
-// regardless of worker scheduling, via head-of-line sequencing.
-func sweepObserver(obs Observer, experiment string, cells []Cell, ids []CellID, ncfg, reps int, point func(outs []CellOutcome, ri, ci int) Point) Observer {
-	idxOf := make(map[CellKey]int, len(cells))
-	for i := range cells {
-		idxOf[KeyOf(experiment, cells[i], ids[i])] = i
+// pointObserver wraps obs for the layout of a Points call: cell events
+// are forwarded as-is, and once every cell of a point is final, the
+// point resolved by point is published as an EventPoint with its cells'
+// Point key and X — in layout order regardless of worker scheduling,
+// via head-of-line sequencing.
+func pointObserver(obs Observer, experiment string, l Layout, point func(outs []CellOutcome, p int) Point) Observer {
+	idxOf := make(map[CellKey]int, len(l.Cells))
+	for i := range l.Cells {
+		idxOf[KeyOf(experiment, l.Cells[i], l.IDs[i])] = i
 	}
-	outs := make([]CellOutcome, len(cells))
-	seq := newPointSequencer(len(cells)/reps, reps, func(p int) {
-		pt := point(outs, p/ncfg, p%ncfg)
+	outs := make([]CellOutcome, len(l.Cells))
+	seq := newPointSequencer(len(l.Cells)/l.Reps, l.Reps, func(p int) {
+		pt, id := point(outs, p), l.IDs[l.cell(p, 0)]
 		obs.Observe(Event{
 			Kind: EventPoint, Experiment: experiment, System: pt.System,
-			Point: pointKey(pt.X), X: pt.X, Agg: &pt,
+			Point: id.Point, X: id.X, Agg: &pt,
 		})
 	})
 	return ObserverFunc(func(ev Event) {
@@ -226,7 +225,7 @@ func sweepObserver(obs Observer, experiment string, cells []Cell, ids []CellID, 
 		} else if ev.Stats != nil {
 			outs[i].Stats = *ev.Stats
 		}
-		seq.done((i/(reps*ncfg))*ncfg + i%ncfg)
+		seq.done(l.point(i))
 	})
 }
 

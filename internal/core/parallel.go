@@ -4,9 +4,9 @@
 // own simulator. Run executes such cells — replaying the ones the campaign
 // journal already holds, recording each train once (feed.go), running the
 // rest on a worker pool or handing them to an executor, recording and
-// publishing every final outcome — and Sweep lays the §3.4 rate sweep out
-// as cells and reassembles the series in the fixed plotting order, so the
-// output is byte-identical for any worker count.
+// publishing every final outcome — and Points runs a sweep's Layout
+// through Run and reassembles the series in the fixed plotting order, so
+// the output is byte-identical for any worker count.
 //
 // Run takes a context: on cancellation the pool drains cleanly — in-flight
 // cells finish, queued cells are marked with the context's error, and no
@@ -128,7 +128,7 @@ type CellExecutor interface {
 		done func(i int, st *capture.Stats, worker string) error) []error
 }
 
-// Options configure Run and Sweep. The zero value runs the cells
+// Options configure Run and Points. The zero value runs the cells
 // serially on a private feed cache: unjournaled, unobserved and
 // unsupervised.
 type Options struct {
@@ -158,7 +158,7 @@ type Options struct {
 	Feeds *FeedCache
 	// Chaos, when non-nil, runs every cell under fault supervision with
 	// this plan: validation, bounded retry with simulated backoff,
-	// quarantine, and MAD outlier rejection in Sweep (resilient.go).
+	// quarantine, and MAD outlier rejection in ResolvePoint (resilient.go).
 	Chaos *faults.Plan
 }
 
@@ -410,71 +410,96 @@ func stackTrace() []byte {
 	return buf[:runtime.Stack(buf, false)]
 }
 
-// sweepCells lays out the standard §3.4 rate sweep as measurement cells in
-// column-major order — the systems of one (rate, rep) column are adjacent,
-// so they replay the column's feed while it is hot in the LRU and workers
-// draining nearby indices share one recording — with the matching CellIDs.
-func sweepCells(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int) ([]Cell, []CellID) {
-	cells := make([]Cell, 0, len(ratesMbit)*reps*len(cfgs))
-	ids := make([]CellID, 0, len(ratesMbit)*reps*len(cfgs))
+// Layout is the cell layout of a sweep, the §3.4 cycle whatever its x
+// axis: x-major, and at each x Reps columns of the same Systems systems,
+// each column one train fanned out to every system of it. Point (x,
+// system) owns that system's cell in each column of x; IDs parallel
+// Cells and name a point's cells alike but for Rep.
+type Layout struct {
+	Cells   []Cell
+	IDs     []CellID
+	Systems int
+	Reps    int
+}
+
+// cell is the index of point p's cell in column rep of its x. Points
+// are numbered in layout order: x-major, system-minor.
+func (l Layout) cell(p, rep int) int { return (p/l.Systems*l.Reps+rep)*l.Systems + p%l.Systems }
+
+// point is the point cell i belongs to.
+func (l Layout) point(i int) int { return i/(l.Reps*l.Systems)*l.Systems + i%l.Systems }
+
+// RateLayout lays out the standard §3.4 rate sweep: at each rate
+// (Mbit/s), reps columns of cfgs, each replaying the repetition's train
+// at that rate. The systems of a column are adjacent, so they replay its
+// feed while it is hot in the cache.
+func RateLayout(cfgs []capture.Config, ratesMbit []float64, w Workload, reps int) Layout {
+	l := Layout{Systems: len(cfgs), Reps: max(reps, 1)}
 	for _, r := range ratesMbit {
-		for rep := 0; rep < reps; rep++ {
+		for rep := 0; rep < l.Reps; rep++ {
 			wl := w.Rep(rep)
 			wl.TargetRate = r * 1e6
 			for _, cfg := range cfgs {
-				cells = append(cells, Cell{Cfg: cfg, W: wl})
-				ids = append(ids, CellID{Point: pointKey(r), Rep: rep, X: r})
+				l.Cells = append(l.Cells, Cell{Cfg: cfg, W: wl})
+				l.IDs = append(l.IDs, CellID{Point: PointKey(r), Rep: rep, X: r})
 			}
 		}
 	}
-	return cells, ids
+	return l
 }
 
-// pointKey fingerprints a sweep point for the fault model and the journal.
-func pointKey(x float64) uint64 { return uint64(int64(x * 1e3)) }
+// PointKey fingerprints a point by its x value in thousandths, for the
+// fault model and the journal.
+func PointKey(x float64) uint64 { return uint64(int64(x * 1e3)) }
 
-// Sweep runs the full measurement cycle of §3.4 for each system over the
-// data rates (Mbit/s), repeating each point reps times with distinct
-// seeds and aggregating in repetition order — the thesis repeats each
-// point seven times "to avoid outliers". The cells run through Run with
-// o, so the series are byte-identical for any worker count, journal
-// state or executor. With an Observer attached, each (system, rate)
-// point is also published as an EventPoint once its repetitions are
-// final, in plotting layout order. On cancellation the returned series
-// are incomplete and must be discarded — callers check ctx.Err(); any
-// other cell error panics.
-func Sweep(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps int, o Options) []Series {
-	if reps <= 0 {
-		reps = 1
-	}
-	cells, ids := sweepCells(cfgs, ratesMbit, w, reps)
-	ncfg := len(cfgs)
-	// point resolves the (rate ri, system ci) point from the outcomes of
-	// its repetitions.
-	point := func(outs []CellOutcome, ri, ci int) Point {
-		column := make([]CellOutcome, reps)
+// PointRule resolves a plotted point at x from the outcomes of its cells
+// in repetition order; supervised is set under Chaos.
+type PointRule func(system string, x float64, column []CellOutcome, supervised bool) Point
+
+// Points runs a layout's cells through Run with o and resolves each
+// point from its cells with rule: it returns one series per system and
+// the per-cell outcomes, byte-identical for any worker count, journal
+// state or executor. With an Observer attached, each point is also
+// published as an EventPoint, with its cells' Point key and X, once its
+// cells are final, in layout order. On cancellation the results are
+// incomplete and must be discarded — callers check ctx.Err(); any other
+// cell error panics.
+func Points(ctx context.Context, l Layout, o Options, rule PointRule) ([]Series, []CellOutcome) {
+	point := func(outs []CellOutcome, p int) Point {
+		column := make([]CellOutcome, l.Reps)
 		for rep := range column {
-			column[rep] = outs[(ri*reps+rep)*ncfg+ci]
+			column[rep] = outs[l.cell(p, rep)]
 		}
-		pt := resolvePoint(cfgs[ci].Name, column, o.Chaos != nil)
-		pt.X = ratesMbit[ri]
-		return pt
+		first := l.cell(p, 0)
+		return rule(l.Cells[first].Cfg.Name, l.IDs[first].X, column, o.Chaos != nil)
 	}
 	if o.Observer != nil {
-		o.Observer = sweepObserver(o.Observer, o.Experiment, cells, ids, ncfg, reps, point)
+		o.Observer = pointObserver(o.Observer, o.Experiment, l, point)
 	}
-	outs, errs := Run(ctx, cells, ids, o)
+	outs, errs := Run(ctx, l.Cells, l.IDs, o)
 	for _, err := range errs {
 		if err != nil && !IsCancel(err) {
 			panic(err)
 		}
 	}
-	out := make([]Series, ncfg)
-	for ci, cfg := range cfgs {
-		out[ci] = Series{System: cfg.Name, Points: make([]Point, len(ratesMbit))}
-		for ri := range ratesMbit {
-			out[ci].Points[ri] = point(outs, ri, ci)
-		}
+	series := make([]Series, l.Systems)
+	for p := 0; p < len(l.Cells)/l.Reps; p++ {
+		pt := point(outs, p)
+		s := &series[p%l.Systems]
+		s.System = pt.System
+		s.Points = append(s.Points, pt)
 	}
-	return out
+	return series, outs
+}
+
+// Sweep runs the full measurement cycle of §3.4 for each system over the
+// data rates (Mbit/s), repeating each point reps times with distinct
+// seeds — the thesis repeats each point seven times "to avoid outliers"
+// — and resolving it with ResolvePoint: Points over RateLayout.
+func Sweep(ctx context.Context, cfgs []capture.Config, ratesMbit []float64, w Workload, reps int, o Options) []Series {
+	series, _ := Points(ctx, RateLayout(cfgs, ratesMbit, w, reps), o, ResolvePoint)
+	for i, cfg := range cfgs {
+		series[i].System = cfg.Name // named even with no rates
+	}
+	return series
 }

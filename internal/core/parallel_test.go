@@ -147,14 +147,14 @@ func TestRunWorkerPanicRecovered(t *testing.T) {
 
 func TestAggregateDefensive(t *testing.T) {
 	// reps == 0 must not divide by zero or leave the ±Inf sentinels behind.
-	pt := aggregatePoint("x", nil)
+	pt := AggregatePoint("x", 0, nil)
 	if pt.RateMin != 0 || pt.RateMax != 0 || pt.Rate != 0 {
 		t.Fatalf("empty aggregation not zeroed: %+v", pt)
 	}
 	// A 100%-capture run must be representable (the old sentinel was an
 	// arbitrary 200 that only worked because rates are percentages).
 	st := RunOnce(Moorhen(), Workload{Packets: 2000, Seed: 1, TargetRate: 1e8})
-	agg := aggregatePoint("moorhen", []capture.Stats{st})
+	agg := AggregatePoint("moorhen", 0, []capture.Stats{st})
 	if agg.RateMin != agg.RateMax || agg.RateMin != st.CaptureRate() {
 		t.Fatalf("single-run aggregation: %+v vs rate %.2f", agg, st.CaptureRate())
 	}
@@ -169,5 +169,20 @@ func TestWorkersConvention(t *testing.T) {
 	}
 	if Workers(-1) < 1 {
 		t.Fatal("Workers(<0) must resolve to at least one CPU")
+	}
+}
+
+// TestSweepNoRates: a sweep over no rates measures nothing and still
+// returns one empty series per config.
+func TestSweepNoRates(t *testing.T) {
+	cfgs := []capture.Config{Swan(), Moorhen()}
+	series := Sweep(context.Background(), cfgs, nil, Workload{Packets: 100}, 2, Options{})
+	if len(series) != len(cfgs) {
+		t.Fatalf("%d series for %d configs", len(series), len(cfgs))
+	}
+	for i, s := range series {
+		if s.System != cfgs[i].Name || len(s.Points) != 0 {
+			t.Fatalf("series %d = %+v, want %s with no points", i, s, cfgs[i].Name)
+		}
 	}
 }

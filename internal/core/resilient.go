@@ -216,19 +216,20 @@ func validate(st *capture.Stats, in *injected, expected uint64) error {
 	return nil
 }
 
-// resolvePoint folds one point's repetitions into a plotted Point. An
-// unsupervised point aggregates every repetition. A supervised one passes
-// its accepted runs through the thesis-style outlier rejection (median
-// absolute deviation on the capturing rate), aggregates the survivors
-// exactly like a clean point, and records in the chaos counters what the
-// supervisor had to do to get there.
-func resolvePoint(system string, column []CellOutcome, supervised bool) Point {
+// ResolvePoint is the point rule of a rate sweep: it folds one point's
+// repetitions into a plotted Point. An unsupervised point aggregates
+// every repetition. A supervised one passes its accepted runs through the
+// thesis-style outlier rejection (median absolute deviation on the
+// capturing rate), aggregates the survivors exactly like a clean point,
+// and records in the chaos counters what the supervisor had to do to get
+// there.
+func ResolvePoint(system string, x float64, column []CellOutcome, supervised bool) Point {
 	if !supervised {
 		runs := make([]capture.Stats, len(column))
 		for i, o := range column {
 			runs[i] = o.Stats
 		}
-		return aggregatePoint(system, runs)
+		return AggregatePoint(system, x, runs)
 	}
 	var accepted []CellOutcome
 	var pt Point
@@ -260,7 +261,7 @@ func resolvePoint(system string, column []CellOutcome, supervised bool) Point {
 		degraded = degraded || o.Degraded
 	}
 
-	agg := aggregatePoint(system, kept)
+	agg := AggregatePoint(system, x, kept)
 	agg.Attempts, agg.Quarantined, agg.Rejected = pt.Attempts, pt.Quarantined, pt.Rejected
 	agg.Degraded = degraded || len(kept) == 0
 	agg.FaultLog = strings.Join(log, "; ")

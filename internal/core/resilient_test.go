@@ -254,7 +254,7 @@ func TestChaosLegLossDegradesEveryStack(t *testing.T) {
 		if want := RunOnce(cfg, w).Generated; o.Stats.Generated != want {
 			t.Fatalf("%s: Generated %d not normalized to %d", cfg.Name, o.Stats.Generated, want)
 		}
-		p := resolvePoint(cfg.Name, outs, true)
+		p := ResolvePoint(cfg.Name, 0, outs, true)
 		if !p.Degraded || p.Quarantined != 0 || p.Rate == 0 {
 			t.Fatalf("%s: lossy-leg point = %+v", cfg.Name, p)
 		}
@@ -378,14 +378,14 @@ func TestChaosMADRejectsOutlierRep(t *testing.T) {
 			OK:    true, Attempts: 1,
 		})
 	}
-	p := resolvePoint("swan", column, true)
+	p := ResolvePoint("swan", 0, column, true)
 	if p.Rejected != 1 || !strings.Contains(p.FaultLog, "outlier-rejected") {
 		t.Fatalf("supervised point = %+v, want one logged rejection", p)
 	}
 	if p.RateMin < 98 {
 		t.Fatalf("rejected repetition still aggregated: min rate %.2f", p.RateMin)
 	}
-	p = resolvePoint("swan", column, false)
+	p = ResolvePoint("swan", 0, column, false)
 	if p.Rejected != 0 || p.FaultLog != "" || p.RateMin != 40 {
 		t.Fatalf("unsupervised point = %+v, want all four aggregated", p)
 	}

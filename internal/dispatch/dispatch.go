@@ -164,11 +164,10 @@ type walRecord struct {
 
 // workerState tracks one worker's health across the campaign.
 type workerState struct {
-	leases      uint64
 	expired     int  // outages in which its leases expired: strikes
 	struck      bool // struck since its last call: another expiry is the same outage
 	quarantined bool
-	completed   uint64
+	told        bool          // answered 410: the campaign is finished
 	lastCall    time.Duration // coordinator clock of its last Lease, Heartbeat or Complete
 }
 
@@ -360,13 +359,50 @@ func (c *Coordinator) Close() error {
 }
 
 // Finish marks the campaign complete: every held and every subsequent
-// lease request is refused with the done error, which workers turn into
-// a clean exit.
+// lease request and heartbeat is refused with the done error, which
+// workers turn into a clean exit. It does not wait for them; Drain does.
 func (c *Coordinator) Finish() {
 	c.mu.Lock()
 	c.finished = true
 	c.signalLocked()
 	c.mu.Unlock()
+}
+
+// Drain waits, once the campaign is finished, until every worker whose
+// last call came within leaseTTL has been answered 410 — a worker still
+// measuring learns it from its next heartbeat — or until leaseTTL has
+// passed since the drain began. Call it before the listener closes, so
+// no worker that is still in touch is left to find the coordinator gone.
+func (c *Coordinator) Drain() {
+	end := c.now() + leaseTTL
+	for {
+		c.mu.Lock()
+		changed, now := c.changed, c.now()
+		next, waiting := end, false
+		for _, ws := range c.workers {
+			if !ws.told && now-ws.lastCall < leaseTTL {
+				next, waiting = min(next, ws.lastCall+leaseTTL), true
+			}
+		}
+		c.mu.Unlock()
+		if !waiting || now >= end {
+			return
+		}
+		t := time.NewTimer(next - now)
+		select {
+		case <-changed:
+		case <-t.C:
+		}
+		t.Stop()
+	}
+}
+
+// goneLocked refuses a call of worker once the campaign is finished:
+// the worker is told, which Drain waits for. Callers hold c.mu.
+func (c *Coordinator) goneLocked(worker string) error {
+	c.workerLocked(worker).told = true
+	c.signalLocked()
+	return doneError{}
 }
 
 // Stats returns a copy of the dispatch tallies.
@@ -384,19 +420,8 @@ func (c *Coordinator) Attempts(k core.CellKey) int {
 	return c.attempts[k]
 }
 
-// WorkerCells reports the cells finalized per worker.
-func (c *Coordinator) WorkerCells() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.workers))
-	for name, ws := range c.workers {
-		out[name] = ws.completed
-	}
-	return out
-}
-
 // signalLocked wakes everything waiting on the lease table: the engine
-// loop and held lease requests. Callers hold c.mu.
+// loop, held lease requests and Drain. Callers hold c.mu.
 func (c *Coordinator) signalLocked() {
 	close(c.changed)
 	c.changed = make(chan struct{})
@@ -621,7 +646,7 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
-		return nil, doneError{}
+		return nil, c.goneLocked(worker)
 	}
 	ws := c.workerLocked(worker)
 	if ws.quarantined {
@@ -673,7 +698,6 @@ func (c *Coordinator) Lease(worker, fingerprint string) (*GrantedLease, error) {
 		st.inflight[i]++
 		c.attempts[st.keys[i]]++
 	}
-	ws.leases++
 	c.stats.Granted++
 	c.observe(core.Event{Kind: core.EventLease, Experiment: st.experiment, Worker: worker,
 		Detail: fmt.Sprintf("lease %d: %d cells", id, len(take))})
@@ -777,12 +801,16 @@ func (c *Coordinator) untilDue() (d time.Duration, ok bool) {
 	return max(next-c.now(), 0), ok
 }
 
-// Heartbeat extends the deadlines of every lease the worker holds. It
+// Heartbeat extends the deadlines of every lease the worker holds. Once
+// the campaign is finished it is refused with the done error instead. It
 // does not signal the lease table's change: a held request whose timer
 // runs to an extended deadline finds nothing and sets it again.
-func (c *Coordinator) Heartbeat(worker string) {
+func (c *Coordinator) Heartbeat(worker string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.finished {
+		return c.goneLocked(worker)
+	}
 	now := c.now()
 	for _, l := range c.leases {
 		if l.worker == worker {
@@ -791,6 +819,7 @@ func (c *Coordinator) Heartbeat(worker string) {
 	}
 	ws := c.workerLocked(worker)
 	ws.lastCall, ws.struck = now, false
+	return nil
 }
 
 // Complete ingests a worker's outcomes for a lease. The first
@@ -861,7 +890,6 @@ func (c *Coordinator) Complete(worker, fingerprint string, leaseID uint64, recs 
 			}
 		}
 	}
-	ws.completed += uint64(len(fins))
 	c.stats.Completed += uint64(len(fins))
 	if len(dups) > 0 {
 		c.stats.Duplicates += uint64(len(dups))

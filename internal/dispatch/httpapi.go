@@ -18,8 +18,9 @@
 // list included), 404 for another campaign's id, 409 for a missing or
 // mismatched fingerprint (the worker's options hash differently — a
 // worker bug or a misaligned flag set, never retryable), 403 for a
-// quarantined worker, 410 once the campaign is complete, and 500 when the
-// coordinator cannot record a grant or a completion.
+// quarantined worker, 410 to a lease request or a heartbeat once the
+// campaign is complete, and 500 when the coordinator cannot record a
+// grant or a completion.
 package dispatch
 
 import (
@@ -223,6 +224,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "worker name required"})
 		return
 	}
-	c.Heartbeat(req.Worker)
+	if err := c.Heartbeat(req.Worker); err != nil {
+		writeJSON(w, leaseStatus(err), errorBody{Error: err.Error()})
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }

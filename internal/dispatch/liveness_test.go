@@ -1,17 +1,21 @@
 // Tests for the worker's one liveness rule and the coordinator's strike
 // per outage: a worker sends an unanswered call again after pollInterval
 // and ends only on a 410 or once no call has been answered for
-// straggler; a grant it cannot resolve is dropped, not fatal; and the
-// leases that one silence expires are one strike.
+// straggler; a grant it cannot resolve is dropped, not fatal; the leases
+// that one silence expires are one strike; and a finished coordinator
+// drains, answering 410 to every worker still in touch.
 package dispatch
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -239,5 +243,196 @@ func TestOneStrikePerOutage(t *testing.T) {
 		if col.counts[i] != 1 || col.workers[i] != "w1" {
 			t.Fatalf("cell %d: counts=%d worker=%q, want 1/w1", i, col.counts[i], col.workers[i])
 		}
+	}
+}
+
+// startDrain runs c.Drain in the background on clk and returns once the
+// drain has read the clock for its end and for its first look, so the
+// test moves the clock from the drain's start; the channel closes when
+// Drain returns.
+func startDrain(t *testing.T, c *Coordinator, clk *fakeClock) <-chan struct{} {
+	t.Helper()
+	var reads atomic.Int64
+	c.now = func() time.Duration {
+		reads.Add(1)
+		return clk.now()
+	}
+	drained := make(chan struct{})
+	go func() {
+		c.Drain()
+		close(drained)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for reads.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never read its clock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return drained
+}
+
+// TestDrainWaitsForWorkersInTouch: on the injected clock, Drain waits
+// until every worker whose last call came within leaseTTL has been
+// answered 410, by a heartbeat or a lease request; a worker silent for
+// leaseTTL is not waited for; and a worker in touch that is never
+// answered 410 holds the drain for leaseTTL from its start, not from the
+// worker's last call.
+func TestDrainWaitsForWorkersInTouch(t *testing.T) {
+	pending := func(drained <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-drained:
+			t.Fatal("Drain returned while a worker in touch had not been told")
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	ended := func(drained <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-drained:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Drain still waiting")
+		}
+	}
+
+	clk := &fakeClock{}
+	c := newTestCoordinator(t, clk)
+	c.Heartbeat("silent")
+	clk.advance(leaseTTL)
+	c.Heartbeat("hb")
+	if _, err := c.Lease("ls", c.Fingerprint); err != nil {
+		t.Fatal(err)
+	}
+	c.Finish()
+	drained := startDrain(t, c, clk)
+	pending(drained)
+	if err := c.Heartbeat("hb"); !IsDone(err) {
+		t.Fatalf("heartbeat after Finish: %v, want the done error", err)
+	}
+	pending(drained)
+	if _, err := c.Lease("ls", c.Fingerprint); !IsDone(err) {
+		t.Fatalf("lease request after Finish: %v, want the done error", err)
+	}
+	ended(drained)
+
+	clk = &fakeClock{}
+	c = newTestCoordinator(t, clk)
+	c.Heartbeat("mute")
+	c.Finish()
+	drained = startDrain(t, c, clk)
+	clk.advance(leaseTTL / 2)
+	if err := c.Complete("mute", c.Fingerprint, 1, nil); err != nil { // a call, not a 410
+		t.Fatal(err)
+	}
+	clk.advance(leaseTTL/2 - time.Millisecond)
+	c.wakeup()
+	pending(drained)
+	clk.advance(time.Millisecond)
+	c.wakeup()
+	ended(drained)
+}
+
+// goneCounter is a worker transport that counts the answers to lease
+// requests, and the 410s that lease requests and heartbeats get.
+type goneCounter struct{ leases, goneLeases, goneHeartbeats atomic.Int64 }
+
+func (g *goneCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return resp, err
+	}
+	gone := resp.StatusCode == http.StatusGone
+	switch path.Base(req.URL.Path) {
+	case "lease":
+		g.leases.Add(1)
+		if gone {
+			g.goneLeases.Add(1)
+		}
+	case "heartbeat":
+		if gone {
+			g.goneHeartbeats.Add(1)
+		}
+	}
+	return resp, nil
+}
+
+// TestHeartbeatGoneEndsWorkerMidCell: a worker that is measuring a cell
+// when the campaign finishes, and has no lease request to make until
+// that cell is done, learns it from its next heartbeat's 410: it drops
+// the cell, logs "campaign complete", and Run returns nil.
+func TestHeartbeatGoneEndsWorkerMidCell(t *testing.T) {
+	o := experiments.Options{Packets: 300, Reps: 1, Seed: 1, Rates: []float64{400}}
+	fp, err := experiments.Fingerprint(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const expID = "fig6.2-smp"
+	set, err := experiments.EnumerateCells(expID, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New("gone", fp)
+	srv := httptest.NewServer(newMux(c))
+	defer srv.Close()
+	ectx, cancel := context.WithCancel(context.Background())
+	engine := make(chan []error, 1)
+	go func() { engine <- c.ExecuteCells(ectx, expID, set.Cells, set.IDs, newCollector().done) }()
+	defer func() {
+		cancel()
+		<-engine
+	}()
+	waitActive(t, c)
+
+	tr := &goneCounter{}
+	var mu sync.Mutex
+	var logs []string
+	measuring := make(chan struct{}, set.Len())
+	w := &Worker{ID: "hw", BaseURL: srv.URL, Options: o, Client: &http.Client{Transport: tr},
+		Log: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}}
+	w.measure = func(ctx context.Context, _ core.Cell, _ core.CellID) (core.CellOutcome, error) {
+		measuring <- struct{}{}
+		<-ctx.Done()
+		return core.CellOutcome{}, ctx.Err()
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	werr := make(chan error, 1)
+	go func() { werr <- w.Run(ctx) }()
+
+	select {
+	case <-measuring:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker measures no cell")
+	}
+	// Its second lease request is answered 204 at once, as it holds a
+	// lease; from then on it only waits for its cell.
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.leases.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no second lease request")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Finish()
+	select {
+	case err := <-werr:
+		if err != nil {
+			t.Fatalf("worker ended with %v, want nil", err)
+		}
+	case <-time.After(3 * heartbeatInterval):
+		t.Fatal("worker still measuring three heartbeat intervals after the campaign finished")
+	}
+	if h, l := tr.goneHeartbeats.Load(), tr.goneLeases.Load(); h != 1 || l != 0 {
+		t.Fatalf("%d heartbeats and %d lease requests answered 410; want 1 and 0", h, l)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "campaign complete") }) {
+		t.Fatalf("worker log %q lacks \"campaign complete\"", logs)
 	}
 }

@@ -3,8 +3,9 @@
 // same campaign (fingerprint match is mandatory — a worker measuring
 // under different options would poison the journal), then leases,
 // measures and completes cells until the coordinator says the campaign
-// is done. One protocol goroutine keeps the worker's cell pool fed a
-// lease ahead while its measuring goroutines drain it.
+// is done, in answer to a lease request or a heartbeat. One protocol
+// goroutine keeps the worker's cell pool fed a lease ahead while its
+// measuring goroutines drain it.
 //
 // Workers hold no shard assignment and no campaign state, so any number
 // can join or die at any time. A worker enumerates each experiment's
@@ -123,10 +124,12 @@ func (w *Worker) logf(format string, args ...any) {
 
 // Run executes the worker loop until the campaign completes (nil), ctx
 // is cancelled (ctx.Err()), or the coordinator refuses this worker
-// (*FingerprintMismatchError, quarantine). A coordinator that has not
-// answered any call for straggler after first contact is treated as a
-// completed campaign: the normal shutdown race when the final lease was
-// someone else's.
+// (*FingerprintMismatchError, quarantine). The campaign completes when a
+// lease request or a heartbeat is answered 410; a heartbeat's 410 ends
+// the worker even in the middle of a cell, whose outcome is dropped. A
+// coordinator that has not answered any call for straggler after first
+// contact is treated as a completed campaign too: the normal shutdown
+// race when the final lease was someone else's.
 func (w *Worker) Run(ctx context.Context) error {
 	var err error
 	w.fingerprint, err = experiments.Fingerprint(w.Options)
@@ -142,12 +145,19 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.heard()
 	w.logf("worker %s: joined campaign %s", w.ID, *w.campaign.Load())
 
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
-	go w.heartbeatLoop(hbCtx)
+	ctx, end := context.WithCancelCause(ctx)
+	defer end(nil)
+	go w.heartbeatLoop(ctx, end)
 
 	err = w.leaseLoop(ctx)
-	if err == errGone {
+	if cause := context.Cause(ctx); IsDone(cause) {
+		err = cause
+	}
+	switch {
+	case IsDone(err):
+		w.logf("worker %s: campaign complete", w.ID)
+		return nil
+	case err == errGone:
 		w.logf("worker %s: no call answered for %s; coordinator gone, assuming campaign finished", w.ID, straggler)
 		return nil
 	}
@@ -216,7 +226,9 @@ func (w *Worker) discover(ctx context.Context) (*infoResponse, error) {
 	return &info, nil
 }
 
-func (w *Worker) heartbeatLoop(ctx context.Context) {
+// heartbeatLoop keeps the worker's leases alive until ctx ends. A 410
+// ends the worker through end, with the done error as the cause.
+func (w *Worker) heartbeatLoop(ctx context.Context, end context.CancelCauseFunc) {
 	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	for {
@@ -224,7 +236,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			w.post(ctx, "heartbeat", heartbeatRequest{Worker: w.ID}, nil)
+			if status, _ := w.post(ctx, "heartbeat", heartbeatRequest{Worker: w.ID}, nil); status == http.StatusGone {
+				end(doneError{})
+				return
+			}
 		}
 	}
 }
@@ -242,7 +257,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // that ran out) it asks again at once. One that holds a lease is answered
 // 204 at once when nothing is leasable, and asks again only once one of
 // its leases has completed. Each call is sent again until it is answered
-// (call), so the loop ends only on a 410, a refusal, or errGone.
+// (call), so the loop ends only on a 410 (the done error), a refusal,
+// errGone, or the end of ctx.
 func (w *Worker) leaseLoop(ctx context.Context) error {
 	p := w.startPool(ctx)
 	defer p.close()
@@ -284,8 +300,7 @@ func (w *Worker) leaseLoop(ctx context.Context) error {
 				// the coordinator has waited already.
 				waitCompletion = len(held) > 0
 			case http.StatusGone:
-				w.logf("worker %s: campaign complete", w.ID)
-				return nil
+				return doneError{}
 			case http.StatusConflict:
 				return &FingerprintMismatchError{Mine: w.fingerprint}
 			case http.StatusForbidden:

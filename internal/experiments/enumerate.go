@@ -3,20 +3,17 @@
 // their durable CellKey only — a capture.Config carries closures (BPF
 // filters) and a Cell may carry a source wrap (selfsim's re-timed
 // trains), neither of which is wire-safe — so both sides re-derive the
-// key → cell mapping locally. The derivation is the experiment code
-// itself: its series form is run with a capturing executor that records
-// the cells core.Run would have dispatched and returns without running
-// any. Cell layout is a pure function of the semantic Options
-// fields, which is exactly what the campaign fingerprint hashes, so a
-// fingerprint match guarantees the coordinator and every worker
-// enumerate identical cells.
+// key → cell mapping locally. The derivation is the experiment's own
+// layout function, the one its Run and Series hand to core.Points, so
+// there is no dry run: what is enumerated is what is measured. Cell
+// layout is a pure function of the semantic Options fields, which is
+// exactly what the campaign fingerprint hashes, so a fingerprint match
+// guarantees the coordinator and every worker enumerate identical cells.
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/capture"
 	"repro/internal/core"
 )
 
@@ -42,9 +39,9 @@ func (s *CellSet) Len() int { return len(s.Cells) }
 // EnumerateCells computes the cell space of experiment id under o
 // without running a single measurement. Experiments without a series
 // form measure no capture cells (the distribution plots and the
-// generator and disk benchmarks): they yield an empty set without
-// running, always run locally and are never leased. Chaos campaigns
-// cannot be enumerated: their fault hooks are process-local closures.
+// generator and disk benchmarks): they yield an empty set, always run
+// locally and are never leased. Chaos campaigns cannot be enumerated:
+// their fault hooks are process-local closures.
 func EnumerateCells(id string, o Options) (*CellSet, error) {
 	e, err := Find(id)
 	if err != nil {
@@ -54,31 +51,13 @@ func EnumerateCells(id string, o Options) (*CellSet, error) {
 	if o.Chaos != 0 {
 		return nil, fmt.Errorf("experiments: chaos campaigns cannot be enumerated for dispatch")
 	}
-	cap := &capturingExecutor{set: &CellSet{
-		Experiment: id,
-		index:      map[core.CellKey]int{},
-	}}
-	// Strip every runtime knob: enumeration must see the engine's cell
-	// layout, nothing else — no journal replay filtering, no events, no
-	// cancellation, and certainly not a real executor.
-	o.Ctx, o.Journal, o.Observer = nil, nil, nil
-	o.Executor = cap
-	if e.Series != nil {
-		e.Series(o)
+	set := &CellSet{Experiment: id, index: map[core.CellKey]int{}}
+	if e.layout != nil {
+		l := e.layout(o)
+		set.Cells, set.IDs = l.Cells, l.IDs
+		for i := range l.Cells {
+			set.index[core.KeyOf(id, l.Cells[i], l.IDs[i])] = i
+		}
 	}
-	return cap.set, nil
-}
-
-// capturingExecutor records the cells core.Run hands it and completes
-// none of them: the engine's aggregation sees zero statistics (the series
-// it returns are discarded) and its journal hook never fires.
-type capturingExecutor struct{ set *CellSet }
-
-func (c *capturingExecutor) ExecuteCells(ctx context.Context, experiment string, cells []core.Cell, ids []core.CellID, done func(int, *capture.Stats, string) error) []error {
-	for i := range cells {
-		c.set.index[core.KeyOf(experiment, cells[i], ids[i])] = len(c.set.Cells)
-		c.set.Cells = append(c.set.Cells, cells[i])
-		c.set.IDs = append(c.set.IDs, ids[i])
-	}
-	return make([]error, len(cells))
+	return set, nil
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/capture"
 	"repro/internal/core"
@@ -172,6 +171,10 @@ type Experiment struct {
 	// form (for `experiment -json`); nil for experiments that have no
 	// series shape (distribution plots, histograms).
 	Series func(o Options) []core.Series
+	// layout lays out a sweep experiment's cells under defaulted options:
+	// what Run and Series measure, and what EnumerateCells lists. Nil
+	// when Series is.
+	layout func(o Options) core.Layout
 }
 
 // expt builds a text-only experiment (no structured series form).
@@ -294,119 +297,47 @@ func sysCfgs(mods ...modifier) func() []capture.Config {
 	return func() []capture.Config { return systems(mods...) }
 }
 
-// seriesSweep runs the standard §3.4 data-rate sweep over the configs.
-// experiment namespaces the campaign journal keys.
-func seriesSweep(experiment string, cfgs func() []capture.Config) func(o Options) []core.Series {
-	return func(o Options) []core.Series {
-		o = o.withDefaults()
-		w := core.Workload{Packets: o.Packets, Seed: o.Seed}
-		return core.Sweep(o.ctx(), o.applyPolicy(cfgs()), o.Rates, w, o.Reps, o.engine(experiment))
+// sweep builds a sweep experiment: layout lays its cells out under the
+// defaulted options, rule resolves each point from its cells, and table
+// renders the main table from the layout, the series and the per-cell
+// outcomes; the companion tables follow it.
+func sweep(id, paper, title string, layout func(Options) core.Layout, rule core.PointRule,
+	table func(l core.Layout, series []core.Series, outs []core.CellOutcome) string) Experiment {
+	measure := func(o Options) (core.Layout, []core.Series, []core.CellOutcome) {
+		l := layout(o)
+		series, outs := core.Points(o.ctx(), l, o.engine(id), rule)
+		return l, series, outs
 	}
+	return Experiment{ID: id, Paper: paper, Title: title, layout: layout,
+		Run: func(o Options) string {
+			o = o.withDefaults()
+			l, series, outs := measure(o)
+			return table(l, series, outs) + o.companions(series)
+		},
+		Series: func(o Options) []core.Series {
+			_, series, _ := measure(o.withDefaults())
+			return series
+		}}
 }
 
-// tableRun renders a sweep the way the thesis plots it, followed by its
-// companion tables.
-func tableRun(title string, series func(o Options) []core.Series) func(o Options) string {
-	return func(o Options) string {
-		o = o.withDefaults()
-		s := series(o)
-		return core.FormatTable(title, s) + o.companions(s)
-	}
-}
-
-// observeCellPoints wraps obs so a per-cell sweep (one cell per plotted
-// point) publishes one EventPoint per final cell, at the cell event's x,
-// rendered exactly like cellSeries renders the series form. Emission is
-// head-of-line sequenced in cell layout order, so the point stream is
-// deterministic for any worker count.
-func observeCellPoints(obs core.Observer, experiment string, cells []core.Cell, ids []core.CellID) core.Observer {
-	if obs == nil {
-		return nil
-	}
-	idxOf := make(map[core.CellKey]int, len(cells))
-	for i := range cells {
-		idxOf[core.KeyOf(experiment, cells[i], ids[i])] = i
-	}
-	var mu sync.Mutex
-	pending := make([]*core.Event, len(cells))
-	next := 0
-	return core.ObserverFunc(func(ev core.Event) {
-		obs.Observe(ev)
-		if (ev.Kind != core.EventCell && ev.Kind != core.EventQuarantine) || ev.Stats == nil {
-			return
-		}
-		i, ok := idxOf[ev.Key()]
-		if !ok {
-			return
-		}
-		out := core.CellOutcome{Stats: *ev.Stats}
-		if ev.Outcome != nil {
-			out = *ev.Outcome
-		}
-		pt := cellPoint(ev.System, ev.X, out, ev.Outcome != nil)
-		pe := core.Event{Kind: core.EventPoint, Experiment: ev.Experiment,
-			System: ev.System, Point: ev.Point, X: pt.X, Agg: &pt}
-		mu.Lock()
-		defer mu.Unlock()
-		pending[i] = &pe
-		for next < len(pending) && pending[next] != nil {
-			obs.Observe(*pending[next])
-			next++
-		}
-	})
-}
-
-// runCells executes a per-cell sweep (buffer sweep, multi-app, shedding,
-// modern stacks) through the cell engine; experiment namespaces the
-// journal keys.
-func runCells(o Options, experiment string, l cellSweep) []core.CellOutcome {
-	ids := make([]core.CellID, len(l.cells))
-	for i := range l.cells {
-		ids[i] = core.CellID{Point: l.point(i), Rep: 0, X: l.x(i)}
-	}
-	co := o.engine(experiment)
-	co.Observer = observeCellPoints(o.Observer, experiment, l.cells, ids)
-	outs, errs := core.Run(o.ctx(), l.cells, ids, co)
-	for _, err := range errs {
-		if err != nil && !core.IsCancel(err) {
-			panic(err)
-		}
-	}
-	return outs
-}
-
-// sweepExpt builds a data-rate-sweep experiment with both the rendered
-// table (Run) and the structured series (Series) forms.
+// sweepExpt builds a data-rate-sweep experiment: the §3.4 cycle over the
+// configs, rendered the way the thesis plots it.
 func sweepExpt(id, paper, title, tableTitle string, cfgs func() []capture.Config) Experiment {
-	series := seriesSweep(id, cfgs)
-	return Experiment{ID: id, Paper: paper, Title: title,
-		Run: tableRun(tableTitle, series), Series: series}
-}
-
-// cellSeries groups per-cell outcomes (laid out x-major, system-minor)
-// into one Series per system, with the given per-cell x value.
-// supervised carries the chaos bookkeeping onto the points.
-func cellSeries(cells []core.Cell, outs []core.CellOutcome, x func(i int) float64, supervised bool) []core.Series {
-	var series []core.Series
-	idx := map[string]int{}
-	for i, out := range outs {
-		name := cells[i].Cfg.Name
-		j, ok := idx[name]
-		if !ok {
-			j = len(series)
-			idx[name] = j
-			series = append(series, core.Series{System: name})
-		}
-		series[j].Points = append(series[j].Points, cellPoint(name, x(i), out, supervised))
+	layout := func(o Options) core.Layout {
+		return core.RateLayout(o.applyPolicy(cfgs()), o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, o.Reps)
 	}
-	return series
+	return sweep(id, paper, title, layout, core.ResolvePoint,
+		func(_ core.Layout, series []core.Series, _ []core.CellOutcome) string {
+			return core.FormatTable(tableTitle, series)
+		})
 }
 
-// cellPoint renders the point of a per-cell sweep from its one cell's
-// outcome. A quarantined cell keeps the statistics of its last attempt
-// that produced any — unlike a rate-sweep point, which aggregates only
+// cellPoint is the point rule of a per-cell sweep, whose points have one
+// cell each. A quarantined cell keeps the statistics of its last attempt
+// that produced any — unlike core.ResolvePoint, which aggregates only
 // accepted repetitions.
-func cellPoint(system string, x float64, out core.CellOutcome, supervised bool) core.Point {
+func cellPoint(system string, x float64, column []core.CellOutcome, supervised bool) core.Point {
+	out := column[0]
 	pt := core.AggregatePoint(system, x, []capture.Stats{out.Stats})
 	if supervised {
 		pt.Attempts = out.Attempts
@@ -429,31 +360,20 @@ func systems(mods ...modifier) []capture.Config {
 	return cfgs
 }
 
-// cellSweep is the layout of a per-cell sweep — one cell per plotted
-// point, laid out x-major — with the plotted x and the point fingerprint
-// (for the fault model and the campaign journal) of each cell.
-type cellSweep struct {
-	cells []core.Cell
-	x     func(i int) float64
-	point func(i int) uint64
-}
-
-// axisCells lays a per-cell sweep out x-major: at(x) returns the cells
-// plotted at x (equally many for every x), and key fingerprints x.
-func axisCells(xs []float64, key func(x float64) uint64, at func(x float64) []core.Cell) cellSweep {
-	var cells []core.Cell
-	n := 0 // cells per x
+// axisCells lays a per-cell sweep out x-major, one repetition: at(x)
+// returns the cells plotted at x, one per system (equally many for every
+// x), and key fingerprints x.
+func axisCells(xs []float64, key func(x float64) uint64, at func(x float64) []core.Cell) core.Layout {
+	l := core.Layout{Reps: 1}
 	for _, x := range xs {
 		col := at(x)
-		cells, n = append(cells, col...), len(col)
+		l.Cells, l.Systems = append(l.Cells, col...), len(col)
+		for range col {
+			l.IDs = append(l.IDs, core.CellID{Point: key(x), X: x})
+		}
 	}
-	return cellSweep{cells: cells,
-		x:     func(i int) float64 { return xs[i/n] },
-		point: func(i int) uint64 { return key(xs[i/n]) }}
+	return l
 }
-
-// milli fingerprints a point by its x value in thousandths.
-func milli(x float64) uint64 { return uint64(x * 1e3) }
 
 // column feeds every base the workload w: the cells of one plotted x.
 func column(bases []capture.Config, w core.Workload) []core.Cell {
@@ -464,55 +384,33 @@ func column(bases []capture.Config, w core.Workload) []core.Cell {
 	return cells
 }
 
-// rateCells lays a per-cell data-rate sweep out rate-major over bases,
-// feeding each rate's column the workload w at that rate.
-func rateCells(rates []float64, w core.Workload, bases []capture.Config) cellSweep {
-	return axisCells(rates, milli, func(r float64) []core.Cell {
-		w.TargetRate = r * 1e6
-		return column(bases, w)
-	})
-}
-
 // cellExpt builds a per-cell sweep experiment: layout lays out its cells
-// under the (defaulted) options, and the rendered table is header
-// followed by one row per width consecutive cells, then the companion
-// tables. row renders a row from the statistics of its cells; x is the
-// row's plotted value and system the name of its first cell.
-func cellExpt(id, paper, title, header string, layout func(o Options) cellSweep, width int,
+// under the defaulted options, one repetition, and the rendered table is
+// header followed by one row per width consecutive cells. row renders a
+// row from the statistics of its cells; x is the row's plotted value and
+// system the name of its first cell.
+func cellExpt(id, paper, title, header string, layout func(o Options) core.Layout, width int,
 	row func(out *strings.Builder, x float64, system string, sts []capture.Stats)) Experiment {
-	measure := func(o Options) (Options, cellSweep, []core.CellOutcome) {
-		o = o.withDefaults()
-		l := layout(o)
-		return o, l, runCells(o, id, l)
-	}
-	series := func(o Options) []core.Series {
-		o, l, outs := measure(o)
-		return cellSeries(l.cells, outs, l.x, o.Chaos != 0)
-	}
-	run := func(o Options) string {
-		o, l, outs := measure(o)
-		var out strings.Builder
-		out.WriteString(header)
-		sts := make([]capture.Stats, len(outs))
-		for i := range outs {
-			sts[i] = outs[i].Stats
-		}
-		for i := 0; i < len(sts); i += width {
-			row(&out, l.x(i), l.cells[i].Cfg.Name, sts[i:i+width])
-		}
-		if o.Why || o.Chaos != 0 {
-			out.WriteString(o.companions(cellSeries(l.cells, outs, l.x, o.Chaos != 0)))
-		}
-		return out.String()
-	}
-	return Experiment{ID: id, Paper: paper, Title: title, Run: run, Series: series}
+	return sweep(id, paper, title, layout, cellPoint,
+		func(l core.Layout, _ []core.Series, outs []core.CellOutcome) string {
+			var out strings.Builder
+			out.WriteString(header)
+			sts := make([]capture.Stats, len(outs))
+			for i := range outs {
+				sts[i] = outs[i].Stats
+			}
+			for i := 0; i < len(sts); i += width {
+				row(&out, l.IDs[i].X, l.Cells[i].Cfg.Name, sts[i:i+width])
+			}
+			return out.String()
+		})
 }
 
 // bufferSweepExpt reproduces Figure 6.4: highest rate, buffer size on the
 // x axis ("the buffer size was reduced by a factor of two for FreeBSD" so
 // the effective capacity matches single-buffered Linux).
 func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 980e6}
 		bases := o.applyPolicy(systems(cpuMod))
 		var kbs []float64
@@ -541,12 +439,12 @@ func bufferSweepExpt(id, paper, title string, cpuMod modifier) Experiment {
 // multiAppExpt reproduces Figures 6.7–6.9: n applications, SMP, with the
 // worst/average/best per-application lines.
 func multiAppExpt(id, paper, title string, n int) Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		bases := o.applyPolicy(systems(bigBuffers, dual))
 		for i := range bases {
 			bases[i].NumApps = n
 		}
-		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
+		return core.RateLayout(bases, o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, 1)
 	}
 	return cellExpt(id, paper, title,
 		fmt.Sprintf("# %d capturing applications: per-app worst/avg/best rate and CPU vs data rate\n# rate\tsystem\tworst%%\tavg%%\tbest%%\tcpu%%\n", n),
@@ -710,18 +608,18 @@ func runBonnie(o Options) string {
 // paced arrivals never touch. Both columns replay one paced train; the
 // bursty one re-times it.
 func selfSimExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		paced := single(core.Swan())
 		bursty := paced
 		bursty.Name += "-bursty"
-		l := rateCells([]float64{200, 400, 600}, core.Workload{Packets: o.Packets, Seed: o.Seed},
-			[]capture.Config{paced, bursty})
-		for i := 1; i < len(l.cells); i += 2 {
+		l := core.RateLayout([]capture.Config{paced, bursty}, []float64{200, 400, 600},
+			core.Workload{Packets: o.Packets, Seed: o.Seed}, 1)
+		for i := 1; i < len(l.Cells); i += 2 {
 			// Self-similar gaps of the paced train's mean, seeded like the
 			// train: the superposition of 16 Pareto on/off sources with
 			// shape 1.5.
-			w := l.cells[i].W
-			l.cells[i].Wrap = func(src capture.Source) capture.Source {
+			w := l.Cells[i].W
+			l.Cells[i].Wrap = func(src capture.Source) capture.Source {
 				meanGap := 645.0 * 8 / w.TargetRate * 1e9
 				return &retimed{src: src, gaps: trace.SelfSimilarArrivals(w.Packets, meanGap, 16, 1.5, w.Seed)}
 			}

@@ -63,12 +63,12 @@ func pairRow(out *strings.Builder, x float64, system string, sts []capture.Stats
 // workersExpt runs the heavy zlib-3 analysis load inline vs on two worker
 // threads — the [DV04] approach of spreading analysis across processors.
 func workersExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		bases := variants("-workers", func(cfg capture.Config) capture.Config {
 			cfg.Load.Workers = 2
 			return cfg
 		}, gzwrite(3)(dual(core.Swan())), gzwrite(3)(dual(core.Moorhen())))
-		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
+		return core.RateLayout(bases, o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, 1)
 	}
 	return cellExpt("ext-workers", "§7.2 / [DV04]", "multithreaded packet analysis on multiprocessors",
 		"# zlib-3 analysis: inline reader vs 2 worker threads, dual CPU\n# rate\tsystem\tinline%\tworkers%\n",
@@ -79,10 +79,10 @@ func workersExpt() Experiment {
 // host): "the most commonly interest would be the evaluation of 10 Gigabit
 // Ethernet" (§7.2). The 2005 systems drown — the question is how fast.
 func tenGbEExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		// GenCostNS: a generator host of the 10GbE era.
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed, LineRate: 10e9, GenCostNS: 120}
-		return rateCells([]float64{1000, 2000, 4000, 8000}, w, systems(bigBuffers, dual))
+		return core.RateLayout(systems(bigBuffers, dual), []float64{1000, 2000, 4000, 8000}, w, 1)
 	}
 	return cellExpt("ext-10gbe", "§7.2", "outlook: the same systems against 10 Gigabit Ethernet",
 		"# 10GbE outlook: capture rate at multi-gigabit rates, dual CPU, big buffers\n# rate-Mbit\tsystem\trate%\tcpu%\n",
@@ -95,13 +95,13 @@ func tenGbEExpt() Experiment {
 // default-buffer drop onset (Figure 6.2) should move far to the right,
 // demonstrating which mechanism produces it in the model.
 func housekeepingExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		bases := variants("-no-housekeeping", func(cfg capture.Config) capture.Config {
 			cfg.Costs = capture.DefaultCosts()
 			cfg.Costs.HousekeepNS = 0
 			return cfg
 		}, single(core.Swan()))
-		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
+		return core.RateLayout(bases, o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, 1)
 	}
 	return cellExpt("abl-housekeeping", "model ablation", "default-buffer drop onset with and without OS housekeeping stalls",
 		"# swan, default buffers, single CPU: with vs without housekeeping stalls\n# rate\twith%\twithout%\n",
@@ -114,12 +114,12 @@ func housekeepingExpt() Experiment {
 // load the dual-CPU Xeon systems should visibly improve, quantifying what
 // the §2.4 architecture difference costs.
 func contentionExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		bases := variants("-uncontended", func(cfg capture.Config) capture.Config {
 			cfg.Arch.MemContention = 1.0
 			return cfg
 		}, memcpy(50)(dual(core.Snipe())), memcpy(50)(dual(core.Flamingo())))
-		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, bases)
+		return core.RateLayout(bases, o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed}, 1)
 	}
 	return cellExpt("abl-contention", "model ablation", "Xeon front-side-bus contention on vs off under copy load",
 		"# snipe + flamingo, memcpy-50, dual CPU: FSB contention on vs off\n# rate\tsystem\tcontended%\tuncontended%\n",
@@ -143,7 +143,7 @@ func productionRate(hour float64) float64 {
 // the offered rate follows the diurnal curve. The x axis is the hour, so
 // the two clamped afternoon hours stay distinct points.
 func productionExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		bases := systems(bigBuffers, dual, func(cfg capture.Config) capture.Config {
 			cfg.Filter = filter.MustCompile(filter.ReferenceFilterExpr, 1515)
 			cfg.Load.FlowTrack = true
@@ -151,7 +151,7 @@ func productionExpt() Experiment {
 			return cfg
 		})
 		hours := []float64{0, 3, 6, 9, 12, 15, 18, 21}
-		return axisCells(hours, milli, func(hour float64) []core.Cell {
+		return axisCells(hours, core.PointKey, func(hour float64) []core.Cell {
 			return column(bases, core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: productionRate(hour)})
 		})
 	}
@@ -215,8 +215,8 @@ func shedConfigs() []capture.Config {
 // over the per-app capture counts. The cells run through the cell engine
 // like any other per-cell sweep, so -json, SSE and -chaos all work.
 func shedExpt() Experiment {
-	layout := func(o Options) cellSweep {
-		return rateCells(o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed, Flows: shedFlows}, shedConfigs())
+	layout := func(o Options) core.Layout {
+		return core.RateLayout(shedConfigs(), o.Rates, core.Workload{Packets: o.Packets, Seed: o.Seed, Flows: shedFlows}, 1)
 	}
 	header := "# load shedding: packet/flow accuracy, shed share and fairness by policy\n" +
 		fmt.Sprintf("# swan + moorhen, dual CPU, big buffers, %d flows per train; shed != lost (see -why)\n", shedFlows) +
@@ -292,10 +292,10 @@ func modernConfigs(rings []int) []capture.Config {
 // through the cell engine, so -json, SSE, -chaos, -policy, journaling and
 // dispatch all compose like any other per-cell sweep.
 func modernExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed,
 			Flows: modernFlows, LineRate: 100e9, GenCostNS: modernGenCostNS}
-		return rateCells(modernRates, w, o.applyPolicy(modernConfigs(o.Rings)))
+		return core.RateLayout(o.applyPolicy(modernConfigs(o.Rings)), modernRates, w, 1)
 	}
 	header := "# modern capture stacks at 10/40/100G: RSS+NAPI (heron), poll mode (osprey), zero copy (kite)\n" +
 		fmt.Sprintf("# 8-core hosts, rN = RX rings, aN = capturing apps, %d flows per train\n", modernFlows) +
@@ -318,10 +318,10 @@ func modernExpt() Experiment {
 // timestamps of most packets and along with this the inter-packet gaps are
 // not correct", with whole batches sharing one stamp.
 func moderationExpt() Experiment {
-	layout := func(o Options) cellSweep {
+	layout := func(o Options) core.Layout {
 		w := core.Workload{Packets: o.Packets, Seed: o.Seed, TargetRate: 700e6}
 		delaysUS := []float64{0, 20, 50, 100, 250}
-		return axisCells(delaysUS, milli, func(delayUS float64) []core.Cell {
+		return axisCells(delaysUS, core.PointKey, func(delayUS float64) []core.Cell {
 			cfg := bigBuffers(dual(core.Moorhen()))
 			cfg.Costs = capture.DefaultCosts()
 			cfg.Costs.ModerationDelayNS = delayUS * 1e3

@@ -1,8 +1,8 @@
 // Package mix holds the deterministic hash mixing behind every seeded
 // draw of the repository: the testbed, network and storage fault plans
-// (faults, netchaos, faultfs), the generator's flow order (pktgen) and
-// the dispatch worker's retry jitter. Every draw is a pure function of
-// its keys, so a run replays bit for bit.
+// (faults, netchaos, faultfs) and the generator's flow order (pktgen).
+// Every draw is a pure function of its keys, so a run replays bit for
+// bit.
 package mix
 
 // Golden is the SplitMix64 increment, 2⁶⁴/φ: one step of its stream.
